@@ -1,71 +1,53 @@
-"""Sparse (CSR) kernels for the masked conversion layer.
+"""Sparse (CSR) kernels for the hard-mode masked conversion layer.
 
-The mask-constrained layer stores weights on the orthology support only, so
-its forward and backward passes are custom CSR loops rather than dense
-matmuls. Two interchangeable implementations are provided:
+The mask-constrained layer stores weights on the orthology support only, one
+per edge in row-major order, so its products are edge gathers and scatters
+rather than dense matmuls. Each operation has one pure-numpy implementation
+in float64 with a fixed reduction order, so every call is deterministic.
 
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is controlled by the ``ORTHOMASK_BACKEND`` environment variable
-(``auto``, ``numba`` or ``numpy``) or at runtime via :func:`set_backend`.
-Both backends compute in float64; they agree to ~1e-15 but are not required
-to be bit-identical to each other (each backend is individually
-deterministic, which is what reproducibility relies on).
-
-``benchmarks/bench_kernels.py`` compares the two.
+:func:`dense_times_csr` and :func:`edge_dot` are the two edge primitives:
+the backward pass is built from them, and so is the fold of the layer into
+the frozen network's first layer that conversion training runs on.
+Evaluation and prediction use :func:`csr_matvec_batch`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-BACKEND_ENV_VAR = "ORTHOMASK_BACKEND"
-_VALID = ("auto", "numba", "numpy")
+def _edge_rows(indptr):
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
 
-def _resolve(name: str) -> str:
-    if name not in _VALID:
-        raise ValueError(
-            f"invalid backend {name!r} (choose from {', '.join(_VALID)})"
-        )
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("backend 'numba' requested but numba is not importable")
-    return name
+def dense_times_csr(indptr, indices, data, a, n_cols):
+    """Dense ``a`` (k, n_rows) times the CSR matrix (n_rows, n_cols).
+
+    ``out[m, j]`` sums ``a[m, row(e)] * data[e]`` over the edges e in column
+    j, in edge order.
+    """
+    k = a.shape[0]
+    values = a[:, _edge_rows(indptr)] * data
+    slots = indices + n_cols * np.arange(k)[:, None]
+    out = np.bincount(slots.ravel(), weights=values.ravel(), minlength=k * n_cols)
+    # with no edges bincount has nothing to sum and returns integer zeros
+    return out.astype(np.float64, copy=False).reshape(k, n_cols)
 
 
-_active = _resolve(os.environ.get(BACKEND_ENV_VAR, "auto"))
+def edge_dot(indptr, indices, a, b):
+    """Per-edge column dot product: ``sum_m a[m, row(e)] * b[m, indices[e]]``.
+
+    ``a`` is (k, n_rows) and ``b`` is (k, n_cols); returns one value per edge.
+    """
+    return np.einsum("me,me->e", a[:, _edge_rows(indptr)], b[:, indices])
 
 
-def active_backend() -> str:
-    """Name of the backend currently answering kernel calls."""
-    return _active
+def csr_matvec_batch(indptr, indices, data, xs):
+    """Row-compressed sparse times a batch of vectors.
 
-
-def set_backend(name: str) -> str:
-    """Select ``numba``, ``numpy`` or ``auto``; returns the resolved name."""
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _csr_matvec_batch_np(indptr, indices, data, xs):
+    ``xs`` has shape (n_samples, n_cols); returns (n_samples, n_rows) with
+    ``out[s, i] = sum_e data[e] * xs[s, indices[e]]`` over row i's entries.
+    """
     n_rows = indptr.shape[0] - 1
     out = np.zeros((xs.shape[0], n_rows))
     if data.shape[0] == 0:
@@ -78,77 +60,6 @@ def _csr_matvec_batch_np(indptr, indices, data, xs):
     return out
 
 
-def _csr_backward_batch_np(indptr, indices, data, xs, upstream):
-    n_rows = indptr.shape[0] - 1
-    grad_data = np.zeros_like(data)
-    grad_xs = np.zeros_like(xs)
-    for i in range(n_rows):
-        lo, hi = indptr[i], indptr[i + 1]
-        if hi == lo:
-            continue
-        cols = indices[lo:hi]
-        u = upstream[:, i]
-        grad_data[lo:hi] = u @ xs[:, cols]
-        # column indices are unique within a row, so += is safe here
-        grad_xs[:, cols] += u[:, None] * data[lo:hi]
-    return grad_data, grad_xs
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same math, explicit loops)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _csr_matvec_batch_nb(indptr, indices, data, xs):
-        n_samples = xs.shape[0]
-        n_rows = indptr.shape[0] - 1
-        out = np.zeros((n_samples, n_rows))
-        for s in range(n_samples):
-            for i in range(n_rows):
-                acc = 0.0
-                for e in range(indptr[i], indptr[i + 1]):
-                    acc += data[e] * xs[s, indices[e]]
-                out[s, i] = acc
-        return out
-
-    @njit(cache=True)
-    def _csr_backward_batch_nb(indptr, indices, data, xs, upstream):
-        n_samples = xs.shape[0]
-        n_rows = indptr.shape[0] - 1
-        grad_data = np.zeros_like(data)
-        grad_xs = np.zeros_like(xs)
-        for i in range(n_rows):
-            for e in range(indptr[i], indptr[i + 1]):
-                j = indices[e]
-                acc = 0.0
-                for s in range(n_samples):
-                    acc += upstream[s, i] * xs[s, j]
-                grad_data[e] = acc
-        for s in range(n_samples):
-            for i in range(n_rows):
-                u = upstream[s, i]
-                for e in range(indptr[i], indptr[i + 1]):
-                    grad_xs[s, indices[e]] += data[e] * u
-        return grad_data, grad_xs
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def csr_matvec_batch(indptr, indices, data, xs):
-    """Row-compressed sparse times a batch of vectors.
-
-    ``xs`` has shape (n_samples, n_cols); returns (n_samples, n_rows) with
-    ``out[s, i] = sum_e data[e] * xs[s, indices[e]]`` over row i's entries.
-    """
-    if _active == "numba":
-        return _csr_matvec_batch_nb(indptr, indices, data, xs)
-    return _csr_matvec_batch_np(indptr, indices, data, xs)
-
-
 def csr_backward_batch(indptr, indices, data, xs, upstream):
     """Gradients of ``csr_matvec_batch`` for a batch.
 
@@ -156,18 +67,6 @@ def csr_backward_batch(indptr, indices, data, xs, upstream):
     ``upstream[s, row(e)] * xs[s, indices[e]]`` over samples and ``grad_xs``
     is the transpose product ``upstream @ CSR``.
     """
-    if _active == "numba":
-        return _csr_backward_batch_nb(indptr, indices, data, xs, upstream)
-    return _csr_backward_batch_np(indptr, indices, data, xs, upstream)
-
-
-def warmup():
-    """Force JIT compilation of the numba kernels (no-op on numpy)."""
-    if _active != "numba":
-        return
-    indptr = np.array([0, 1], dtype=np.int64)
-    indices = np.array([0], dtype=np.int64)
-    data = np.array([1.0])
-    xs = np.array([[1.0]])
-    csr_matvec_batch(indptr, indices, data, xs)
-    csr_backward_batch(indptr, indices, data, xs, xs)
+    grad_data = edge_dot(indptr, indices, upstream, xs)
+    grad_xs = dense_times_csr(indptr, indices, data, upstream, xs.shape[1])
+    return grad_data, grad_xs

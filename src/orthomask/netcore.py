@@ -174,6 +174,33 @@ def backward_conversion(layer, x_s, upstream):
     return grad_w, grad_xs[0]
 
 
+def fold_conversion(layer: MaskedLinearLayer, first_weights: np.ndarray) -> np.ndarray:
+    """``first_weights @ layer.to_dense()``, shape (h, n_sources).
+
+    An affine first layer absorbs the conversion map: ``W1 @ (C @ x)`` equals
+    ``fold_conversion(layer, W1) @ x``. Hard mode scatters over the edges and
+    never forms the dense matrix.
+    """
+    if layer.mode == MODE_HARD:
+        mask = layer.mask
+        return kernels.dense_times_csr(
+            mask.indptr, mask.edge_cols, layer.weights, first_weights, layer.n_sources
+        )
+    return first_weights @ layer.weights
+
+
+def fold_conversion_grad(
+    layer: MaskedLinearLayer, first_weights: np.ndarray, grad_folded: np.ndarray
+) -> np.ndarray:
+    """Gradient w.r.t. ``layer.weights`` from the gradient w.r.t. the folded
+    weights: ``first_weights.T @ grad_folded``, read on the support only in
+    hard mode."""
+    if layer.mode == MODE_HARD:
+        mask = layer.mask
+        return kernels.edge_dot(mask.indptr, mask.edge_cols, first_weights, grad_folded)
+    return first_weights.T @ grad_folded
+
+
 @dataclass
 class Layer:
     """One affine-then-activation stage: weights (out, in), bias (out,)."""
@@ -317,13 +344,9 @@ def loss_mse(pred, target) -> tuple[float, np.ndarray]:
 
 def loss_mse_batch(pred, target) -> tuple[float, np.ndarray]:
     """Mean of per-sample MSE over a batch; gradient scaled accordingly."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 2:
-        raise ValueError(f"pred shape {pred.shape} incompatible with target shape {np.shape(target)}")
-    diff = pred - target
-    value = float(np.mean(diff * diff))
-    return value, 2.0 * diff / diff.size
+    if np.ndim(pred) != 2:
+        raise ValueError(f"batch predictions must be 2-D, got shape {np.shape(pred)}")
+    return loss_mse(pred, target)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from .netcore import (
     MODES,
     FeedforwardNetwork,
     MaskedLinearLayer,
-    backward_conversion_batch,
+    fold_conversion,
+    fold_conversion_grad,
     forward_conversion_batch,
     loss_cross_entropy_batch,
     loss_mse_batch,
@@ -300,10 +301,14 @@ def train_conversion(
 ) -> tuple[MaskedLinearLayer, TrainReport]:
     """Fit only the conversion weights against the frozen predictor.
 
-    Per step: x_t = conversion(x_s), y = f(x_t), loss = batch loss
-    (plus the quadratic orthology penalty in soft mode). The network's
-    parameter gradients are computed and discarded; its weights are
-    bit-identical before and after.
+    Per step: y = f(C @ x_s), loss = batch loss (plus the quadratic
+    orthology penalty in soft mode). The frozen first layer is affine, so
+    the step runs on a copy of the network whose first-layer weights are
+    the folded ``M = W1 @ C`` (h x n_sources) and never forms the converted
+    batch; the gradient w.r.t. ``C`` is read off that layer's weight
+    gradient ``G`` as ``W1.T @ G`` (on the support only in hard mode).
+    ``frozen_net`` is never written; its weights are bit-identical before
+    and after.
     """
     if not frozen_net.frozen:
         raise InvalidStateError("conversion training requires a frozen network")
@@ -333,14 +338,17 @@ def train_conversion(
         # exact zeros off the penalty's reach keep untouched weights bit-stable
         reg_coeff = 2.0 * (cfg.alpha * (1.0 - dense_mask) + cfg.beta * dense_mask)
 
+    first_weights = frozen_net.layers[0].weights
+    folded = frozen_net.copy()
+
     report = TrainReport(seed=cfg.seed)
     for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
         xs = data.samples[idx]
-        xt = forward_conversion_batch(trained, xs)
-        pred, cache = mlp_forward_batch(frozen_net, xt)
+        folded.layers[0].weights = fold_conversion(trained, first_weights)
+        pred, cache = mlp_forward_batch(folded, xs)
         value, dpred = _batch_loss(cfg.loss_kind, pred, data.labels[idx])
-        _, dxt = mlp_backward_batch(frozen_net, cache, dpred)
-        grad_w, _ = backward_conversion_batch(trained, xs, dxt)
+        param_grads, _ = mlp_backward_batch(folded, cache, dpred)
+        grad_w = fold_conversion_grad(trained, first_weights, param_grads[0][0])
         if soft:
             value += regularization_penalty(trained.weights, dense_mask, cfg.alpha, cfg.beta)
             grad_w = grad_w + reg_coeff * trained.weights

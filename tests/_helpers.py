@@ -67,6 +67,38 @@ def random_network(rng, dims, frozen=False, activations=None):
     return FeedforwardNetwork(layers, frozen=frozen)
 
 
+# plain elementwise activations and their derivatives, for the dense reference
+_DENSE_ACTS = {
+    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0) * 1.0),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z: np.exp(-z) / (1.0 + np.exp(-z)) ** 2),
+}
+
+
+def dense_conversion_grad(layer, net, xs, labels, loss_kind):
+    """Gradient of the mean batch loss of ``net(xs @ C.T)`` w.r.t. the
+    conversion weights, by backpropagation through the dense matrix ``C``
+    with plain matmuls; hard mode keeps the support entries in edge order."""
+    dense = layer.to_dense()
+    a, pres = xs @ dense.T, []
+    for lay in net.layers:
+        pres.append(a @ lay.weights.T + lay.bias)
+        a = _DENSE_ACTS[lay.activation][0](pres[-1])
+    if loss_kind == "mse":
+        delta = 2.0 * (a - labels) / a.size
+    else:
+        probs = np.exp(a - a.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(len(labels)), labels] -= 1.0
+        delta = probs / len(labels)
+    for lay, z in zip(reversed(net.layers), reversed(pres)):
+        delta = (delta * _DENSE_ACTS[lay.activation][1](z)) @ lay.weights
+    grad = delta.T @ xs
+    if layer.mode == "soft":
+        return grad
+    return grad[layer.mask.edge_rows, layer.mask.edge_cols]
+
+
 # ---------------------------------------------------------------------------
 # reciprocal-best-hit oracle
 # ---------------------------------------------------------------------------

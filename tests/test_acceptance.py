@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from orthomask import kernels
 from orthomask.dataio import (
     ExpressionDataset,
     SyntheticSpec,
@@ -79,12 +78,6 @@ def criterion(name):
         print(f"[acceptance] {name}: FAIL")
         raise
     print(f"[acceptance] {name}: PASS")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation happens here, outside any timed section
-    kernels.warmup()
 
 
 @pytest.fixture(scope="module")

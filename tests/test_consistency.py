@@ -1,11 +1,7 @@
-"""Cross-path consistency: batch kernels vs single-sample calls, optimizer
-update rules against their published formulas, and backend selection via
-the environment flag."""
+"""Cross-path consistency: batch kernels vs single-sample calls, and
+optimizer update rules against their published formulas."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -131,32 +127,6 @@ class TestOptimizerFormulas:
         for _ in range(steps):
             w = w - lr * (8.0 * w)
         assert trained.weights[0] == w
-
-
-class TestBackendEnvFlag:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_env_var_selects_backend(self, backend):
-        from orthomask import kernels
-
-        if backend == "numba" and not kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        code = (
-            "from orthomask import kernels; print(kernels.active_backend())"
-        )
-        env = dict(os.environ, ORTHOMASK_BACKEND=backend)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == backend
-
-    def test_invalid_env_var_fails_loudly(self):
-        code = "from orthomask import kernels"
-        env = dict(os.environ, ORTHOMASK_BACKEND="gpu")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode != 0
-        assert "invalid backend" in out.stderr
 
 
 class TestTrainingBatching:

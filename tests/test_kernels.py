@@ -1,18 +1,8 @@
 import numpy as np
-import pytest
 
 from orthomask import kernels
 
 from _helpers import random_mask
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
 
 
 def random_csr(rng, n_t=9, n_s=11, density=0.4):
@@ -21,19 +11,7 @@ def random_csr(rng, n_t=9, n_s=11, density=0.4):
     return mask, data
 
 
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")
-
-
-def test_auto_resolves():
-    name = kernels.set_backend("auto")
-    assert name in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matvec_against_dense(backend):
-    kernels.set_backend(backend)
+def test_matvec_against_dense():
     rng = np.random.default_rng(3)
     for _ in range(30):
         mask, data = random_csr(rng)
@@ -44,9 +22,7 @@ def test_matvec_against_dense(backend):
         assert np.max(np.abs(got - xs @ dense.T)) <= 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backward_against_dense(backend):
-    kernels.set_backend(backend)
+def test_backward_against_dense():
     rng = np.random.default_rng(4)
     for _ in range(30):
         mask, data = random_csr(rng)
@@ -63,27 +39,7 @@ def test_backward_against_dense(backend):
         assert np.max(np.abs(grad_data - expected)) <= 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        mask, data = random_csr(rng, 12, 7, 0.3)
-        xs = rng.normal(0.0, 1.0, (6, mask.n_sources))
-        upstream = rng.normal(0.0, 1.0, (6, mask.n_targets))
-        kernels.set_backend("numpy")
-        f_np = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
-        gd_np, gx_np = kernels.csr_backward_batch(mask.indptr, mask.edge_cols, data, xs, upstream)
-        kernels.set_backend("numba")
-        f_nb = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
-        gd_nb, gx_nb = kernels.csr_backward_batch(mask.indptr, mask.edge_cols, data, xs, upstream)
-        assert np.max(np.abs(f_np - f_nb)) <= 1e-13
-        assert np.max(np.abs(gd_np - gd_nb)) <= 1e-13
-        assert np.max(np.abs(gx_np - gx_nb)) <= 1e-13
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_support(backend):
-    kernels.set_backend(backend)
+def test_empty_support():
     indptr = np.zeros(4, dtype=np.int64)
     indices = np.zeros(0, dtype=np.int64)
     data = np.zeros(0)
@@ -91,3 +47,7 @@ def test_empty_support(backend):
     out = kernels.csr_matvec_batch(indptr, indices, data, xs)
     assert out.shape == (2, 3)
     assert not out.any()
+    grad_data, grad_xs = kernels.csr_backward_batch(indptr, indices, data, xs, np.ones((2, 3)))
+    assert grad_data.shape == (0,)
+    assert grad_xs.shape == (2, 5) and grad_xs.dtype == np.float64
+    assert not grad_xs.any()

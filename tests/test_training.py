@@ -6,6 +6,8 @@ from orthomask.errors import InvalidStateError, NumericalError
 from orthomask.modelio import model_document
 from orthomask.netcore import (
     ACT_IDENTITY,
+    ACTIVATIONS,
+    MODES,
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
@@ -13,6 +15,7 @@ from orthomask.netcore import (
 from orthomask.orthograph import BiadjacencyMatrix
 from orthomask.training import (
     FULL_BATCH,
+    LOSSES,
     TrainConfig,
     evaluate,
     initialize_conversion_layer,
@@ -23,7 +26,7 @@ from orthomask.training import (
     write_report_tsv,
 )
 
-from _helpers import fd_gradient, random_mask, rel_err
+from _helpers import dense_conversion_grad, fd_gradient, random_mask, random_network, rel_err
 
 
 def one_gene_dataset(x, y):
@@ -282,6 +285,53 @@ class TestTrainConversion:
         assert np.array_equal(a.weights, b.weights)
         assert ra.losses == rb.losses
         assert ra.final_eval == rb.final_eval
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("loss_kind", ["mse", "ce"])
+    def test_step_matches_dense_reference(self, mode, loss_kind):
+        # one unregularized SGD step applies exactly the dense-reference
+        # gradient, over random graphs that include the degenerate shapes
+        rng = np.random.default_rng(31 + 2 * MODES.index(mode) + LOSSES.index(loss_kind))
+        seen = set()
+        for trial in range(60):
+            n_t, n_s = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+            mask = random_mask(rng, n_t, n_s, (0.0, 0.15, 0.5)[trial % 3])
+            n = 1 if trial % 4 == 0 else int(rng.integers(2, 9))
+            hidden = [int(rng.integers(1, 5)) for _ in range(trial % 3)]
+            out_dim = int(rng.integers(2, 5)) if loss_kind == "ce" else int(rng.integers(1, 3))
+            acts = [ACTIVATIONS[(trial + k) % 3] for k in range(len(hidden))] + [ACT_IDENTITY]
+            net = random_network(rng, [n_t, *hidden, out_dim], frozen=True, activations=acts)
+            if loss_kind == "ce":
+                labels = rng.integers(0, out_dim, n).astype(np.int64)
+            else:
+                labels = rng.normal(0.0, 1.0, (n, out_dim))
+            data = ExpressionDataset(
+                "sp", mask.source_gene_ids, [f"s{i}" for i in range(n)],
+                rng.normal(0.0, 1.0, (n, n_s)), labels,
+            )
+            shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
+            layer = MaskedLinearLayer(mask, mode, rng.normal(0.0, 1.0, shape))
+            cfg = TrainConfig(
+                mode=mode, optimizer="sgd", learning_rate=1.0, steps=1, alpha=0.0, beta=0.0,
+                loss_kind=loss_kind, batch_size=int(rng.integers(n, 2 * n + 3)), seed=trial,
+            )
+            before = model_document(net)
+            trained, _ = train_conversion(layer, net, data, cfg)
+            grad = dense_conversion_grad(layer, net, data.samples, labels, loss_kind)
+            assert np.max(rel_err(trained.weights, layer.weights - grad), initial=0.0) <= 1e-10
+            assert model_document(net) == before
+
+            cases = {
+                "no edges": mask.n_edges == 0,
+                "empty target row": mask.n_edges > 0 and (mask.row_degrees() == 0).any(),
+                "unused source": 0 < np.unique(mask.edge_cols).size < n_s,
+                "one sample": n == 1,
+                "batch beyond samples": cfg.batch_size > n,
+                "one layer": not hidden,
+                **{act: act in acts[:-1] for act in ACTIVATIONS},
+            }
+            seen.update(name for name, hit in cases.items() if hit)
+        assert seen == set(cases), set(cases) - seen
 
 
 class TestInitialization:

@@ -302,22 +302,25 @@ def _cmd_train_conversion(args):
     return EXIT_OK
 
 
-def _prepare_inputs(net, conversion, dataset, expr_path):
+def _align_inputs(net, conversion, dataset, expr_path):
+    """The dataset with its genes in the order the model reads them."""
     if conversion is not None:
-        dataset = _align_checked(dataset, conversion.mask.source_gene_ids, expr_path)
-        return dataset, forward_conversion_batch(conversion, dataset.samples)
+        return _align_checked(dataset, conversion.mask.source_gene_ids, expr_path)
     if dataset.n_genes != net.input_dim:
         raise ValueError(
             f"{expr_path} has {dataset.n_genes} genes but model expects {net.input_dim} "
             "(model has no conversion layer; columns are used in file order)"
         )
-    return dataset, dataset.samples
+    return dataset
 
 
 def _cmd_predict(args):
     net, conversion = modelio.load_model(args.model)
     dataset = dataio.read_expression_tsv(args.expr)
-    dataset, inputs = _prepare_inputs(net, conversion, dataset, args.expr)
+    dataset = _align_inputs(net, conversion, dataset, args.expr)
+    inputs = dataset.samples
+    if conversion is not None:
+        inputs = forward_conversion_batch(conversion, inputs)
     pred, _ = mlp_forward_batch(net, inputs)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
@@ -339,15 +342,8 @@ def _cmd_inspect_weights(args):
     if args.target_gene is None:
         interpret.export_weight_table(conversion, args.out)
         return EXIT_OK
-    ranked = interpret.top_contributors(conversion, args.target_gene, args.top)
-    support = conversion.mask.edge_set()
-    t_idx = conversion.mask.target_index()[args.target_gene]
-    s_idx = conversion.mask.source_index()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(interpret.WEIGHT_TABLE_HEADER + "\n")
-        for s_gene, weight in ranked:
-            flag = "true" if (t_idx, s_idx[s_gene]) in support else "false"
-            fh.write(f"{args.target_gene}\t{s_gene}\t{modelio.float_repr(weight)}\t{flag}\n")
+    rows = interpret.contributor_rows(conversion, args.target_gene, args.top)
+    interpret.write_weight_rows(rows, args.out)
     return EXIT_OK
 
 
@@ -357,12 +353,7 @@ def _cmd_eval(args):
     dataset = dataio.attach_labels(dataset, args.labels, _label_kind_for(net))
     if dataset.n_samples == 0:
         raise ValueError(f"no samples in {args.expr}")
-    if conversion is not None:
-        dataset = _align_checked(dataset, conversion.mask.source_gene_ids, args.expr)
-    elif dataset.n_genes != net.input_dim:
-        raise ValueError(
-            f"{args.expr} has {dataset.n_genes} genes but model expects {net.input_dim}"
-        )
+    dataset = _align_inputs(net, conversion, dataset, args.expr)
     value = training.evaluate(net, conversion, dataset)
     print(modelio.float_repr(value))
     return EXIT_OK

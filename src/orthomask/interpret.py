@@ -44,14 +44,20 @@ def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]
     return sorted(_iter_weight_entries(layer), key=lambda row: (row[0], row[1]))
 
 
-def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, float, bool]]:
-    """Write the weight table TSV; returns the rows written."""
-    rows = weight_table(layer)
+def write_weight_rows(rows, path) -> None:
+    """Write ``(target_gene, source_gene, weight, on_support)`` rows as a
+    weight table TSV, in the order given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(WEIGHT_TABLE_HEADER + "\n")
         for t_gene, s_gene, weight, on_support in rows:
             flag = "true" if on_support else "false"
             fh.write(f"{t_gene}\t{s_gene}\t{float_repr(weight)}\t{flag}\n")
+
+
+def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, float, bool]]:
+    """Write the weight table TSV; returns the rows written."""
+    rows = weight_table(layer)
+    write_weight_rows(rows, path)
     return rows
 
 
@@ -83,23 +89,25 @@ def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
     return rows
 
 
-def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> list[tuple[str, float]]:
-    """Up to k stored weights for one target gene, strongest |weight| first.
+def contributor_rows(
+    layer: MaskedLinearLayer, target_gene_id: str, k: int
+) -> list[tuple[str, str, float, bool]]:
+    """Up to k weight-table rows of one target gene, strongest |weight| first.
 
     Ties break by ascending source gene ID, so the ordering is total.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    index = layer.mask.target_index()
-    if target_gene_id not in index:
+    if target_gene_id not in layer.mask.target_gene_ids:
         raise UnknownGeneError(f"unknown target gene {target_gene_id!r}")
-    entries = [
-        (s_gene, weight)
-        for t_gene, s_gene, weight, _ in _iter_weight_entries(layer)
-        if t_gene == target_gene_id
-    ]
-    entries.sort(key=lambda sw: (-abs(sw[1]), sw[0]))
-    return entries[:k]
+    rows = [row for row in _iter_weight_entries(layer) if row[0] == target_gene_id]
+    rows.sort(key=lambda row: (-abs(row[2]), row[1]))
+    return rows[:k]
+
+
+def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> list[tuple[str, float]]:
+    """The ``(source_gene_id, weight)`` pairs of :func:`contributor_rows`."""
+    return [(s_gene, weight) for _, s_gene, weight, _ in contributor_rows(layer, target_gene_id, k)]
 
 
 def support_summary(layer: MaskedLinearLayer) -> SupportSummary:

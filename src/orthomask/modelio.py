@@ -114,12 +114,19 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         sources = [str(g) for g in conv_doc["source_gene_ids"]]
         edges = conv_doc["edges"]
         if mode == MODE_HARD:
-            for e in edges:
-                if len(e) != 3:
-                    raise ParseError("hard-mode edges must be [target, source, weight] triples", path)
-            mask = BiadjacencyMatrix(targets, sources, [(e[0], e[1]) for e in edges])
+            width, form = 3, "[target, source, weight] triples"
+        else:
+            width, form = 2, "[target, source] pairs"
+        for e in edges:
+            if len(e) != width:
+                raise ParseError(f"{mode}-mode edges must be {form}", path)
+            # exact type: int() would load 1.9 or true as a different edge
+            if type(e[0]) is not int or type(e[1]) is not int:
+                raise ParseError(f"non-integer edge index in {json.dumps(e)}", path)
+        mask = BiadjacencyMatrix(targets, sources, [(e[0], e[1]) for e in edges])
+        if mode == MODE_HARD:
             # reorder weights into the mask's canonical edge order
-            by_pair = {(int(e[0]), int(e[1])): float(e[2]) for e in edges}
+            by_pair = {(e[0], e[1]): float(e[2]) for e in edges}
             weights = np.array(
                 [by_pair[(i, j)] for i, j in zip(mask.edge_rows.tolist(), mask.edge_cols.tolist())]
             )
@@ -127,10 +134,6 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
                 raise ParseError("non-finite conversion weight", path)
             layer = MaskedLinearLayer(mask, MODE_HARD, weights)
         else:
-            for e in edges:
-                if len(e) != 2:
-                    raise ParseError("soft-mode edges must be [target, source] pairs", path)
-            mask = BiadjacencyMatrix(targets, sources, [(e[0], e[1]) for e in edges])
             weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
             if weights.shape != (mask.n_targets * mask.n_sources,):
                 raise ParseError(

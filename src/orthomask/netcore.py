@@ -154,9 +154,11 @@ def backward_conversion_batch(layer, xs, upstream):
         )
     if layer.mode == MODE_HARD:
         mask = layer.mask
-        return kernels.csr_backward_batch(
-            mask.indptr, mask.edge_cols, layer.weights, xs, upstream
+        grad_weights = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
+        grad_xs = kernels.dense_times_csr(
+            mask.indptr, mask.edge_cols, layer.weights, upstream, layer.n_sources
         )
+        return grad_weights, grad_xs
     grad_weights = upstream.T @ xs
     grad_xs = upstream @ layer.weights
     return grad_weights, grad_xs

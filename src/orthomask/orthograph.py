@@ -90,7 +90,7 @@ class BiadjacencyMatrix:
 
         self.edge_rows = np.array([i for i, _ in edge_list], dtype=np.int64)
         self.edge_cols = np.array([j for _, j in edge_list], dtype=np.int64)
-        counts = np.bincount(self.edge_rows, minlength=n_t) if edge_list else np.zeros(n_t, dtype=np.int64)
+        counts = np.bincount(self.edge_rows, minlength=n_t)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     @property

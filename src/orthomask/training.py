@@ -119,32 +119,40 @@ def write_report_tsv(report: TrainReport, path) -> None:
 # regularization (soft orthology constraint)
 # ---------------------------------------------------------------------------
 
-def _dense_mask(mask) -> np.ndarray:
+def _support(mask, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the support: a BiadjacencyMatrix's edges or
+    a 2-D array's nonzero entries. The mask must have shape ``shape``."""
     if isinstance(mask, BiadjacencyMatrix):
-        return mask.dense()
-    arr = np.asarray(mask, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    return arr
+        mask_shape = (mask.n_targets, mask.n_sources)
+        support = mask.edge_rows, mask.edge_cols
+    else:
+        arr = np.asarray(mask)
+        if arr.ndim != 2:
+            raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
+        mask_shape = arr.shape
+        support = np.nonzero(arr)
+    if shape != mask_shape:
+        raise ValueError(f"weights shape {shape} != mask shape {mask_shape}")
+    return support
 
 
 def regularization_penalty(weights, mask, alpha: float, beta: float) -> float:
     """alpha * sum of squared off-support weights + beta * same on-support."""
     w = np.asarray(weights, dtype=np.float64)
-    b = _dense_mask(mask)
-    if w.shape != b.shape:
-        raise ValueError(f"weights shape {w.shape} != mask shape {b.shape}")
+    rows, cols = _support(mask, w.shape)
     sq = w * w
-    return float(alpha * ((1.0 - b) * sq).sum() + beta * (b * sq).sum())
+    on = sq[rows, cols]
+    sq[rows, cols] = 0.0
+    return float(alpha * sq.sum() + beta * on.sum())
 
 
 def regularization_grad(weights, mask, alpha: float, beta: float) -> np.ndarray:
-    """Entrywise derivative: 2*alpha*(1-B)*W + 2*beta*B*W."""
+    """Entrywise derivative: 2*alpha*W off the support, 2*beta*W on it."""
     w = np.asarray(weights, dtype=np.float64)
-    b = _dense_mask(mask)
-    if w.shape != b.shape:
-        raise ValueError(f"weights shape {w.shape} != mask shape {b.shape}")
-    return 2.0 * (alpha * (1.0 - b) + beta * b) * w
+    rows, cols = _support(mask, w.shape)
+    grad = (2.0 * alpha) * w
+    grad[rows, cols] = (2.0 * beta) * w[rows, cols]
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +174,12 @@ def initialize_conversion_layer(
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
     degrees = mask.row_degrees().astype(np.float64)
-    edge_deg = degrees[mask.edge_rows] if mask.n_edges else np.zeros(0)
+    edge_deg = degrees[mask.edge_rows]
     if init == INIT_ROW_UNIFORM:
-        support = 1.0 / edge_deg if mask.n_edges else np.zeros(0)
+        support = 1.0 / edge_deg
     else:
         draws = rng.uniform(-1.0, 1.0, mask.n_edges)
-        support = draws / np.sqrt(edge_deg) if mask.n_edges else np.zeros(0)
+        support = draws / np.sqrt(edge_deg)
     if mode == MODE_HARD:
         return MaskedLinearLayer(mask, MODE_HARD, support)
     dense = np.zeros((mask.n_targets, mask.n_sources))
@@ -332,12 +340,6 @@ def train_conversion(
     optimizer = _make_optimizer(cfg, [trained.weights])
     rng = np.random.default_rng(cfg.seed)
 
-    soft = trained.mode == MODE_SOFT
-    if soft:
-        dense_mask = trained.mask.dense()
-        # exact zeros off the penalty's reach keep untouched weights bit-stable
-        reg_coeff = 2.0 * (cfg.alpha * (1.0 - dense_mask) + cfg.beta * dense_mask)
-
     first_weights = frozen_net.layers[0].weights
     folded = frozen_net.copy()
 
@@ -349,9 +351,9 @@ def train_conversion(
         value, dpred = _batch_loss(cfg.loss_kind, pred, data.labels[idx])
         param_grads, _ = mlp_backward_batch(folded, cache, dpred)
         grad_w = fold_conversion_grad(trained, first_weights, param_grads[0][0])
-        if soft:
-            value += regularization_penalty(trained.weights, dense_mask, cfg.alpha, cfg.beta)
-            grad_w = grad_w + reg_coeff * trained.weights
+        if trained.mode == MODE_SOFT:
+            value += regularization_penalty(trained.weights, trained.mask, cfg.alpha, cfg.beta)
+            grad_w += regularization_grad(trained.weights, trained.mask, cfg.alpha, cfg.beta)
         if not math.isfinite(value):
             raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
         report.losses.append(value)

@@ -1,6 +1,8 @@
 import numpy as np
 
 from orthomask import kernels
+from orthomask.netcore import MaskedLinearLayer, backward_conversion_batch
+from orthomask.orthograph import BiadjacencyMatrix
 
 from _helpers import random_mask
 
@@ -13,13 +15,20 @@ def random_csr(rng, n_t=9, n_s=11, density=0.4):
 
 def test_matvec_against_dense():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        mask, data = random_csr(rng)
-        xs = rng.normal(0.0, 1.0, (4, mask.n_sources))
+    # sparse rows, rows of at least 8 edges (pairwise-summation length),
+    # and a batch with zero samples
+    cases = [(0.4, 4)] * 30 + [(0.95, 4)] * 10 + [(0.4, 0), (0.95, 0)]
+    long_rows = 0
+    for density, n_samples in cases:
+        mask, data = random_csr(rng, density=density)
+        long_rows += int((mask.row_degrees() >= 8).sum())
+        xs = rng.normal(0.0, 1.0, (n_samples, mask.n_sources))
         dense = np.zeros((mask.n_targets, mask.n_sources))
         dense[mask.edge_rows, mask.edge_cols] = data
         got = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
-        assert np.max(np.abs(got - xs @ dense.T)) <= 1e-12
+        assert got.shape == (n_samples, mask.n_targets) and got.dtype == np.float64
+        assert np.all(np.abs(got - xs @ dense.T) <= 1e-12)
+    assert long_rows > 0
 
 
 def test_backward_against_dense():
@@ -28,9 +37,8 @@ def test_backward_against_dense():
         mask, data = random_csr(rng)
         xs = rng.normal(0.0, 1.0, (5, mask.n_sources))
         upstream = rng.normal(0.0, 1.0, (5, mask.n_targets))
-        grad_data, grad_xs = kernels.csr_backward_batch(
-            mask.indptr, mask.edge_cols, data, xs, upstream
-        )
+        layer = MaskedLinearLayer(mask, "hard", data)
+        grad_data, grad_xs = backward_conversion_batch(layer, xs, upstream)
         dense = np.zeros((mask.n_targets, mask.n_sources))
         dense[mask.edge_rows, mask.edge_cols] = data
         full_grad = upstream.T @ xs
@@ -40,14 +48,14 @@ def test_backward_against_dense():
 
 
 def test_empty_support():
-    indptr = np.zeros(4, dtype=np.int64)
-    indices = np.zeros(0, dtype=np.int64)
+    mask = BiadjacencyMatrix(["t0", "t1", "t2"], [f"s{j}" for j in range(5)], [])
     data = np.zeros(0)
     xs = np.ones((2, 5))
-    out = kernels.csr_matvec_batch(indptr, indices, data, xs)
+    out = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
     assert out.shape == (2, 3)
     assert not out.any()
-    grad_data, grad_xs = kernels.csr_backward_batch(indptr, indices, data, xs, np.ones((2, 3)))
+    layer = MaskedLinearLayer(mask, "hard", data)
+    grad_data, grad_xs = backward_conversion_batch(layer, xs, np.ones((2, 3)))
     assert grad_data.shape == (0,)
     assert grad_xs.shape == (2, 5) and grad_xs.dtype == np.float64
     assert not grad_xs.any()

@@ -96,6 +96,22 @@ def test_malformed_documents(tmp_path):
     with pytest.raises(ParseError):
         load_model(path)
 
+    # edge indices must be JSON integers: int() would turn 1.9 and true into 1
+    network = (
+        '{"network": {"frozen": true, "layers": ['
+        '{"rows": 1, "cols": 2, "weights": [1.0, 1.0], "bias": [0.0], "activation": "identity"}]},'
+    )
+    genes = '"target_gene_ids": ["t1", "t2"], "source_gene_ids": ["s1", "s2"]'
+    for conversion in (
+        '{"mode": "hard", ' + genes + ', "edges": [[1.9, 0, 3.0], [true, 1, 2.0]]}',
+        '{"mode": "hard", ' + genes + ', "edges": [[0, 1.0, 3.0]]}',
+        '{"mode": "soft", ' + genes + ', "edges": [[0, 1.0]], "weights": [0.0, 1.0, 0.0, 0.0]}',
+        '{"mode": "soft", ' + genes + ', "edges": [[false, 1]], "weights": [0.0, 1.0, 0.0, 0.0]}',
+    ):
+        path.write_text(network + ' "conversion": ' + conversion + "}")
+        with pytest.raises(ParseError):
+            load_model(path)
+
 
 def test_hard_edges_reordered_canonically(tmp_path):
     # edge triples listed out of order must land in canonical order

@@ -73,6 +73,23 @@ class TestRegularization:
         with pytest.raises(ValueError):
             regularization_grad(np.ones((2, 2)), np.ones((2, 3)), 1.0, 0.0)
 
+    def test_graph_support_matches_dense_formula(self):
+        rng = np.random.default_rng(5)
+        densities = [0.0, 1.0] + [0.4] * 28
+        for density in densities:
+            n_t, n_s = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            graph = random_mask(rng, n_t, n_s, density)
+            b = np.zeros((n_t, n_s))
+            b[graph.edge_rows, graph.edge_cols] = 1.0
+            w = rng.normal(0, 2, (n_t, n_s))
+            alpha, beta = rng.uniform(0, 3), rng.uniform(0, 3)
+            expected = 2 * (alpha * (1 - b) + beta * b) * w
+            assert np.array_equal(regularization_grad(w, graph, alpha, beta), expected)
+            assert regularization_penalty(w, graph, alpha, beta) == regularization_penalty(
+                w, b, alpha, beta
+            )
+            assert regularization_penalty(w, graph, alpha, 0.0) == alpha * ((1 - b) * w * w).sum()
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

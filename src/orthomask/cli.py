@@ -27,6 +27,7 @@ from .netcore import (
     forward_conversion_batch,
     mlp_forward_batch,
 )
+from .tsv import float_repr, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -324,14 +325,11 @@ def _cmd_predict(args):
     pred, _ = mlp_forward_batch(net, inputs)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id\tprediction\n")
-        if net.output_dim == 1:
-            for sid, value in zip(dataset.sample_ids, pred[:, 0]):
-                fh.write(f"{sid}\t{modelio.float_repr(value)}\n")
-        else:
-            for sid, row in zip(dataset.sample_ids, pred):
-                fh.write(f"{sid}\t{int(np.argmax(row))}\n")
+    if net.output_dim == 1:
+        cells = map(float_repr, pred[:, 0].tolist())
+    else:
+        cells = map(str, pred.argmax(axis=1).tolist())
+    write_table(args.out, "sample_id\tprediction", zip(dataset.sample_ids, cells))
     return EXIT_OK
 
 
@@ -355,7 +353,7 @@ def _cmd_eval(args):
         raise ValueError(f"no samples in {args.expr}")
     dataset = _align_inputs(net, conversion, dataset, args.expr)
     value = training.evaluate(net, conversion, dataset)
-    print(modelio.float_repr(value))
+    print(float_repr(value))
     return EXIT_OK
 
 

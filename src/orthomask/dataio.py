@@ -14,13 +14,16 @@ order, so a seed pins the bundle byte-for-byte.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, UnknownGeneError
+from .modelio import save_model
 from .netcore import (
     ACT_IDENTITY,
     ACT_RELU,
@@ -31,8 +34,9 @@ from .netcore import (
     forward_conversion_batch,
     mlp_forward_batch,
 )
-from .orthograph import BiadjacencyMatrix
-from .modelio import float_repr
+from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
+from .training import evaluate
+from .tsv import float_repr, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -102,49 +106,31 @@ class ExpressionDataset:
 
 def read_expression_tsv(path, species: str = "") -> ExpressionDataset:
     """Parse an expression TSV (``sample_id`` then one column per gene)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split("\t")
-        if not fields or fields[0] != "sample_id":
-            raise ParseError("header must start with 'sample_id'", path, 1)
-        gene_ids = fields[1:]
-        if len(set(gene_ids)) != len(gene_ids):
-            raise ParseError("duplicate gene ID in header", path, 1)
+    rows = read_table(path)
+    fields = next(rows)
+    if fields[0] != "sample_id":
+        raise ParseError("header must start with 'sample_id'", path, 1)
+    gene_ids = fields[1:]
 
-        sample_ids: list[str] = []
-        rows: list[list[float]] = []
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(gene_ids) + 1:
-                raise ParseError(
-                    f"expected {len(gene_ids) + 1} fields, got {len(cells)}", path, lineno
-                )
-            sample_id = cells[0]
-            if sample_id in seen:
-                raise ParseError(f"duplicate sample ID {sample_id!r}", path, lineno)
-            seen.add(sample_id)
-            try:
-                values = [float(c) for c in cells[1:]]
-            except ValueError:
-                raise ParseError("non-numeric expression value", path, lineno) from None
-            if values and not all(math.isfinite(v) for v in values):
-                raise ParseError("non-finite expression value", path, lineno)
-            sample_ids.append(sample_id)
-            rows.append(values)
-
-    samples = np.array(rows) if rows else np.zeros((0, len(gene_ids)))
+    sample_ids: list[str] = []
+    values: list[list[float]] = []
+    for lineno, cells in rows:
+        try:
+            row = list(map(float, cells[1:]))
+        except ValueError:
+            raise ParseError("non-numeric expression value", path, lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite expression value", path, lineno)
+        sample_ids.append(cells[0])
+        values.append(row)
+    samples = np.array(values) if values else np.zeros((0, len(gene_ids)))
     return ExpressionDataset(species, gene_ids, sample_ids, samples)
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id" + "".join(f"\t{g}" for g in dataset.gene_ids) + "\n")
-        for sid, row in zip(dataset.sample_ids, dataset.samples):
-            fh.write(sid + "".join(f"\t{float_repr(v)}" for v in row) + "\n")
+    rows = zip(dataset.sample_ids, dataset.samples)
+    records = ((sid, *map(float_repr, row.tolist())) for sid, row in rows)
+    write_table(path, "\t".join(("sample_id", *dataset.gene_ids)), records)
 
 
 def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -153,38 +139,25 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
         raise ValueError(f"kind must be regression or classification, got {kind!r}")
     sample_ids: list[str] = []
     values: list[float | int] = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != LABEL_HEADER:
-            raise ParseError(f"expected header {LABEL_HEADER!r}, got {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 2:
-                raise ParseError(f"expected 2 fields, got {len(cells)}", path, lineno)
-            sid, text = cells
-            if sid in seen:
-                raise ParseError(f"duplicate sample ID {sid!r}", path, lineno)
-            seen.add(sid)
-            if kind == KIND_REGRESSION:
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ParseError(f"non-numeric label {text!r}", path, lineno) from None
-                if not math.isfinite(value):
-                    raise ParseError("non-finite label", path, lineno)
-            else:
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ParseError(f"non-integer class label {text!r}", path, lineno) from None
-                if value < 0:
-                    raise ParseError(f"negative class label {value}", path, lineno)
-            sample_ids.append(sid)
-            values.append(value)
+    rows = read_table(path, LABEL_HEADER)
+    next(rows)
+    for lineno, (sid, text) in rows:
+        if kind == KIND_REGRESSION:
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"non-numeric label {text!r}", path, lineno) from None
+            if not math.isfinite(value):
+                raise ParseError("non-finite label", path, lineno)
+        else:
+            try:
+                value = int(text)
+            except ValueError:
+                raise ParseError(f"non-integer class label {text!r}", path, lineno) from None
+            if value < 0:
+                raise ParseError(f"negative class label {value}", path, lineno)
+        sample_ids.append(sid)
+        values.append(value)
     if kind == KIND_REGRESSION:
         arr = np.array(values, dtype=np.float64).reshape(-1, 1)
     else:
@@ -194,17 +167,14 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_labels_tsv(sample_ids, labels, path) -> None:
     labels = np.asarray(labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(LABEL_HEADER + "\n")
-        if np.issubdtype(labels.dtype, np.integer):
-            for sid, v in zip(sample_ids, labels):
-                fh.write(f"{sid}\t{int(v)}\n")
-        else:
-            flat = labels if labels.ndim == 2 else labels[:, None]
-            if flat.shape[1] != 1:
-                raise ValueError("label TSV supports exactly one label column")
-            for sid, v in zip(sample_ids, flat[:, 0]):
-                fh.write(f"{sid}\t{float_repr(v)}\n")
+    if np.issubdtype(labels.dtype, np.integer):
+        cells = [str(int(v)) for v in labels]
+    else:
+        flat = labels if labels.ndim == 2 else labels[:, None]
+        if flat.shape[1] != 1:
+            raise ValueError("label TSV supports exactly one label column")
+        cells = [float_repr(v) for v in flat[:, 0]]
+    write_table(path, LABEL_HEADER, zip(sample_ids, cells))
 
 
 def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionDataset:
@@ -351,9 +321,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticBundle:
 
     train = subset(perm[:n_train])
     test = subset(perm[n_train:])
-
-    from .training import evaluate  # local import avoids a module cycle
-
     oracle_loss = evaluate(frozen_net, true_conversion, test)
     return SyntheticBundle(graph, true_conversion, frozen_net, train, test, oracle_loss)
 
@@ -379,12 +346,6 @@ def write_bundle(bundle: SyntheticBundle, spec: SyntheticSpec, out_dir) -> dict[
     starting point); ``oracle_model.json`` additionally carries the
     generating conversion weights.
     """
-    import json
-    import os
-
-    from .modelio import save_model
-    from .orthograph import graph_to_tsv, write_gene_list
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in BUNDLE_FILES.items()}
 

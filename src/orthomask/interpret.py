@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownGeneError
-from .modelio import float_repr
 from .netcore import MODE_HARD, MaskedLinearLayer
+from .tsv import float_repr, read_table, write_table
 
 WEIGHT_TABLE_HEADER = "target_gene\tsource_gene\tweight\ton_support"
 
@@ -47,11 +47,11 @@ def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]
 def write_weight_rows(rows, path) -> None:
     """Write ``(target_gene, source_gene, weight, on_support)`` rows as a
     weight table TSV, in the order given."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(WEIGHT_TABLE_HEADER + "\n")
-        for t_gene, s_gene, weight, on_support in rows:
-            flag = "true" if on_support else "false"
-            fh.write(f"{t_gene}\t{s_gene}\t{float_repr(weight)}\t{flag}\n")
+    records = (
+        (t_gene, s_gene, float_repr(weight), "true" if on_support else "false")
+        for t_gene, s_gene, weight, on_support in rows
+    )
+    write_table(path, WEIGHT_TABLE_HEADER, records)
 
 
 def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, float, bool]]:
@@ -62,31 +62,18 @@ def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, 
 
 
 def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
-    rows = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != WEIGHT_TABLE_HEADER:
-            raise ParseError(f"expected header {WEIGHT_TABLE_HEADER!r}, got {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 4:
-                raise ParseError(f"expected 4 fields, got {len(cells)}", path, lineno)
-            t_gene, s_gene, weight_text, flag = cells
-            if (t_gene, s_gene) in seen:
-                raise ParseError(f"duplicate pair ({t_gene}, {s_gene})", path, lineno)
-            seen.add((t_gene, s_gene))
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ParseError(f"non-numeric weight {weight_text!r}", path, lineno) from None
-            if flag not in ("true", "false"):
-                raise ParseError(f"on_support must be true or false, got {flag!r}", path, lineno)
-            rows.append((t_gene, s_gene, weight, flag == "true"))
-    return rows
+    result = []
+    rows = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
+    next(rows)
+    for lineno, (t_gene, s_gene, weight_text, flag) in rows:
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ParseError(f"non-numeric weight {weight_text!r}", path, lineno) from None
+        if flag not in ("true", "false"):
+            raise ParseError(f"on_support must be true or false, got {flag!r}", path, lineno)
+        result.append((t_gene, s_gene, weight, flag == "true"))
+    return result
 
 
 def contributor_rows(

@@ -9,7 +9,6 @@ in, same bytes out.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -71,8 +70,17 @@ def save_model(net, conversion, path) -> None:
         fh.write(model_document(net, conversion))
 
 
+def _json_list(values, types, what, path):
+    # exact types: np.asarray would also take "2.5" or true as a number,
+    # and str() would take 1 as a gene ID
+    if type(values) is not list or not set(map(type, values)) <= types:
+        names = " or ".join(sorted(t.__name__ for t in types))
+        raise ParseError(f"{what} must be a list of {names}", path)
+    return values
+
+
 def _finite_floats(values, what, path):
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(_json_list(values, {int, float}, what, path), dtype=np.float64)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ParseError(f"non-finite value in {what}", path)
     return arr
@@ -90,7 +98,9 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         net_doc = doc["network"]
         layers = []
         for k, lay in enumerate(net_doc["layers"]):
-            rows, cols = int(lay["rows"]), int(lay["cols"])
+            rows, cols = lay["rows"], lay["cols"]
+            if type(rows) is not int or type(cols) is not int:
+                raise ParseError(f"layer {k}: rows and cols must be integers", path)
             weights = _finite_floats(lay["weights"], f"layer {k} weights", path)
             bias = _finite_floats(lay["bias"], f"layer {k} bias", path)
             if weights.shape != (rows * cols,):
@@ -101,7 +111,10 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
             if activation not in ACTIVATIONS:
                 raise ParseError(f"layer {k}: unknown activation {activation!r}", path)
             layers.append(Layer(weights.reshape(rows, cols), bias, activation))
-        net = FeedforwardNetwork(layers, frozen=bool(net_doc["frozen"]))
+        frozen = net_doc["frozen"]
+        if type(frozen) is not bool:
+            raise ParseError(f"frozen must be true or false, got {json.dumps(frozen)}", path)
+        net = FeedforwardNetwork(layers, frozen=frozen)
 
         conv_doc = doc["conversion"]
         if conv_doc is None:
@@ -110,8 +123,8 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         mode = conv_doc["mode"]
         if mode not in MODES:
             raise ParseError(f"unknown conversion mode {mode!r}", path)
-        targets = [str(g) for g in conv_doc["target_gene_ids"]]
-        sources = [str(g) for g in conv_doc["source_gene_ids"]]
+        targets = _json_list(conv_doc["target_gene_ids"], {str}, "target_gene_ids", path)
+        sources = _json_list(conv_doc["source_gene_ids"], {str}, "source_gene_ids", path)
         edges = conv_doc["edges"]
         if mode == MODE_HARD:
             width, form = 3, "[target, source, weight] triples"
@@ -125,14 +138,10 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
                 raise ParseError(f"non-integer edge index in {json.dumps(e)}", path)
         mask = BiadjacencyMatrix(targets, sources, [(e[0], e[1]) for e in edges])
         if mode == MODE_HARD:
-            # reorder weights into the mask's canonical edge order
-            by_pair = {(e[0], e[1]): float(e[2]) for e in edges}
-            weights = np.array(
-                [by_pair[(i, j)] for i, j in zip(mask.edge_rows.tolist(), mask.edge_cols.tolist())]
-            )
-            if weights.size and not np.all(np.isfinite(weights)):
-                raise ParseError("non-finite conversion weight", path)
-            layer = MaskedLinearLayer(mask, MODE_HARD, weights)
+            weights = _finite_floats([e[2] for e in edges], "conversion weights", path)
+            # reorder weights into the mask's canonical (row-major) edge order
+            order = np.lexsort(([e[1] for e in edges], [e[0] for e in edges]))
+            layer = MaskedLinearLayer(mask, MODE_HARD, weights[order])
         else:
             weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
             if weights.shape != (mask.n_targets * mask.n_sources,):
@@ -145,12 +154,5 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         return net, layer
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed model document: {exc}", path) from None
-
-
-def float_repr(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot format non-finite value {x}")
-    return repr(float(x))

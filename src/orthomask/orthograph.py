@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, UnknownGeneError
+from .tsv import float_repr, read_table, write_table
 
 SCORE_HEADER = "query\tsubject\tscore"
 GRAPH_HEADER = "target_gene\tsource_gene"
@@ -33,9 +34,10 @@ class ScoreTable:
     def __post_init__(self):
         seen = set()
         for query, subject, score in self.entries:
-            if (query, subject) in seen:
+            pair = (query, subject)
+            if pair in seen:
                 raise ValueError(f"duplicate score entry ({query}, {subject})")
-            seen.add((query, subject))
+            seen.add(pair)
             if not math.isfinite(score) or score < 0.0:
                 raise ValueError(
                     f"score for ({query}, {subject}) must be finite and >= 0, got {score}"
@@ -230,73 +232,40 @@ def build_rbh_graph(
 def read_score_table(path, query_species: str = "", subject_species: str = "") -> ScoreTable:
     """Parse a score TSV (header ``query<TAB>subject<TAB>score``)."""
     entries = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != SCORE_HEADER:
-            raise ParseError(f"expected header {SCORE_HEADER!r}, got {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", path, lineno)
-            query, subject, score_text = fields
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(f"non-numeric score {score_text!r}", path, lineno) from None
-            if not math.isfinite(score) or score < 0.0:
-                raise ParseError(f"score must be finite and >= 0, got {score_text}", path, lineno)
-            if (query, subject) in seen:
-                raise ParseError(f"duplicate entry ({query}, {subject})", path, lineno)
-            seen.add((query, subject))
-            entries.append((query, subject, score))
+    rows = read_table(path, SCORE_HEADER, key_fields=2)
+    next(rows)
+    for lineno, (query, subject, score_text) in rows:
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"non-numeric score {score_text!r}", path, lineno) from None
+        if not math.isfinite(score) or score < 0.0:
+            raise ParseError(f"score must be finite and >= 0, got {score_text}", path, lineno)
+        entries.append((query, subject, score))
     return ScoreTable(query_species, subject_species, entries)
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SCORE_HEADER + "\n")
-        for query, subject, score in table.entries:
-            fh.write(f"{query}\t{subject}\t{score!r}\n")
+    records = ((query, subject, float_repr(score)) for query, subject, score in table.entries)
+    write_table(path, SCORE_HEADER, records)
 
 
 def read_gene_list(path) -> list[str]:
     """Parse a gene universe file (header ``gene_id``, one ID per line)."""
-    genes = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != GENE_LIST_HEADER:
-            raise ParseError(f"expected header {GENE_LIST_HEADER!r}, got {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            gene = line.rstrip("\n")
-            if not gene:
-                continue
-            if "\t" in gene:
-                raise ParseError("gene ID must be a single column", path, lineno)
-            if gene in seen:
-                raise ParseError(f"duplicate gene ID {gene!r}", path, lineno)
-            seen.add(gene)
-            genes.append(gene)
-    return genes
+    rows = read_table(path, GENE_LIST_HEADER)
+    next(rows)
+    return [gene for _, (gene,) in rows]
 
 
 def write_gene_list(gene_ids, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(GENE_LIST_HEADER + "\n")
-        for gene in gene_ids:
-            fh.write(gene + "\n")
+    write_table(path, GENE_LIST_HEADER, ((gene,) for gene in gene_ids))
 
 
 def graph_to_tsv(graph: BiadjacencyMatrix, path) -> None:
     """Write the edge list (canonical row-major order), one edge per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(GRAPH_HEADER + "\n")
-        for i, j in zip(graph.edge_rows.tolist(), graph.edge_cols.tolist()):
-            fh.write(f"{graph.target_gene_ids[i]}\t{graph.source_gene_ids[j]}\n")
+    t_ids, s_ids = graph.target_gene_ids, graph.source_gene_ids
+    edges = zip(graph.edge_rows.tolist(), graph.edge_cols.tolist())
+    write_table(path, GRAPH_HEADER, ((t_ids[i], s_ids[j]) for i, j in edges))
 
 
 def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:
@@ -304,26 +273,12 @@ def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:
     t_index = {g: i for i, g in enumerate(target_genes)}
     s_index = {g: j for j, g in enumerate(source_genes)}
     edges = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != GRAPH_HEADER:
-            raise ParseError(f"expected header {GRAPH_HEADER!r}, got {header!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", path, lineno)
-            t_gene, s_gene = fields
-            if t_gene not in t_index:
-                raise ParseError(f"unknown target gene {t_gene!r}", path, lineno)
-            if s_gene not in s_index:
-                raise ParseError(f"unknown source gene {s_gene!r}", path, lineno)
-            edge = (t_index[t_gene], s_index[s_gene])
-            if edge in seen:
-                raise ParseError(f"duplicate edge ({t_gene}, {s_gene})", path, lineno)
-            seen.add(edge)
-            edges.append(edge)
+    rows = read_table(path, GRAPH_HEADER, key_fields=2)
+    next(rows)
+    for lineno, (t_gene, s_gene) in rows:
+        if t_gene not in t_index:
+            raise ParseError(f"unknown target gene {t_gene!r}", path, lineno)
+        if s_gene not in s_index:
+            raise ParseError(f"unknown source gene {s_gene!r}", path, lineno)
+        edges.append((t_index[t_gene], s_index[s_gene]))
     return BiadjacencyMatrix(target_genes, source_genes, edges)

@@ -35,6 +35,7 @@ from .netcore import (
     mlp_forward_batch,
 )
 from .orthograph import BiadjacencyMatrix
+from .tsv import float_repr, write_table
 
 LOSS_MSE = "mse"
 LOSS_CE = "ce"
@@ -108,11 +109,9 @@ class TrainReport:
 
 def write_report_tsv(report: TrainReport, path) -> None:
     """Per-step losses plus a final-eval footer; bytes depend only on the run."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step\tloss\n")
-        for step, value in enumerate(report.losses, start=1):
-            fh.write(f"{step}\t{value!r}\n")
-        fh.write(f"# final_eval\t{report.final_eval!r}\n")
+    records = [(str(step), float_repr(value)) for step, value in enumerate(report.losses, start=1)]
+    records.append(("# final_eval", float_repr(report.final_eval)))
+    write_table(path, "step\tloss", records)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,41 @@ def test_malformed_documents(tmp_path):
         with pytest.raises(ParseError):
             load_model(path)
 
+    # every other field must have its JSON type too: bool(), int(), float()
+    # and str() would load each of these as a different, valid model
+    layer = '"rows": 1, "cols": 2, "weights": [1.0, 1.0], "bias": [0.0]'
+    for bad_network in (
+        '"frozen": "no", "layers": [{' + layer + ', "activation": "identity"}]',
+        '"frozen": 1, "layers": [{' + layer + ', "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": 1.7, "cols": 2, "weights": [1.0, 1.0],'
+        ' "bias": [0.0], "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": true, "cols": 2, "weights": [1.0, 1.0],'
+        ' "bias": [0.0], "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": 1, "cols": 2, "weights": ["2.5", 1.0],'
+        ' "bias": [0.0], "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": 1, "cols": 2, "weights": [1.0, 1.0],'
+        ' "bias": [true], "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": 1, "cols": 2, "weights": "12",'
+        ' "bias": [0.0], "activation": "identity"}]',
+        '"frozen": true, "layers": [{"rows": 1, "cols": 2, "weights": [1.0, 1' + "0" * 400 + '],'
+        ' "bias": [0.0], "activation": "identity"}]',
+    ):
+        path.write_text('{"network": {' + bad_network + '}, "conversion": null}')
+        with pytest.raises(ParseError):
+            load_model(path)
+    for conversion in (
+        '{"mode": "hard", ' + genes + ', "edges": [[0, 0, "2.5"], [1, 1, true]]}',
+        '{"mode": "hard", ' + genes + ', "edges": [[0, 0, 2.5], [1, 1, true]]}',
+        '{"mode": "soft", ' + genes + ', "edges": [[0, 1]], "weights": [0.0, "1.0", 0.0, 0.0]}',
+        '{"mode": "hard", "target_gene_ids": [1, "t2"], "source_gene_ids": ["s1", "s2"],'
+        ' "edges": [[0, 0, 1.0]]}',
+        '{"mode": "hard", "target_gene_ids": ["t1", "t2"], "source_gene_ids": ["s1", null],'
+        ' "edges": [[0, 0, 1.0]]}',
+    ):
+        path.write_text(network + ' "conversion": ' + conversion + "}")
+        with pytest.raises(ParseError):
+            load_model(path)
+
 
 def test_hard_edges_reordered_canonically(tmp_path):
     # edge triples listed out of order must land in canonical order

@@ -329,7 +329,7 @@ def _cmd_predict(args):
         cells = map(float_repr, pred[:, 0].tolist())
     else:
         cells = map(str, pred.argmax(axis=1).tolist())
-    write_table(args.out, "sample_id\tprediction", zip(dataset.sample_ids, cells))
+    write_table(args.out, ("sample_id", "prediction"), zip(dataset.sample_ids, cells))
     return EXIT_OK
 
 

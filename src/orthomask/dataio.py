@@ -40,7 +40,7 @@ from .tsv import float_repr, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
-LABEL_HEADER = "sample_id\tlabel"
+LABEL_HEADER = ("sample_id", "label")
 KIND_REGRESSION = "regression"
 KIND_CLASSIFICATION = "classification"
 
@@ -130,7 +130,7 @@ def read_expression_tsv(path, species: str = "") -> ExpressionDataset:
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
     rows = zip(dataset.sample_ids, dataset.samples)
     records = ((sid, *map(float_repr, row.tolist())) for sid, row in rows)
-    write_table(path, "\t".join(("sample_id", *dataset.gene_ids)), records)
+    write_table(path, ("sample_id", *dataset.gene_ids), records)
 
 
 def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -174,6 +174,8 @@ def write_labels_tsv(sample_ids, labels, path) -> None:
         if flat.shape[1] != 1:
             raise ValueError("label TSV supports exactly one label column")
         cells = [float_repr(v) for v in flat[:, 0]]
+    if len(sample_ids) != len(cells):
+        raise ValueError(f"{len(sample_ids)} sample IDs for {len(cells)} labels")
     write_table(path, LABEL_HEADER, zip(sample_ids, cells))
 
 
@@ -279,7 +281,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticBundle:
     graph = BiadjacencyMatrix(
         [f"T{i:04d}" for i in range(n_t)],
         [f"S{j:04d}" for j in range(n_s)],
-        zip(rows.tolist(), cols.tolist()),
+        np.column_stack((rows, cols)),
     )
 
     true_weights = rng.uniform(-1.0, 1.0, graph.n_edges)

@@ -14,7 +14,7 @@ from .errors import ParseError, UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
 from .tsv import float_repr, read_table, write_table
 
-WEIGHT_TABLE_HEADER = "target_gene\tsource_gene\tweight\ton_support"
+WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 
 
 @dataclass

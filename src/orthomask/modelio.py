@@ -3,7 +3,9 @@
 One document holds the feedforward network and, optionally, the
 conversion layer. Floats round-trip value-exactly (shortest-repr
 encoding via the json module) and documents are byte-stable: same model
-in, same bytes out.
+in, same bytes out. Documents are written as compact one-line JSON, the
+layout the json module's C encoder produces; any JSON layout of the same
+fields loads.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None
             conv["edges"] = [[i, j] for i, j in zip(rows, cols)]
             conv["weights"] = conversion.weights.ravel().tolist()
         doc["conversion"] = conv
-    return json.dumps(doc, indent=2) + "\n"
+    # no indent: json runs its C encoder only when indent is None
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def save_model(net, conversion, path) -> None:
@@ -130,18 +133,24 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
             width, form = 3, "[target, source, weight] triples"
         else:
             width, form = 2, "[target, source] pairs"
-        for e in edges:
-            if len(e) != width:
-                raise ParseError(f"{mode}-mode edges must be {form}", path)
-            # exact type: int() would load 1.9 or true as a different edge
-            if type(e[0]) is not int or type(e[1]) is not int:
-                raise ParseError(f"non-integer edge index in {json.dumps(e)}", path)
-        mask = BiadjacencyMatrix(targets, sources, [(e[0], e[1]) for e in edges])
+        if not (
+            type(edges) is list
+            and set(map(type, edges)) <= {list}
+            and set(map(len, edges)) <= {width}
+        ):
+            raise ParseError(f"{mode}-mode edges must be {form}", path)
+        fields = list(zip(*edges)) or [()] * width
+        # exact type: int() would load 1.9 or true as a different edge
+        if not set(map(type, fields[0])) | set(map(type, fields[1])) <= {int}:
+            bad = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+            raise ParseError(f"non-integer edge index in {json.dumps(bad)}", path)
+        rows = np.array(fields[0], dtype=np.int64)
+        cols = np.array(fields[1], dtype=np.int64)
+        mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))
         if mode == MODE_HARD:
-            weights = _finite_floats([e[2] for e in edges], "conversion weights", path)
+            weights = _finite_floats(list(fields[2]), "conversion weights", path)
             # reorder weights into the mask's canonical (row-major) edge order
-            order = np.lexsort(([e[1] for e in edges], [e[0] for e in edges]))
-            layer = MaskedLinearLayer(mask, MODE_HARD, weights[order])
+            layer = MaskedLinearLayer(mask, MODE_HARD, weights[np.lexsort((cols, rows))])
         else:
             weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
             if weights.shape != (mask.n_targets * mask.n_sources,):

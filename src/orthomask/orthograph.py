@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ParseError, UnknownGeneError
 from .tsv import float_repr, read_table, write_table
 
-SCORE_HEADER = "query\tsubject\tscore"
-GRAPH_HEADER = "target_gene\tsource_gene"
-GENE_LIST_HEADER = "gene_id"
+SCORE_HEADER = ("query", "subject", "score")
+GRAPH_HEADER = ("target_gene", "source_gene")
+GENE_LIST_HEADER = ("gene_id",)
 
 
 @dataclass
@@ -69,8 +69,9 @@ class BiadjacencyMatrix:
     """Sparse {0,1} bipartite adjacency over (target gene, source gene) pairs.
 
     Rows index target genes, columns source genes; an edge (i, j) marks the
-    pair as orthologous. Edges are kept in canonical row-major order and the
-    CSR view used by the numeric kernels is derived once on construction.
+    pair as orthologous. ``edges`` is an iterable of (i, j) index pairs or
+    an (E, 2) integer array. Edges are kept in canonical row-major order and
+    the CSR view used by the numeric kernels is derived once on construction.
     """
 
     def __init__(self, target_gene_ids, source_gene_ids, edges):
@@ -82,16 +83,27 @@ class BiadjacencyMatrix:
             raise ValueError("duplicate source gene IDs")
 
         n_t, n_s = len(self.target_gene_ids), len(self.source_gene_ids)
-        raw = [(int(i), int(j)) for i, j in edges]
-        edge_list = sorted(set(raw))
-        if len(edge_list) != len(raw):
+        try:
+            pairs = np.asarray(
+                edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+            )
+        except OverflowError:
+            raise ValueError(f"edge index out of range for {n_t}x{n_s} graph") from None
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (target, source) index pairs")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        rows, cols = pairs[order, 0], pairs[order, 1]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValueError("duplicate edges")
-        for i, j in edge_list:
-            if not (0 <= i < n_t and 0 <= j < n_s):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n_t}x{n_s} graph")
+        # a negative index would wrap in numpy indexing instead of failing
+        bad = (rows < 0) | (rows >= n_t) | (cols < 0) | (cols >= n_s)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge ({rows[k]}, {cols[k]}) out of range for {n_t}x{n_s} graph")
 
-        self.edge_rows = np.array([i for i, _ in edge_list], dtype=np.int64)
-        self.edge_cols = np.array([j for _, j in edge_list], dtype=np.int64)
+        self.edge_rows, self.edge_cols = rows, cols
         counts = np.bincount(self.edge_rows, minlength=n_t)
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 

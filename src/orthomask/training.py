@@ -111,7 +111,7 @@ def write_report_tsv(report: TrainReport, path) -> None:
     """Per-step losses plus a final-eval footer; bytes depend only on the run."""
     records = [(str(step), float_repr(value)) for step, value in enumerate(report.losses, start=1)]
     records.append(("# final_eval", float_repr(report.final_eval)))
-    write_table(path, "step\tloss", records)
+    write_table(path, ("step", "loss"), records)
 
 
 # ---------------------------------------------------------------------------

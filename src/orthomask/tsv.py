@@ -7,7 +7,8 @@ lines are skipped but still counted. The first ``key_fields`` fields of a
 record are its key, and no key appears twice. A file that breaks a rule
 raises :class:`ParseError` with the path and the 1-based line number, so
 its message starts ``path:line:``. What a cell may hold (a number, a gene
-ID, a flag) is checked by the reader of each format.
+ID, a flag) is checked by the reader of each format. No name or field
+holds a tab, LF or CR; the writer refuses one.
 
 Floats are written by :func:`float_repr`, so a file's bytes depend only on
 its values.
@@ -16,6 +17,7 @@ its values.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import itemgetter
 
 from .errors import ParseError
@@ -24,12 +26,14 @@ from .errors import ParseError
 def read_table(path, header=None, key_fields=1):
     """Yield the header's names, then ``(lineno, fields)`` for each record.
 
-    ``header``, when given, is the exact header line the file must have.
+    ``header``, when given, is the sequence of column names the file's
+    header must list.
     """
     with open(path, encoding="utf-8") as fh:
         line = fh.readline().rstrip("\n")
-        if header is not None and line != header:
-            raise ParseError(f"expected header {header!r}, got {line!r}", path, 1)
+        expected = line if header is None else "\t".join(header)
+        if line != expected:
+            raise ParseError(f"expected header {expected!r}, got {line!r}", path, 1)
         names = line.split("\t")
         if len(set(names)) != len(names):
             raise ParseError("duplicate column name in header", path, 1)
@@ -51,10 +55,22 @@ def read_table(path, header=None, key_fields=1):
 
 
 def write_table(path, header, records) -> None:
-    """Write the header line, then each record's fields joined by tabs."""
+    """Write the header's column names, then each record's fields, joined by tabs.
+
+    A name or field holding a tab, LF or CR would read back as other
+    fields or lines, and a record must have one field per column; either
+    raises ValueError.
+    """
+    tabs = len(header) - 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines("\t".join(fields) + "\n" for fields in records)
+        for fields in chain((header,), records):
+            line = "\t".join(fields)
+            if line.count("\t") != tabs or "\n" in line or "\r" in line:
+                for cell in fields:
+                    if "\t" in cell or "\n" in cell or "\r" in cell:
+                        raise ValueError(f"field {cell!r} contains a tab or line break")
+                raise ValueError(f"expected {tabs + 1} fields, got {len(fields)}")
+            fh.write(line + "\n")
 
 
 def float_repr(x: float) -> str:

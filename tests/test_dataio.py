@@ -101,6 +101,14 @@ class TestLabelsTsv:
         assert values.dtype == np.int64
         assert values.tolist() == [0, 2, 1]
 
+    def test_length_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        with pytest.raises(ValueError, match="3 sample IDs for 2 labels"):
+            write_labels_tsv(["a", "b", "c"], np.array([1.0, 2.0]), path)
+        with pytest.raises(ValueError, match="1 sample IDs for 2 labels"):
+            write_labels_tsv(["a"], np.array([0, 1], dtype=np.int64), path)
+        assert not path.exists()
+
     def test_attach_matches_by_sample_id(self, tmp_path):
         ds = ExpressionDataset("sp", ["g1"], ["a", "b"], [[1.0], [2.0]])
         path = tmp_path / "labels.tsv"

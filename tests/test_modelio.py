@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,31 @@ def test_document_is_deterministic():
     rng = np.random.default_rng(4)
     net = random_network(rng, [3, 2], frozen=True)
     assert model_document(net, None) == model_document(net, None)
+
+
+@pytest.mark.parametrize("mode", [None, "hard", "soft"])
+def test_compact_layout_and_indented_documents(tmp_path, mode):
+    rng = np.random.default_rng(5)
+    net = random_network(rng, [4, 3, 1], frozen=True)
+    layer = None
+    if mode is not None:
+        mask = random_mask(rng, 4, 6, 0.4, force_edge=True)
+        shape = (mask.n_edges,) if mode == "hard" else (4, 6)
+        layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
+    text = model_document(net, layer)
+    # compact separators and no indent: the layout json's C encoder writes
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+    # documents written with the earlier indented layout still load, and
+    # saving them again gives the compact bytes
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+    loaded_net, loaded = load_model(path)
+    assert_same_network(net, loaded_net)
+    if mode is None:
+        assert loaded is None
+    else:
+        assert loaded.mode == mode
+        assert loaded.mask == mask
+        assert np.array_equal(loaded.weights, layer.weights)
+    assert model_document(loaded_net, loaded) == text

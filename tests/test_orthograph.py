@@ -172,6 +172,22 @@ class TestBuildRbhGraph:
                 assert tg[i] in hits_qt[sg[j]]
 
 
+def reference_edges(n_t, n_s, edges):
+    """Plain-Python construction: sorted int pairs, duplicates checked
+    first, then the range in row-major order; returns rows, cols, indptr."""
+    raw = [(int(i), int(j)) for i, j in edges]
+    edge_list = sorted(set(raw))
+    if len(edge_list) != len(raw):
+        raise ValueError("duplicate edges")
+    for i, j in edge_list:
+        if not (0 <= i < n_t and 0 <= j < n_s):
+            raise ValueError(f"edge ({i}, {j}) out of range for {n_t}x{n_s} graph")
+    indptr = [0]
+    for i in range(n_t):
+        indptr.append(indptr[-1] + sum(1 for r, _ in edge_list if r == i))
+    return [i for i, _ in edge_list], [j for _, j in edge_list], indptr
+
+
 class TestBiadjacencyMatrix:
     def test_edge_validation(self):
         with pytest.raises(ValueError):
@@ -180,6 +196,56 @@ class TestBiadjacencyMatrix:
             BiadjacencyMatrix(["t1"], ["s1"], [(0, 0), (0, 0)])
         with pytest.raises(ValueError):
             BiadjacencyMatrix(["t1", "t1"], ["s1"], [])
+
+        # seeded random edge lists against the plain-Python reference, as
+        # a list of tuples, a generator and an (E, 2) int64 array
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(400):
+            n_t, n_s = (int(v) for v in rng.integers(1, 6, 2))
+            grid = [(i, j) for i in range(n_t) for j in range(n_s)]
+            k = int(rng.integers(0, len(grid) + 1))
+            pairs = [grid[p] for p in rng.permutation(len(grid))[:k]]
+            # up to two faults, so that the first check and the first bad
+            # edge in row-major order decide the message
+            faults = rng.choice(["duplicate", "negative", "row_n_t", "col_n_s"], 2)
+            for fault in faults[: int(rng.integers(0, 3)) if pairs else 0]:
+                e = int(rng.integers(0, len(pairs)))
+                i, j = pairs[e]
+                if fault == "duplicate":
+                    pairs.insert(int(rng.integers(0, len(pairs) + 1)), (i, j))
+                else:
+                    pairs[e] = {
+                        "negative": (i, -int(rng.integers(1, 3))) if e % 2 else (-1, j),
+                        "row_n_t": (n_t, j),
+                        "col_n_s": (i, n_s),
+                    }[fault]
+                seen.add(fault)
+            if not pairs:
+                seen.add("empty")
+            elif pairs != sorted(pairs):
+                seen.add("unsorted")
+            t_ids = [f"t{i}" for i in range(n_t)]
+            s_ids = [f"s{j}" for j in range(n_s)]
+            try:
+                expected = reference_edges(n_t, n_s, pairs)
+            except ValueError as exc:
+                expected = str(exc)
+            for edges in (
+                pairs,
+                (pair for pair in pairs),
+                np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            ):
+                if isinstance(expected, str):
+                    with pytest.raises(ValueError) as err:
+                        BiadjacencyMatrix(t_ids, s_ids, edges)
+                    assert str(err.value) == expected
+                    continue
+                graph = BiadjacencyMatrix(t_ids, s_ids, edges)
+                for got, want in zip((graph.edge_rows, graph.edge_cols, graph.indptr), expected):
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, np.array(want, dtype=np.int64))
+        assert seen == {"empty", "unsorted", "duplicate", "negative", "row_n_t", "col_n_s"}
 
     def test_dense_and_degrees(self):
         graph = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(0, 1), (1, 0), (1, 2)])

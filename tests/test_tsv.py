@@ -1,9 +1,24 @@
+import re
+
 import pytest
 
-from orthomask.dataio import read_expression_tsv, read_labels_tsv
+from orthomask.dataio import (
+    ExpressionDataset,
+    read_expression_tsv,
+    read_labels_tsv,
+    write_expression_tsv,
+)
 from orthomask.errors import ParseError
 from orthomask.interpret import read_weight_table
-from orthomask.orthograph import read_gene_list, read_score_table, tsv_to_graph
+from orthomask.orthograph import (
+    BiadjacencyMatrix,
+    graph_to_tsv,
+    read_gene_list,
+    read_score_table,
+    tsv_to_graph,
+    write_gene_list,
+)
+from orthomask.tsv import write_table
 
 
 def _expression(path):
@@ -68,3 +83,30 @@ def test_shared_table_rules(tmp_path, name):
     assert parse_error_line(header, first, "", second + "\textra") == 4
     assert parse_error_line(header, first, "", same_key) == 4
     assert parse_error_line("wrong_" + header, first) == 1
+
+
+# writers given one ID that holds ``bad``: in a record (gene list, graph)
+# or in the header (expression gene IDs)
+WRITERS = {
+    "gene_list": lambda bad, path: write_gene_list(["g1", bad], path),
+    "graph": lambda bad, path: graph_to_tsv(
+        BiadjacencyMatrix(["t1", bad], ["s1"], [(0, 0), (1, 0)]), path
+    ),
+    "expression": lambda bad, path: write_expression_tsv(
+        ExpressionDataset("sp", ["g1", bad], ["a"], [[1.0, 2.0]]), path
+    ),
+}
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_reject_tab_and_line_breaks(tmp_path, name, char):
+    # such a field would read back as other fields or lines, or not at all
+    bad = f"x{char}y"
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        WRITERS[name](bad, tmp_path / f"{name}.tsv")
+
+
+def test_writer_rejects_wrong_width(tmp_path):
+    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
+        write_table(tmp_path / "table.tsv", ("a", "b"), [("x", "y"), ("z",)])

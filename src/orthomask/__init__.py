@@ -9,7 +9,6 @@ from .orthograph import (
     best_hits,
     build_rbh_graph,
     graph_to_tsv,
-    kmer_similarity,
     tsv_to_graph,
 )
 from .netcore import (
@@ -17,12 +16,6 @@ from .netcore import (
     ForwardCache,
     Layer,
     MaskedLinearLayer,
-    backward_conversion,
-    forward_conversion,
-    loss_cross_entropy,
-    loss_mse,
-    mlp_backward,
-    mlp_forward,
 )
 from .training import (
     TrainConfig,
@@ -66,21 +59,14 @@ __all__ = [
     "TrainReport",
     "UnknownGeneError",
     "align_to_genes",
-    "backward_conversion",
     "best_hits",
     "build_rbh_graph",
     "evaluate",
     "export_weight_table",
-    "forward_conversion",
     "generate_synthetic",
     "graph_to_tsv",
     "initialize_conversion_layer",
-    "kmer_similarity",
     "load_model",
-    "loss_cross_entropy",
-    "loss_mse",
-    "mlp_backward",
-    "mlp_forward",
     "model_document",
     "read_expression_tsv",
     "regularization_grad",

@@ -8,7 +8,7 @@ fixed reduction order, so every call is deterministic:
 - one scatter, ``out[m, scatter[e]] += a[m, gather[e]] * data[e]`` summed
   in edge order by ``np.bincount``. Scattering onto the columns gives
   :func:`dense_times_csr` (the fold of the layer into the frozen network's
-  first layer, and the input gradient); scattering onto the rows gives
+  first layer); scattering onto the rows gives
   :func:`csr_matvec_batch` (the layer's forward pass in evaluation,
   prediction and synthetic labels).
 - one gather-dot, :func:`edge_dot`, the gradient with respect to the edge

@@ -8,7 +8,7 @@ only (CSR storage, off-support entries are structurally zero); in
 regularizer instead of the forward pass, so non-orthologous connections
 may earn nonzero weight.
 
-All arithmetic is float64. Batch variants treat rows as samples.
+All arithmetic is float64. Inputs are batches: rows are samples.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ ACT_IDENTITY = "identity"
 ACT_RELU = "relu"
 ACT_SIGMOID = "sigmoid"
 ACTIVATIONS = (ACT_IDENTITY, ACT_RELU, ACT_SIGMOID)
-
-
-def _as_matrix(x, name: str) -> tuple[np.ndarray, bool]:
-    """Promote a vector to a 1-row matrix; remember if we did."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
 
 
 def _sigmoid(z):
@@ -133,47 +123,6 @@ def forward_conversion_batch(layer: MaskedLinearLayer, xs: np.ndarray) -> np.nda
         mask = layer.mask
         return kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, layer.weights, xs)
     return xs @ layer.weights.T
-
-
-def forward_conversion(layer: MaskedLinearLayer, x_s) -> np.ndarray:
-    """Map one source-species expression vector into target gene space."""
-    xs, _ = _as_matrix(x_s, "x_s")
-    if xs.shape != (1, layer.n_sources):
-        raise ValueError(f"expected vector of length {layer.n_sources}, got shape {np.shape(x_s)}")
-    return forward_conversion_batch(layer, xs)[0]
-
-
-def backward_conversion_batch(layer, xs, upstream):
-    xs = np.asarray(xs, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != layer.n_sources:
-        raise ValueError(f"expected input of shape (n, {layer.n_sources}), got {xs.shape}")
-    if upstream.shape != (xs.shape[0], layer.n_targets):
-        raise ValueError(
-            f"expected upstream of shape ({xs.shape[0]}, {layer.n_targets}), got {upstream.shape}"
-        )
-    if layer.mode == MODE_HARD:
-        mask = layer.mask
-        grad_weights = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
-        grad_xs = kernels.dense_times_csr(
-            mask.indptr, mask.edge_cols, layer.weights, upstream, layer.n_sources
-        )
-        return grad_weights, grad_xs
-    grad_weights = upstream.T @ xs
-    grad_xs = upstream @ layer.weights
-    return grad_weights, grad_xs
-
-
-def backward_conversion(layer, x_s, upstream):
-    """Gradients of the conversion output w.r.t. weights and input.
-
-    Returns ``(grad_weights, grad_x_s)``; in hard mode ``grad_weights``
-    has one entry per mask edge (off-support pairs have no slot at all).
-    """
-    xs, _ = _as_matrix(x_s, "x_s")
-    up, _ = _as_matrix(upstream, "upstream")
-    grad_w, grad_xs = backward_conversion_batch(layer, xs, up)
-    return grad_w, grad_xs[0]
 
 
 def fold_conversion(layer: MaskedLinearLayer, first_weights: np.ndarray) -> np.ndarray:
@@ -289,16 +238,13 @@ def mlp_forward_batch(net: FeedforwardNetwork, xs) -> tuple[np.ndarray, ForwardC
     return post[-1], ForwardCache(xs, pre, post)
 
 
-def mlp_forward(net: FeedforwardNetwork, x) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass for one input vector; cache feeds :func:`mlp_backward`."""
-    xs, _ = _as_matrix(x, "x")
-    if xs.shape != (1, net.input_dim):
-        raise ValueError(f"expected vector of length {net.input_dim}, got shape {np.shape(x)}")
-    y, cache = mlp_forward_batch(net, xs)
-    return y[0], cache
-
-
 def mlp_backward_batch(net, cache: ForwardCache, dldy):
+    """Backpropagate a loss gradient through the network.
+
+    Returns per-layer ``(grad_weights, grad_bias)`` pairs. Parameter
+    gradients are computed even for a frozen network; callers of a frozen
+    network must not apply them.
+    """
     dldy = np.asarray(dldy, dtype=np.float64)
     if not cache.matches(net):
         raise ValueError("forward cache does not match this network")
@@ -313,28 +259,20 @@ def mlp_backward_batch(net, cache: ForwardCache, dldy):
         dz = delta * _activation_grad(layer.activation, cache.pre[k], cache.post[k])
         a_prev = cache.post[k - 1] if k > 0 else cache.x
         param_grads[k] = (dz.T @ a_prev, dz.sum(axis=0))
-        delta = dz @ layer.weights
-    return param_grads, delta
-
-
-def mlp_backward(net, cache: ForwardCache, dldy):
-    """Backpropagate a loss gradient through the network.
-
-    Returns per-layer ``(grad_weights, grad_bias)`` pairs and the gradient
-    w.r.t. the network input. Parameter gradients are computed even for a
-    frozen network; callers of a frozen network must not apply them.
-    """
-    up, was_vector = _as_matrix(dldy, "dLdy")
-    param_grads, grad_input = mlp_backward_batch(net, cache, up)
-    return param_grads, grad_input[0] if was_vector else grad_input
+        if k > 0:
+            delta = dz @ layer.weights
+    return param_grads
 
 
 # ---------------------------------------------------------------------------
 # losses (value plus gradient w.r.t. predictions)
 # ---------------------------------------------------------------------------
 
-def loss_mse(pred, target) -> tuple[float, np.ndarray]:
-    """Mean over components of squared error; gradient 2(pred-target)/dim."""
+def loss_mse_batch(pred, target) -> tuple[float, np.ndarray]:
+    """Mean squared error over every component of the batch; gradient
+    2(pred-target)/size."""
+    if np.ndim(pred) != 2:
+        raise ValueError(f"batch predictions must be 2-D, got shape {np.shape(pred)}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -344,32 +282,14 @@ def loss_mse(pred, target) -> tuple[float, np.ndarray]:
     return value, 2.0 * diff / diff.size
 
 
-def loss_mse_batch(pred, target) -> tuple[float, np.ndarray]:
-    """Mean of per-sample MSE over a batch; gradient scaled accordingly."""
-    if np.ndim(pred) != 2:
-        raise ValueError(f"batch predictions must be 2-D, got shape {np.shape(pred)}")
-    return loss_mse(pred, target)
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_cross_entropy(logits, class_index: int) -> tuple[float, np.ndarray]:
-    """Negative log softmax of the true class, max-shifted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError(f"logits must be a vector, got shape {logits.shape}")
-    if not 0 <= class_index < logits.shape[0]:
-        raise ValueError(f"class index {class_index} out of range for {logits.shape[0]} classes")
-    logp = _log_softmax(logits)
-    grad = np.exp(logp)
-    grad[class_index] -= 1.0
-    return float(-logp[class_index]), grad
-
-
 def loss_cross_entropy_batch(logits, classes) -> tuple[float, np.ndarray]:
+    """Batch mean of the true class's negative log softmax, max-shifted for
+    stability."""
     logits = np.asarray(logits, dtype=np.float64)
     classes = np.asarray(classes)
     n = logits.shape[0]

@@ -2,9 +2,7 @@
 
 Builds the bipartite orthology mask from two directed similarity score
 tables (target->source queries and source->target queries). Alignment
-tools themselves are out of scope; scores arrive as precomputed tables,
-and :func:`kmer_similarity` is provided as a self-contained stand-in
-scorer for making fixtures.
+tools themselves are out of scope; scores arrive as precomputed tables.
 """
 
 from __future__ import annotations
@@ -83,16 +81,16 @@ class BiadjacencyMatrix:
             raise ValueError("duplicate source gene IDs")
 
         n_t, n_s = len(self.target_gene_ids), len(self.source_gene_ids)
-        try:
-            pairs = np.asarray(
-                edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
-            )
-        except OverflowError:
-            raise ValueError(f"edge index out of range for {n_t}x{n_s} graph") from None
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
+            pairs = np.zeros((0, 2), dtype=np.int64)
+        # a cast would truncate 1.9 to 1; an int beyond int64 makes the
+        # array float or object
+        if pairs.dtype.kind not in "iu":
+            raise ValueError("edge indices must be integers in int64 range")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (target, source) index pairs")
+        pairs = pairs.astype(np.int64, copy=False)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         rows, cols = pairs[order, 0], pairs[order, 1]
         if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
@@ -125,18 +123,6 @@ class BiadjacencyMatrix:
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def dense(self) -> np.ndarray:
-        """Materialize as a float64 {0,1} matrix."""
-        out = np.zeros((self.n_targets, self.n_sources))
-        out[self.edge_rows, self.edge_cols] = 1.0
-        return out
-
-    def target_index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.target_gene_ids)}
-
-    def source_index(self) -> dict[str, int]:
-        return {g: j for j, g in enumerate(self.source_gene_ids)}
-
     def __eq__(self, other):
         if not isinstance(other, BiadjacencyMatrix):
             return NotImplemented
@@ -152,25 +138,6 @@ class BiadjacencyMatrix:
             f"BiadjacencyMatrix({self.n_targets}x{self.n_sources}, "
             f"{self.n_edges} edges)"
         )
-
-
-def kmer_similarity(seq_a: str, seq_b: str, k: int) -> float:
-    """Jaccard similarity of the two sequences' k-mer sets.
-
-    Identical sequences score 1.0; if either sequence is shorter than k and
-    the sequences differ, the score is 0.0. Symmetric in its arguments.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not seq_a or not seq_b:
-        raise ValueError("sequences must be non-empty")
-    if seq_a == seq_b:
-        return 1.0
-    kmers_a = {seq_a[i : i + k] for i in range(len(seq_a) - k + 1)}
-    kmers_b = {seq_b[i : i + k] for i in range(len(seq_b) - k + 1)}
-    if not kmers_a or not kmers_b:
-        return 0.0
-    return len(kmers_a & kmers_b) / len(kmers_a | kmers_b)
 
 
 def best_hits(scores: ScoreTable, cfg: RbhConfig) -> dict[str, set[str]]:

@@ -118,24 +118,16 @@ def write_report_tsv(report: TrainReport, path) -> None:
 # regularization (soft orthology constraint)
 # ---------------------------------------------------------------------------
 
-def _support(mask, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the support: a BiadjacencyMatrix's edges or
-    a 2-D array's nonzero entries. The mask must have shape ``shape``."""
-    if isinstance(mask, BiadjacencyMatrix):
-        mask_shape = (mask.n_targets, mask.n_sources)
-        support = mask.edge_rows, mask.edge_cols
-    else:
-        arr = np.asarray(mask)
-        if arr.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-        mask_shape = arr.shape
-        support = np.nonzero(arr)
+def _support(mask: BiadjacencyMatrix, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the mask's edges; the mask must have shape
+    ``shape``."""
+    mask_shape = (mask.n_targets, mask.n_sources)
     if shape != mask_shape:
         raise ValueError(f"weights shape {shape} != mask shape {mask_shape}")
-    return support
+    return mask.edge_rows, mask.edge_cols
 
 
-def regularization_penalty(weights, mask, alpha: float, beta: float) -> float:
+def regularization_penalty(weights, mask: BiadjacencyMatrix, alpha: float, beta: float) -> float:
     """alpha * sum of squared off-support weights + beta * same on-support."""
     w = np.asarray(weights, dtype=np.float64)
     rows, cols = _support(mask, w.shape)
@@ -145,7 +137,7 @@ def regularization_penalty(weights, mask, alpha: float, beta: float) -> float:
     return float(alpha * sq.sum() + beta * on.sum())
 
 
-def regularization_grad(weights, mask, alpha: float, beta: float) -> np.ndarray:
+def regularization_grad(weights, mask: BiadjacencyMatrix, alpha: float, beta: float) -> np.ndarray:
     """Entrywise derivative: 2*alpha*W off the support, 2*beta*W on it."""
     w = np.asarray(weights, dtype=np.float64)
     rows, cols = _support(mask, w.shape)
@@ -292,12 +284,45 @@ def train_base(
         if not math.isfinite(value):
             raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
         report.losses.append(value)
-        param_grads, _ = mlp_backward_batch(trained, cache, dpred)
+        param_grads = mlp_backward_batch(trained, cache, dpred)
         optimizer.step([g for gw_gb in param_grads for g in gw_gb])
 
     report.final_eval = evaluate(trained, None, data)
     report.wall_time = time.perf_counter() - start
     return trained, report
+
+
+def conversion_step(
+    layer: MaskedLinearLayer,
+    frozen_net: FeedforwardNetwork,
+    folded: FeedforwardNetwork,
+    xs: np.ndarray,
+    labels: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[float, float, np.ndarray]:
+    """One batch's base loss, penalty and gradient w.r.t. ``layer.weights``.
+
+    The frozen first layer is affine, so the batch runs through ``folded``,
+    a working copy of ``frozen_net`` (``frozen_net.copy()``) whose
+    first-layer weights this call sets to the fold ``M = W1 @ C``
+    (h x n_sources); the converted batch is never formed. The gradient
+    w.r.t. ``C`` is read off that layer's weight gradient ``G`` as
+    ``W1.T @ G`` (on the support only in hard mode), plus the penalty's
+    gradient in soft mode. The training loss is ``base_loss + penalty``;
+    hard mode's penalty is -0.0, which leaves every base loss unchanged
+    bit for bit.
+    """
+    first_weights = frozen_net.layers[0].weights
+    folded.layers[0].weights = fold_conversion(layer, first_weights)
+    pred, cache = mlp_forward_batch(folded, xs)
+    base_loss, dpred = _batch_loss(cfg.loss_kind, pred, labels)
+    param_grads = mlp_backward_batch(folded, cache, dpred)
+    grad = fold_conversion_grad(layer, first_weights, param_grads[0][0])
+    penalty = -0.0
+    if layer.mode == MODE_SOFT:
+        penalty = regularization_penalty(layer.weights, layer.mask, cfg.alpha, cfg.beta)
+        grad += regularization_grad(layer.weights, layer.mask, cfg.alpha, cfg.beta)
+    return base_loss, penalty, grad
 
 
 def train_conversion(
@@ -309,11 +334,7 @@ def train_conversion(
     """Fit only the conversion weights against the frozen predictor.
 
     Per step: y = f(C @ x_s), loss = batch loss (plus the quadratic
-    orthology penalty in soft mode). The frozen first layer is affine, so
-    the step runs on a copy of the network whose first-layer weights are
-    the folded ``M = W1 @ C`` (h x n_sources) and never forms the converted
-    batch; the gradient w.r.t. ``C`` is read off that layer's weight
-    gradient ``G`` as ``W1.T @ G`` (on the support only in hard mode).
+    orthology penalty in soft mode), computed by :func:`conversion_step`.
     ``frozen_net`` is never written; its weights are bit-identical before
     and after.
     """
@@ -338,25 +359,18 @@ def train_conversion(
     trained = layer.copy()
     optimizer = _make_optimizer(cfg, [trained.weights])
     rng = np.random.default_rng(cfg.seed)
-
-    first_weights = frozen_net.layers[0].weights
     folded = frozen_net.copy()
 
     report = TrainReport(seed=cfg.seed)
     for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
-        xs = data.samples[idx]
-        folded.layers[0].weights = fold_conversion(trained, first_weights)
-        pred, cache = mlp_forward_batch(folded, xs)
-        value, dpred = _batch_loss(cfg.loss_kind, pred, data.labels[idx])
-        param_grads, _ = mlp_backward_batch(folded, cache, dpred)
-        grad_w = fold_conversion_grad(trained, first_weights, param_grads[0][0])
-        if trained.mode == MODE_SOFT:
-            value += regularization_penalty(trained.weights, trained.mask, cfg.alpha, cfg.beta)
-            grad_w += regularization_grad(trained.weights, trained.mask, cfg.alpha, cfg.beta)
+        base_loss, penalty, grad = conversion_step(
+            trained, frozen_net, folded, data.samples[idx], data.labels[idx], cfg
+        )
+        value = base_loss + penalty
         if not math.isfinite(value):
             raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
         report.losses.append(value)
-        optimizer.step([grad_w])
+        optimizer.step([grad])
 
     report.final_eval = evaluate(frozen_net, trained, data)
     report.wall_time = time.perf_counter() - start
@@ -367,21 +381,21 @@ def evaluate(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, data) -> 
     """Mean base loss over all samples; pure, no parameter mutation.
 
     The loss kind follows the label dtype: real labels score MSE, integer
-    class labels score cross-entropy. ``layer=None`` feeds expression
+    class labels score cross-entropy. Labels are checked against the
+    network's output as in training. ``layer=None`` feeds expression
     straight into the network.
     """
     if data.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if data.labels is None:
-        raise ValueError("dataset has no labels")
+    labels = data.labels
+    is_class = labels is not None and np.issubdtype(labels.dtype, np.integer)
+    loss_kind = LOSS_CE if is_class else LOSS_MSE
+    _check_labels(loss_kind, labels, net.output_dim)
     xs = data.samples
     if layer is not None:
         xs = forward_conversion_batch(layer, xs)
     pred, _ = mlp_forward_batch(net, xs)
-    if np.issubdtype(data.labels.dtype, np.integer):
-        value, _ = loss_cross_entropy_batch(pred, data.labels)
-    else:
-        value, _ = loss_mse_batch(pred, data.labels)
+    value, _ = _batch_loss(loss_kind, pred, labels)
     if not math.isfinite(value):
         raise NumericalError("non-finite evaluation loss")
     return value

@@ -8,7 +8,8 @@ record are its key, and no key appears twice. A file that breaks a rule
 raises :class:`ParseError` with the path and the 1-based line number, so
 its message starts ``path:line:``. What a cell may hold (a number, a gene
 ID, a flag) is checked by the reader of each format. No name or field
-holds a tab, LF or CR; the writer refuses one.
+holds a tab, LF or CR, and no line is empty (a one-column table has no
+empty field); the writer refuses either.
 
 Floats are written by :func:`float_repr`, so a file's bytes depend only on
 its values.
@@ -58,18 +59,21 @@ def write_table(path, header, records) -> None:
     """Write the header's column names, then each record's fields, joined by tabs.
 
     A name or field holding a tab, LF or CR would read back as other
-    fields or lines, and a record must have one field per column; either
+    fields or lines, a line of one empty field would read back as a
+    skipped blank line, and a record must have one field per column; each
     raises ValueError.
     """
     tabs = len(header) - 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for fields in chain((header,), records):
             line = "\t".join(fields)
-            if line.count("\t") != tabs or "\n" in line or "\r" in line:
+            if not line or line.count("\t") != tabs or "\n" in line or "\r" in line:
                 for cell in fields:
                     if "\t" in cell or "\n" in cell or "\r" in cell:
                         raise ValueError(f"field {cell!r} contains a tab or line break")
-                raise ValueError(f"expected {tabs + 1} fields, got {len(fields)}")
+                if len(fields) != tabs + 1:
+                    raise ValueError(f"expected {tabs + 1} fields, got {len(fields)}")
+                raise ValueError("an empty field alone on a line would be read as a blank line")
             fh.write(line + "\n")
 
 

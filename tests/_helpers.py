@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and random instance builders.
+"""Shared test utilities: independent oracles, random instance builders and
+a stand-in sequence scorer.
 
 The oracles here deliberately avoid the library's own code paths: the RBH
 oracle is a direct double loop over the best-hit definition, and gradient
@@ -97,6 +98,26 @@ def dense_conversion_grad(layer, net, xs, labels, loss_kind):
     if layer.mode == "soft":
         return grad
     return grad[layer.mask.edge_rows, layer.mask.edge_cols]
+
+
+def kmer_similarity(seq_a: str, seq_b: str, k: int) -> float:
+    """Jaccard similarity of the two sequences' k-mer sets, a stand-in scorer
+    for making fixtures.
+
+    Identical sequences score 1.0; if either sequence is shorter than k and
+    the sequences differ, the score is 0.0. Symmetric in its arguments.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not seq_a or not seq_b:
+        raise ValueError("sequences must be non-empty")
+    if seq_a == seq_b:
+        return 1.0
+    kmers_a = {seq_a[i : i + k] for i in range(len(seq_a) - k + 1)}
+    kmers_b = {seq_b[i : i + k] for i in range(len(seq_b) - k + 1)}
+    if not kmers_a or not kmers_b:
+        return 0.0
+    return len(kmers_a & kmers_b) / len(kmers_a | kmers_b)
 
 
 # ---------------------------------------------------------------------------

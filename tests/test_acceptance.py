@@ -1,7 +1,7 @@
 """Acceptance suite: one test per shipped guarantee, each printing its own
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Covers: end-to-end gradient correctness against finite differences,
+Covers: the training step's gradient against finite differences,
 reciprocal-best-hit equivalence with a brute-force oracle, mask/freeze
 invariants, the closed-form regularizer decay, recovery on the seeded
 synthetic transfer problem, the soft-constraint direction of effect,
@@ -25,16 +25,7 @@ from orthomask.dataio import (
 )
 from orthomask.interpret import export_weight_table, read_weight_table, support_summary
 from orthomask.modelio import load_model, model_document, save_model
-from orthomask.netcore import (
-    ACT_IDENTITY,
-    FeedforwardNetwork,
-    Layer,
-    MaskedLinearLayer,
-    backward_conversion,
-    forward_conversion,
-    mlp_backward,
-    mlp_forward,
-)
+from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 from orthomask.orthograph import (
     RbhConfig,
     ScoreTable,
@@ -44,14 +35,15 @@ from orthomask.orthograph import (
 )
 from orthomask.training import (
     TrainConfig,
+    conversion_step,
     evaluate,
     initialize_conversion_layer,
     train_conversion,
     write_report_tsv,
 )
-from orthomask.netcore import loss_cross_entropy, loss_mse
 
 from _helpers import (
+    fd_gradient,
     random_mask,
     random_network,
     random_score_instance,
@@ -89,17 +81,9 @@ def default_hard_layer(graph, cfg):
     return initialize_conversion_layer(graph, "hard", cfg.init, np.random.default_rng(cfg.seed))
 
 
-def pipeline_loss(layer, net, x, label, loss_kind):
-    y, _ = mlp_forward(net, forward_conversion(layer, x))
-    if loss_kind == "mse":
-        return loss_mse(y, label)[0]
-    return loss_cross_entropy(y, label)[0]
-
-
 def test_criterion_1_gradient_correctness():
-    with criterion("C1 gradient correctness vs finite differences"):
+    with criterion("C1 training-step gradient, penalty included, vs finite differences"):
         rng = np.random.default_rng(1001)
-        step = 1e-5
         start = time.perf_counter()
         trials = 0
         while trials < 100:
@@ -112,38 +96,29 @@ def test_criterion_1_gradient_correctness():
 
             out_dim = int(rng.integers(2, 5)) if loss_kind == "ce" else int(rng.integers(1, 3))
             net = random_network(rng, [n_t, hidden, out_dim], frozen=True)
-            x = rng.normal(0.0, 1.0, n_s)
+            n = int(rng.integers(1, 5))
+            xs = rng.normal(0.0, 1.0, (n, n_s))
             if loss_kind == "ce":
-                label = int(rng.integers(0, out_dim))
+                labels = rng.integers(0, out_dim, n)
             else:
-                label = rng.normal(0.0, 1.0, out_dim)
+                labels = rng.normal(0.0, 1.0, (n, out_dim))
+            alpha, beta = rng.uniform(0.1, 2.0, 2)
+            cfg = TrainConfig(mode=mode, loss_kind=loss_kind, alpha=alpha, beta=beta)
 
             shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
             w0 = rng.normal(0.0, 1.0, shape)
+            folded = net.copy()
+
+            def total_loss(w):
+                layer = MaskedLinearLayer(mask, mode, w)
+                base_loss, penalty, _ = conversion_step(layer, net, folded, xs, labels, cfg)
+                return base_loss + penalty
+
+            # the gradient the training loop applies, against central
+            # finite differences of the loss it records
             layer = MaskedLinearLayer(mask, mode, w0)
-
-            # analytic gradient through the full pipeline
-            xt = forward_conversion(layer, x)
-            y, cache = mlp_forward(net, xt)
-            if loss_kind == "mse":
-                _, dldy = loss_mse(y, label)
-            else:
-                _, dldy = loss_cross_entropy(y, label)
-            _, dxt = mlp_backward(net, cache, dldy)
-            grad_w, _ = backward_conversion(layer, x, dxt)
-
-            # central finite differences, coordinate by coordinate
-            fd = np.zeros_like(w0)
-            for k in range(w0.size):
-                wp, wm = w0.copy(), w0.copy()
-                wp.flat[k] += step
-                wm.flat[k] -= step
-                fd.flat[k] = (
-                    pipeline_loss(MaskedLinearLayer(mask, mode, wp), net, x, label, loss_kind)
-                    - pipeline_loss(MaskedLinearLayer(mask, mode, wm), net, x, label, loss_kind)
-                ) / (2.0 * step)
-
-            assert np.max(rel_err(grad_w, fd)) <= 1e-5
+            _, _, grad = conversion_step(layer, net, folded, xs, labels, cfg)
+            assert np.max(rel_err(grad, fd_gradient(total_loss, w0))) <= 1e-5
             trials += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"gradient sweep took {elapsed:.1f}s"
@@ -314,8 +289,8 @@ def test_criterion_8_round_trips(tmp_path):
                 rebuilt = MaskedLinearLayer(graph, "hard", weights)
             else:
                 dense = np.zeros((10, 14))
-                t_idx = graph.target_index()
-                s_idx = graph.source_index()
+                t_idx = {g: i for i, g in enumerate(graph.target_gene_ids)}
+                s_idx = {g: j for j, g in enumerate(graph.source_gene_ids)}
                 for t, s, w, _ in read_weight_table(first):
                     dense[t_idx[t], s_idx[s]] = w
                 rebuilt = MaskedLinearLayer(graph, "soft", dense)

@@ -225,6 +225,53 @@ class TestTrainConversionAndEval:
             assert run(argv) == 3
 
 
+class TestClassLabelOutOfRange:
+    """A class label at or above the model's logit count exits 2 with a
+    message that names the logit count, in training and in evaluation."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "base_expr.tsv").write_text("sample_id\tt1\tt2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
+        (tmp_path / "base_labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t1\n")
+        assert run(
+            [
+                "train-base", "--expr", str(tmp_path / "base_expr.tsv"),
+                "--labels", str(tmp_path / "base_labels.tsv"),
+                "--hidden", "2", "--loss", "ce", "--lr", "0.1",
+                "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
+            ]
+        ) == 0
+        (tmp_path / "t.tsv").write_text("gene_id\nt1\nt2\n")
+        (tmp_path / "s.tsv").write_text("gene_id\ns1\ns2\n")
+        (tmp_path / "graph.tsv").write_text("target_gene\tsource_gene\nt1\ts1\nt2\ts2\n")
+        (tmp_path / "expr.tsv").write_text("sample_id\ts1\ts2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
+        (tmp_path / "labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t2\n")
+        return tmp_path
+
+    def test_eval(self, files, capsys):
+        rc = run(
+            ["eval", "--model", str(files / "clf.json"), "--expr", str(files / "base_expr.tsv"),
+             "--labels", str(files / "labels.tsv")]
+        )
+        assert rc == 2
+        assert "class index out of range for 2 logits" in capsys.readouterr().err
+
+    def test_train_conversion(self, files, capsys):
+        rc = run(
+            [
+                "train-conversion", "--model", str(files / "clf.json"),
+                "--graph", str(files / "graph.tsv"),
+                "--target-genes", str(files / "t.tsv"), "--source-genes", str(files / "s.tsv"),
+                "--expr", str(files / "expr.tsv"), "--labels", str(files / "labels.tsv"),
+                "--mode", "hard", "--lr", "0.01", "--steps", "2", "--seed", "1",
+                "--out", str(files / "m.json"), "--report", str(files / "r.tsv"),
+            ]
+        )
+        assert rc == 2
+        assert "class index out of range for 2 logits" in capsys.readouterr().err
+        assert not (files / "m.json").exists()
+
+
 class TestPredict:
     def test_row_order_matches_input(self, bundle_dir, tmp_path):
         model = tmp_path / "m.json"

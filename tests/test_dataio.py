@@ -218,7 +218,8 @@ class TestGenerateSynthetic:
     def test_ground_truth_on_support(self):
         bundle = generate_synthetic(SPEC)
         dense = bundle.true_conversion.to_dense()
-        assert not (dense * (1.0 - bundle.graph.dense())).any()
+        dense[bundle.graph.edge_rows, bundle.graph.edge_cols] = 0.0
+        assert not dense.any()
 
     def test_oracle_loss_near_noise_variance(self):
         bundle = generate_synthetic(SPEC)

@@ -1,7 +1,6 @@
 import numpy as np
 
 from orthomask import kernels
-from orthomask.netcore import MaskedLinearLayer, backward_conversion_batch
 from orthomask.orthograph import BiadjacencyMatrix
 
 from _helpers import random_mask
@@ -32,19 +31,21 @@ def test_matvec_against_dense():
 
 
 def test_backward_against_dense():
+    # the transposed product (the fold) and the edge gradient
     rng = np.random.default_rng(4)
     for _ in range(30):
         mask, data = random_csr(rng)
         xs = rng.normal(0.0, 1.0, (5, mask.n_sources))
         upstream = rng.normal(0.0, 1.0, (5, mask.n_targets))
-        layer = MaskedLinearLayer(mask, "hard", data)
-        grad_data, grad_xs = backward_conversion_batch(layer, xs, upstream)
         dense = np.zeros((mask.n_targets, mask.n_sources))
         dense[mask.edge_rows, mask.edge_cols] = data
-        full_grad = upstream.T @ xs
-        assert np.max(np.abs(grad_xs - upstream @ dense)) <= 1e-12
-        expected = full_grad[mask.edge_rows, mask.edge_cols]
-        assert np.max(np.abs(grad_data - expected)) <= 1e-12
+        got = kernels.dense_times_csr(mask.indptr, mask.edge_cols, data, upstream, mask.n_sources)
+        assert got.shape == (5, mask.n_sources) and got.dtype == np.float64
+        assert np.max(np.abs(got - upstream @ dense), initial=0.0) <= 1e-12
+        grad_data = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
+        expected = (upstream.T @ xs)[mask.edge_rows, mask.edge_cols]
+        assert grad_data.shape == (mask.n_edges,)
+        assert np.max(np.abs(grad_data - expected), initial=0.0) <= 1e-12
 
 
 def test_empty_support():
@@ -54,8 +55,9 @@ def test_empty_support():
     out = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
     assert out.shape == (2, 3)
     assert not out.any()
-    layer = MaskedLinearLayer(mask, "hard", data)
-    grad_data, grad_xs = backward_conversion_batch(layer, xs, np.ones((2, 3)))
-    assert grad_data.shape == (0,)
-    assert grad_xs.shape == (2, 5) and grad_xs.dtype == np.float64
-    assert not grad_xs.any()
+    upstream = np.ones((2, 3))
+    folded = kernels.dense_times_csr(mask.indptr, mask.edge_cols, data, upstream, 5)
+    assert folded.shape == (2, 5) and folded.dtype == np.float64
+    assert not folded.any()
+    grad_data = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
+    assert grad_data.shape == (0,) and grad_data.dtype == np.float64

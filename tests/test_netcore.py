@@ -10,17 +10,17 @@ from orthomask.netcore import (
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
-    backward_conversion,
-    forward_conversion,
+    fold_conversion,
+    fold_conversion_grad,
     forward_conversion_batch,
-    loss_cross_entropy,
-    loss_mse,
-    mlp_backward,
-    mlp_forward,
+    loss_cross_entropy_batch,
+    loss_mse_batch,
+    mlp_backward_batch,
+    mlp_forward_batch,
 )
 from orthomask.orthograph import BiadjacencyMatrix
 
-from _helpers import fd_gradient, random_mask, rel_err
+from _helpers import fd_gradient, random_mask, random_network, rel_err
 
 
 def identity_mask(n):
@@ -32,29 +32,31 @@ def identity_mask(n):
 class TestForwardConversion:
     def test_identity_mapping(self):
         layer = MaskedLinearLayer(identity_mask(3), "hard", np.ones(3))
-        assert forward_conversion(layer, [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
+        assert forward_conversion_batch(layer, [[1.0, 2.0, 3.0]]).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_empty_mask_gives_zeros(self):
         mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2"], [])
         layer = MaskedLinearLayer(mask, "hard", np.zeros(0))
-        assert forward_conversion(layer, [5.0, -1.0]).tolist() == [0.0, 0.0]
+        assert forward_conversion_batch(layer, [[5.0, -1.0]]).tolist() == [[0.0, 0.0]]
 
     def test_weighted_sum(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0), (0, 1)])
         layer = MaskedLinearLayer(mask, "hard", [0.5, 2.0])
         # 0.5*4 + 2.0*1
-        assert forward_conversion(layer, [4.0, 1.0]).tolist() == [4.0]
+        assert forward_conversion_batch(layer, [[4.0, 1.0]]).tolist() == [[4.0]]
 
     def test_dimension_mismatch(self):
         layer = MaskedLinearLayer(identity_mask(3), "hard", np.ones(3))
         with pytest.raises(ValueError):
-            forward_conversion(layer, [1.0, 2.0])
+            forward_conversion_batch(layer, [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            forward_conversion_batch(layer, [1.0, 2.0, 3.0])
 
     def test_soft_ignores_mask(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
         layer = MaskedLinearLayer(mask, "soft", [[1.0, 10.0]])
         # off-support weight participates in soft mode
-        assert forward_conversion(layer, [1.0, 1.0]).tolist() == [11.0]
+        assert forward_conversion_batch(layer, [[1.0, 1.0]]).tolist() == [[11.0]]
 
     def test_permutation_conservation(self):
         rng = np.random.default_rng(7)
@@ -66,18 +68,18 @@ class TestForwardConversion:
             [(i, int(perm[i])) for i in range(n)],
         )
         layer = MaskedLinearLayer(mask, "hard", np.ones(n))
-        x = rng.normal(0.0, 1.0, n)
-        assert np.array_equal(forward_conversion(layer, x), x[perm])
+        xs = rng.normal(0.0, 1.0, (3, n))
+        assert np.array_equal(forward_conversion_batch(layer, xs), xs[:, perm])
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             mask = random_mask(rng, 5, 7)
             layer = MaskedLinearLayer(mask, "hard", rng.normal(0, 1, mask.n_edges))
-            x, z = rng.normal(0, 1, 7), rng.normal(0, 1, 7)
+            x, z = rng.normal(0, 1, (1, 7)), rng.normal(0, 1, (1, 7))
             a, b = rng.normal(), rng.normal()
-            lhs = forward_conversion(layer, a * x + b * z)
-            rhs = a * forward_conversion(layer, x) + b * forward_conversion(layer, z)
+            lhs = forward_conversion_batch(layer, a * x + b * z)
+            rhs = a * forward_conversion_batch(layer, x) + b * forward_conversion_batch(layer, z)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dense_equivalence(self):
@@ -104,23 +106,27 @@ class TestForwardConversion:
 
 
 class TestBackwardConversion:
+    """The layer's backward pass in training: the gradient w.r.t. its
+    weights from the gradient ``G`` w.r.t. the folded first-layer weights
+    ``M = W1 @ C``."""
+
     def test_zero_upstream(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
         layer = MaskedLinearLayer(mask, "hard", [1.5])
-        grad_w, grad_x = backward_conversion(layer, [4.0, 1.0], [0.0])
-        assert not grad_w.any() and not grad_x.any()
+        grad_w = fold_conversion_grad(layer, np.array([[2.0]]), np.zeros((1, 2)))
+        assert grad_w.shape == (1,) and not grad_w.any()
 
     def test_support_only_gradient(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
         layer = MaskedLinearLayer(mask, "hard", [1.0])
-        grad_w, _ = backward_conversion(layer, [4.0, 1.0], [1.0])
+        grad_w = fold_conversion_grad(layer, np.array([[1.0]]), np.array([[4.0, 1.0]]))
         assert grad_w.shape == (1,)  # no slot exists for the masked-off pair
         assert grad_w.tolist() == [4.0]
 
     def test_soft_outer_product(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
         layer = MaskedLinearLayer(mask, "soft", [[1.0, 1.0]])
-        grad_w, _ = backward_conversion(layer, [3.0, 5.0], [2.0])
+        grad_w = fold_conversion_grad(layer, np.array([[2.0]]), np.array([[3.0, 5.0]]))
         assert grad_w.tolist() == [[6.0, 10.0]]
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
@@ -130,29 +136,17 @@ class TestBackwardConversion:
             mask = random_mask(rng, 4, 6, 0.5, force_edge=True)
             shape = (mask.n_edges,) if mode == "hard" else (4, 6)
             w0 = rng.normal(0, 1, shape)
-            x = rng.normal(0, 1, 6)
-            upstream = rng.normal(0, 1, 4)
+            first = rng.normal(0, 1, (3, 4))
+            upstream = rng.normal(0, 1, (3, 6))
 
             def scalar_loss(w):
                 layer = MaskedLinearLayer(mask, mode, w.reshape(shape))
-                return float(forward_conversion(layer, x) @ upstream)
+                return float((fold_conversion(layer, first) * upstream).sum())
 
             layer = MaskedLinearLayer(mask, mode, w0)
-            grad_w, grad_x = backward_conversion(layer, x, upstream)
+            assert np.max(np.abs(fold_conversion(layer, first) - first @ layer.to_dense())) <= 1e-12
+            grad_w = fold_conversion_grad(layer, first, upstream)
             assert np.max(rel_err(grad_w, fd_gradient(scalar_loss, w0).reshape(shape))) <= 1e-6
-
-            def input_loss(xv):
-                return float(forward_conversion(layer, xv) @ upstream)
-
-            assert np.max(rel_err(grad_x, fd_gradient(input_loss, x))) <= 1e-6
-
-    def test_dimension_mismatch(self):
-        mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
-        layer = MaskedLinearLayer(mask, "hard", [1.0])
-        with pytest.raises(ValueError):
-            backward_conversion(layer, [1.0], [1.0])
-        with pytest.raises(ValueError):
-            backward_conversion(layer, [1.0, 2.0], [1.0, 2.0])
 
 
 class TestLayerValidation:
@@ -177,32 +171,32 @@ class TestLayerValidation:
 class TestMlpForward:
     def test_affine_identity(self):
         net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
-        y, _ = mlp_forward(net, [3.0])
-        assert y.tolist() == [7.0]
+        y, _ = mlp_forward_batch(net, [[3.0]])
+        assert y.tolist() == [[7.0]]
 
     def test_relu_clamps(self):
         net = FeedforwardNetwork([Layer([[1.0]], [-5.0], ACT_RELU)])
-        y, _ = mlp_forward(net, [3.0])
-        assert y.tolist() == [0.0]
+        y, _ = mlp_forward_batch(net, [[3.0]])
+        assert y.tolist() == [[0.0]]
 
     def test_zero_net(self):
         net = FeedforwardNetwork(
             [Layer(np.zeros((3, 2)), np.zeros(3), ACT_RELU), Layer(np.zeros((1, 3)), np.zeros(1), ACT_IDENTITY)]
         )
-        y, _ = mlp_forward(net, [4.0, -2.0])
-        assert y.tolist() == [0.0]
+        y, _ = mlp_forward_batch(net, [[4.0, -2.0]])
+        assert y.tolist() == [[0.0]]
 
     def test_sigmoid_stable(self):
         net = FeedforwardNetwork([Layer([[1.0]], [0.0], ACT_SIGMOID)])
-        hi, _ = mlp_forward(net, [800.0])
-        lo, _ = mlp_forward(net, [-800.0])
-        assert hi.tolist() == [1.0]
-        assert lo.tolist() == [0.0]
+        y, _ = mlp_forward_batch(net, [[800.0], [-800.0]])
+        assert y.tolist() == [[1.0], [0.0]]
 
     def test_dimension_mismatch(self):
         net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
         with pytest.raises(ValueError):
-            mlp_forward(net, [1.0, 2.0])
+            mlp_forward_batch(net, [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            mlp_forward_batch(net, [1.0])
 
     def test_layer_chaining_validated(self):
         with pytest.raises(ValueError):
@@ -214,95 +208,105 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_zero_upstream(self):
         net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
-        _, cache = mlp_forward(net, [3.0])
-        grads, grad_in = mlp_backward(net, cache, [0.0])
-        assert grad_in.tolist() == [0.0]
+        _, cache = mlp_forward_batch(net, [[3.0]])
+        grads = mlp_backward_batch(net, cache, [[0.0]])
         assert grads[0][0].tolist() == [[0.0]]
+        assert grads[0][1].tolist() == [0.0]
 
     def test_hand_example(self):
-        net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
-        _, cache = mlp_forward(net, [3.0])
-        grads, grad_in = mlp_backward(net, cache, [1.0])
-        assert grad_in.tolist() == [2.0]
-        assert grads[0][0].tolist() == [[3.0]]
-        assert grads[0][1].tolist() == [1.0]
+        # x=3 -> 2x+1 = 7 -> 3*7 = 21
+        net = FeedforwardNetwork(
+            [Layer([[2.0]], [1.0], ACT_IDENTITY), Layer([[3.0]], [0.0], ACT_IDENTITY)]
+        )
+        _, cache = mlp_forward_batch(net, [[3.0]])
+        grads = mlp_backward_batch(net, cache, [[1.0]])
+        assert grads[1][0].tolist() == [[7.0]]
+        assert grads[1][1].tolist() == [1.0]
+        assert grads[0][0].tolist() == [[9.0]]
+        assert grads[0][1].tolist() == [3.0]
 
     def test_two_layer_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
-            from _helpers import random_network
-
             net = random_network(rng, [4, 3, 2], activations=[ACT_SIGMOID, ACT_IDENTITY])
-            x0 = rng.normal(0, 1, 4)
-            dldy = rng.normal(0, 1, 2)
+            xs = rng.normal(0, 1, (3, 4))
+            dldy = rng.normal(0, 1, (3, 2))
 
-            def scalar(xv):
-                y, _ = mlp_forward(net, xv)
-                return float(y @ dldy)
+            def scalar(w):
+                first = Layer(w.reshape(3, 4), net.layers[0].bias, ACT_SIGMOID)
+                y, _ = mlp_forward_batch(FeedforwardNetwork([first, net.layers[1]]), xs)
+                return float((y * dldy).sum())
 
-            _, cache = mlp_forward(net, x0)
-            _, grad_in = mlp_backward(net, cache, dldy)
-            assert np.max(rel_err(grad_in, fd_gradient(scalar, x0))) <= 1e-6
+            _, cache = mlp_forward_batch(net, xs)
+            grads = mlp_backward_batch(net, cache, dldy)
+            fd = fd_gradient(scalar, net.layers[0].weights).reshape(3, 4)
+            assert np.max(rel_err(grads[0][0], fd)) <= 1e-6
 
     def test_cache_mismatch(self):
         net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
         other = FeedforwardNetwork(
             [Layer([[2.0, 0.0]], [1.0], ACT_IDENTITY)]
         )
-        _, cache = mlp_forward(other, [3.0, 1.0])
+        _, cache = mlp_forward_batch(other, [[3.0, 1.0]])
         with pytest.raises(ValueError):
-            mlp_backward(net, cache, [1.0])
+            mlp_backward_batch(net, cache, [[1.0]])
 
 
 class TestLosses:
     def test_mse_zero_at_target(self):
-        value, grad = loss_mse([1.0, 2.0], [1.0, 2.0])
+        value, grad = loss_mse_batch([[1.0, 2.0]], [[1.0, 2.0]])
         assert value == 0.0 and not grad.any()
 
     def test_mse_mean_over_components(self):
-        value, _ = loss_mse([1.0, 2.0], [0.0, 0.0])
+        value, _ = loss_mse_batch([[1.0, 2.0]], [[0.0, 0.0]])
         assert value == 2.5
 
     def test_mse_scalar(self):
-        value, grad = loss_mse([3.0], [1.0])
+        value, grad = loss_mse_batch([[3.0]], [[1.0]])
         assert value == 4.0
-        assert grad.tolist() == [4.0]
+        assert grad.tolist() == [[4.0]]
 
     def test_mse_length_mismatch(self):
         with pytest.raises(ValueError):
-            loss_mse([1.0], [1.0, 2.0])
+            loss_mse_batch([[1.0]], [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            loss_mse_batch([1.0], [1.0])
 
     def test_mse_gradient_matches_fd(self):
         rng = np.random.default_rng(16)
-        pred = rng.normal(0, 1, 5)
-        target = rng.normal(0, 1, 5)
-        _, grad = loss_mse(pred, target)
-        assert np.max(rel_err(grad, fd_gradient(lambda p: loss_mse(p, target)[0], pred))) <= 1e-7
+        pred = rng.normal(0, 1, (3, 5))
+        target = rng.normal(0, 1, (3, 5))
+        _, grad = loss_mse_batch(pred, target)
+        fd = fd_gradient(lambda p: loss_mse_batch(p, target)[0], pred)
+        assert np.max(rel_err(grad, fd)) <= 1e-7
 
     def test_ce_uniform_logits(self):
-        value, _ = loss_cross_entropy([0.0, 0.0], 0)
+        value, _ = loss_cross_entropy_batch([[0.0, 0.0]], [0])
         assert abs(value - math.log(2.0)) <= 1e-12
 
     def test_ce_stable_at_large_logits(self):
-        value, grad = loss_cross_entropy([1000.0, 0.0], 0)
+        value, grad = loss_cross_entropy_batch([[1000.0, 0.0]], [0])
         assert 0.0 <= value <= 1e-12
         assert np.all(np.isfinite(grad))
 
     def test_ce_gradient_sums_to_zero(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            logits = rng.normal(0, 3, rng.integers(2, 6))
-            cls = int(rng.integers(0, logits.size))
-            _, grad = loss_cross_entropy(logits, cls)
-            assert abs(grad.sum()) <= 1e-12
+            logits = rng.normal(0, 3, (int(rng.integers(1, 4)), int(rng.integers(2, 6))))
+            classes = rng.integers(0, logits.shape[1], logits.shape[0])
+            _, grad = loss_cross_entropy_batch(logits, classes)
+            assert np.all(np.abs(grad.sum(axis=1)) <= 1e-12)
 
     def test_ce_index_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_cross_entropy([0.0, 0.0], 2)
+            loss_cross_entropy_batch([[0.0, 0.0]], [2])
+        with pytest.raises(ValueError):
+            loss_cross_entropy_batch([[0.0, 0.0]], [-1])
 
     def test_ce_gradient_matches_fd(self):
         rng = np.random.default_rng(18)
-        logits = rng.normal(0, 1, 4)
-        _, grad = loss_cross_entropy(logits, 1)
-        fd = fd_gradient(lambda z: loss_cross_entropy(z, 1)[0], logits)
+        logits = rng.normal(0, 1, (3, 4))
+        classes = np.array([1, 0, 3])
+        _, grad = loss_cross_entropy_batch(logits, classes)
+        fd = fd_gradient(lambda z: loss_cross_entropy_batch(z, classes)[0], logits)
         assert np.max(rel_err(grad, fd)) <= 1e-7

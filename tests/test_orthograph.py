@@ -9,7 +9,6 @@ from orthomask.orthograph import (
     best_hits,
     build_rbh_graph,
     graph_to_tsv,
-    kmer_similarity,
     read_gene_list,
     read_score_table,
     tsv_to_graph,
@@ -17,7 +16,7 @@ from orthomask.orthograph import (
     write_score_table,
 )
 
-from _helpers import random_mask, random_score_instance, rbh_brute_force
+from _helpers import kmer_similarity, random_mask, random_score_instance, rbh_brute_force
 
 
 def table(entries):
@@ -196,6 +195,13 @@ class TestBiadjacencyMatrix:
             BiadjacencyMatrix(["t1"], ["s1"], [(0, 0), (0, 0)])
         with pytest.raises(ValueError):
             BiadjacencyMatrix(["t1", "t1"], ["s1"], [])
+        # an index that is not an integer is refused, not truncated; an
+        # empty edge list of any dtype is a graph without edges
+        for edges in ([(0, 1.9)], [(0, 1.0)], np.array([[0.0, 1.9]]), np.array([[0.0, 1.0]])):
+            with pytest.raises(ValueError, match="edge indices must be integers"):
+                BiadjacencyMatrix(["t"], ["s0", "s1"], edges)
+        for edges in ([], np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)):
+            assert BiadjacencyMatrix(["t"], ["s0", "s1"], edges).n_edges == 0
 
         # seeded random edge lists against the plain-Python reference, as
         # a list of tuples, a generator and an (E, 2) int64 array
@@ -248,8 +254,9 @@ class TestBiadjacencyMatrix:
         assert seen == {"empty", "unsorted", "duplicate", "negative", "row_n_t", "col_n_s"}
 
     def test_dense_and_degrees(self):
-        graph = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(0, 1), (1, 0), (1, 2)])
-        dense = graph.dense()
+        graph = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(1, 2), (0, 1), (1, 0)])
+        dense = np.zeros((2, 3))
+        dense[graph.edge_rows, graph.edge_cols] = 1.0
         assert dense.tolist() == [[0, 1, 0], [1, 0, 1]]
         assert graph.row_degrees().tolist() == [1, 2]
 

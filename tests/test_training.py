@@ -42,23 +42,32 @@ def single_edge_layer(weight=1.0):
     return MaskedLinearLayer(mask, "hard", [weight])
 
 
+def support_mask(support):
+    """The graph whose edges are the nonzero entries of a 2-D array."""
+    n_t, n_s = np.shape(support)
+    rows, cols = np.nonzero(support)
+    return BiadjacencyMatrix(
+        [f"t{i}" for i in range(n_t)], [f"s{j}" for j in range(n_s)], np.column_stack((rows, cols))
+    )
+
+
 class TestRegularization:
     def test_zero_coefficients(self):
         rng = np.random.default_rng(1)
         w = rng.normal(0, 1, (3, 4))
-        b = (rng.uniform(0, 1, (3, 4)) < 0.5).astype(float)
+        b = support_mask(rng.uniform(0, 1, (3, 4)) < 0.5)
         assert regularization_penalty(w, b, 0.0, 0.0) == 0.0
         assert not regularization_grad(w, b, 0.0, 0.0).any()
 
     def test_hand_value(self):
         w = np.array([[1.0, 2.0]])
-        b = np.array([[1.0, 0.0]])
+        b = support_mask([[1.0, 0.0]])
         assert regularization_penalty(w, b, 0.5, 0.1) == pytest.approx(2.1, abs=1e-15)
         assert np.allclose(regularization_grad(w, b, 0.5, 0.1), [[0.2, 2.0]], atol=1e-15)
 
     def test_full_support_ignores_alpha(self):
         w = np.array([[3.0, -2.0]])
-        b = np.ones((1, 2))
+        b = support_mask(np.ones((1, 2)))
         assert regularization_penalty(w, b, 7.0, 0.0) == 0.0
         assert not regularization_grad(w, b, 7.0, 0.0).any()
 
@@ -69,9 +78,9 @@ class TestRegularization:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            regularization_penalty(np.ones((2, 2)), np.ones((2, 3)), 1.0, 0.0)
+            regularization_penalty(np.ones((2, 2)), support_mask(np.ones((2, 3))), 1.0, 0.0)
         with pytest.raises(ValueError):
-            regularization_grad(np.ones((2, 2)), np.ones((2, 3)), 1.0, 0.0)
+            regularization_grad(np.ones((2, 2)), support_mask(np.ones((2, 3))), 1.0, 0.0)
 
     def test_graph_support_matches_dense_formula(self):
         rng = np.random.default_rng(5)
@@ -85,9 +94,8 @@ class TestRegularization:
             alpha, beta = rng.uniform(0, 3), rng.uniform(0, 3)
             expected = 2 * (alpha * (1 - b) + beta * b) * w
             assert np.array_equal(regularization_grad(w, graph, alpha, beta), expected)
-            assert regularization_penalty(w, graph, alpha, beta) == regularization_penalty(
-                w, b, alpha, beta
-            )
+            penalty = alpha * ((1 - b) * w * w).sum() + beta * (b * w * w).sum()
+            assert regularization_penalty(w, graph, alpha, beta) == pytest.approx(penalty, rel=1e-14)
             assert regularization_penalty(w, graph, alpha, 0.0) == alpha * ((1 - b) * w * w).sum()
 
     def test_grad_matches_finite_differences(self):
@@ -95,7 +103,7 @@ class TestRegularization:
         for _ in range(20):
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
             w = rng.normal(0, 2, shape)
-            b = (rng.uniform(0, 1, shape) < 0.5).astype(float)
+            b = support_mask(rng.uniform(0, 1, shape) < 0.5)
             alpha, beta = rng.uniform(0, 3), rng.uniform(0, 3)
             grad = regularization_grad(w, b, alpha, beta)
             fd = fd_gradient(
@@ -360,10 +368,10 @@ class TestInitialization:
     def test_row_uniform_identity_for_one_to_one(self):
         mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2"], [(0, 0), (1, 1)])
         layer = initialize_conversion_layer(mask, "hard", "row_uniform", np.random.default_rng(0))
-        x = np.array([3.0, -2.0])
-        from orthomask.netcore import forward_conversion
+        xs = np.array([[3.0, -2.0]])
+        from orthomask.netcore import forward_conversion_batch
 
-        assert np.array_equal(forward_conversion(layer, x), x)
+        assert np.array_equal(forward_conversion_batch(layer, xs), xs)
 
     def test_scaled_random_bounded_by_degree(self):
         rng = np.random.default_rng(10)

@@ -110,3 +110,14 @@ def test_writers_reject_tab_and_line_breaks(tmp_path, name, char):
 def test_writer_rejects_wrong_width(tmp_path):
     with pytest.raises(ValueError, match="expected 2 fields, got 1"):
         write_table(tmp_path / "table.tsv", ("a", "b"), [("x", "y"), ("z",)])
+
+
+def test_writer_rejects_empty_line(tmp_path):
+    # a one-column record of an empty field would be written as a blank
+    # line, which the reader skips: the empty gene ID would vanish
+    path = tmp_path / "genes.tsv"
+    with pytest.raises(ValueError, match="blank line"):
+        write_gene_list(["", "a"], path)
+    # an empty field beside others is still a line with a tab
+    write_table(path, ("a", "b"), [("", "")])
+    assert path.read_text() == "a\tb\n\t\n"

@@ -242,7 +242,6 @@ def _cmd_train_base(args):
         learning_rate=args.lr,
         steps=args.steps,
         batch_size=args.batch_size,
-        loss_kind=args.loss,
         optimizer=args.optimizer,
         seed=args.seed,
     )
@@ -279,22 +278,18 @@ def _cmd_train_conversion(args):
             f"but graph {args.graph} has {graph.n_targets}"
         )
 
-    kind = _label_kind_for(net)
-    data = _load_labeled(args.expr, args.labels, kind)
+    data = _load_labeled(args.expr, args.labels, _label_kind_for(net))
     data = _align_checked(data, graph.source_gene_ids, args.expr)
 
     layer = _resolve_start_layer(existing, graph, args.mode, args.init, args.seed)
     cfg = training.TrainConfig(
-        mode=args.mode,
         learning_rate=args.lr,
         steps=args.steps,
         batch_size=args.batch_size,
         alpha=args.alpha,
         beta=args.beta,
-        loss_kind=training.LOSS_MSE if kind == dataio.KIND_REGRESSION else training.LOSS_CE,
         optimizer=args.optimizer,
         seed=args.seed,
-        init=args.init,
     )
     trained, report = training.train_conversion(layer, net, data, cfg)
     modelio.save_model(net, trained, args.out)

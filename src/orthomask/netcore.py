@@ -125,6 +125,15 @@ def forward_conversion_batch(layer: MaskedLinearLayer, xs: np.ndarray) -> np.nda
     return xs @ layer.weights.T
 
 
+def _check_first_weights(layer: MaskedLinearLayer, first_weights: np.ndarray) -> None:
+    # the hard-mode edge gather would ignore extra columns instead of failing
+    if first_weights.shape[1] != layer.n_targets:
+        raise ValueError(
+            f"first-layer weights of shape {first_weights.shape} do not match "
+            f"conversion output dim {layer.n_targets}"
+        )
+
+
 def fold_conversion(layer: MaskedLinearLayer, first_weights: np.ndarray) -> np.ndarray:
     """``first_weights @ layer.to_dense()``, shape (h, n_sources).
 
@@ -132,6 +141,7 @@ def fold_conversion(layer: MaskedLinearLayer, first_weights: np.ndarray) -> np.n
     ``fold_conversion(layer, W1) @ x``. Hard mode scatters over the edges and
     never forms the dense matrix.
     """
+    _check_first_weights(layer, first_weights)
     if layer.mode == MODE_HARD:
         mask = layer.mask
         return kernels.dense_times_csr(
@@ -146,6 +156,10 @@ def fold_conversion_grad(
     """Gradient w.r.t. ``layer.weights`` from the gradient w.r.t. the folded
     weights: ``first_weights.T @ grad_folded``, read on the support only in
     hard mode."""
+    _check_first_weights(layer, first_weights)
+    expected = (first_weights.shape[0], layer.n_sources)
+    if grad_folded.shape != expected:
+        raise ValueError(f"folded gradient of shape {grad_folded.shape} does not match {expected}")
     if layer.mode == MODE_HARD:
         mask = layer.mask
         return kernels.edge_dot(mask.indptr, mask.edge_cols, first_weights, grad_folded)

@@ -85,8 +85,9 @@ class BiadjacencyMatrix:
         if pairs.size == 0:
             pairs = np.zeros((0, 2), dtype=np.int64)
         # a cast would truncate 1.9 to 1; an int beyond int64 makes the
-        # array float or object
-        if pairs.dtype.kind not in "iu":
+        # array float or object, or uint64 that the cast would wrap
+        too_big = pairs.dtype.kind == "u" and pairs.max() > np.iinfo(np.int64).max
+        if pairs.dtype.kind not in "iu" or too_big:
             raise ValueError("edge indices must be integers in int64 range")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (target, source) index pairs")

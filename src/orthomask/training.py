@@ -37,10 +37,6 @@ from .netcore import (
 from .orthograph import BiadjacencyMatrix
 from .tsv import float_repr, write_table
 
-LOSS_MSE = "mse"
-LOSS_CE = "ce"
-LOSSES = (LOSS_MSE, LOSS_CE)
-
 OPT_SGD = "sgd"
 OPT_ADAM = "adam"
 OPTIMIZERS = (OPT_SGD, OPT_ADAM)
@@ -63,22 +59,20 @@ class TrainConfig:
 
     Defaults are full-batch adam at 0.01 for 2000 steps; plain SGD is kept
     for the closed-form regularizer analyses where its update rule matters.
+    ``alpha`` and ``beta`` weigh the soft-mode penalty. What the inputs
+    already fix is not set here: the loss follows the labels' dtype and
+    the conversion mode is the layer's.
     """
 
-    mode: str = MODE_HARD
     learning_rate: float = 0.01
     steps: int = 2000
     batch_size: int = FULL_BATCH
     alpha: float = 1.0
     beta: float = 0.0
-    loss_kind: str = LOSS_MSE
     optimizer: str = OPT_ADAM
     seed: int = 0
-    init: str = INIT_ROW_UNIFORM
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.steps < 1:
@@ -89,12 +83,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.loss_kind not in LOSSES:
-            raise ValueError(f"loss_kind must be one of {LOSSES}, got {self.loss_kind!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -227,29 +217,43 @@ def _batch_indices(n: int, batch_size: int, steps: int, rng: np.random.Generator
         pos += batch
 
 
-def _batch_loss(loss_kind, pred, labels):
-    if loss_kind == LOSS_MSE:
-        return loss_mse_batch(pred, labels)
-    return loss_cross_entropy_batch(pred, labels)
+def _batch_loss(pred, labels):
+    """Cross-entropy for integer class indices, MSE for real labels."""
+    if np.issubdtype(labels.dtype, np.integer):
+        return loss_cross_entropy_batch(pred, labels)
+    return loss_mse_batch(pred, labels)
 
 
-def _check_labels(loss_kind: str, labels, output_dim: int):
+def _check_labels(data, output_dim: int):
+    labels = data.labels
     if labels is None:
         raise ValueError("dataset has no labels")
-    if loss_kind == LOSS_MSE:
-        if not np.issubdtype(labels.dtype, np.floating):
-            raise ValueError("mse loss needs real-valued labels")
-        if labels.ndim != 2 or labels.shape[1] != output_dim:
-            raise ValueError(
-                f"labels of shape {labels.shape} do not match output dim {output_dim}"
-            )
-    else:
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("cross-entropy loss needs class-index labels")
+    if np.issubdtype(labels.dtype, np.integer):
         if labels.ndim != 1:
             raise ValueError(f"class labels must be 1-D, got shape {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= output_dim):
             raise ValueError(f"class index out of range for {output_dim} logits")
+    elif labels.ndim != 2 or labels.shape[1] != output_dim:
+        raise ValueError(f"labels of shape {labels.shape} do not match output dim {output_dim}")
+
+
+def _fit(params, step, data, cfg: TrainConfig) -> TrainReport:
+    """Minibatch descent on ``params``, updated in place.
+
+    ``step(xs, labels)`` returns one batch's loss and its gradient w.r.t.
+    each of ``params``. Batches are drawn from ``cfg.seed``; a non-finite
+    loss raises before any parameter moves on it.
+    """
+    optimizer = _make_optimizer(cfg, params)
+    rng = np.random.default_rng(cfg.seed)
+    report = TrainReport(seed=cfg.seed)
+    for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
+        value, grads = step(data.samples[idx], data.labels[idx])
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
+        report.losses.append(value)
+        optimizer.step(grads)
+    return report
 
 
 def train_base(
@@ -266,27 +270,21 @@ def train_base(
         raise ValueError(
             f"dataset has {data.n_genes} genes but network expects {net.input_dim}"
         )
-    _check_labels(cfg.loss_kind, data.labels, net.output_dim)
+    _check_labels(data, net.output_dim)
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
 
     start = time.perf_counter()
     trained = net.copy()
-    params = [arr for lay in trained.layers for arr in (lay.weights, lay.bias)]
-    optimizer = _make_optimizer(cfg, params)
-    rng = np.random.default_rng(cfg.seed)
 
-    report = TrainReport(seed=cfg.seed)
-    for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
-        xs = data.samples[idx]
+    def step(xs, labels):
         pred, cache = mlp_forward_batch(trained, xs)
-        value, dpred = _batch_loss(cfg.loss_kind, pred, data.labels[idx])
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
-        report.losses.append(value)
+        value, dpred = _batch_loss(pred, labels)
         param_grads = mlp_backward_batch(trained, cache, dpred)
-        optimizer.step([g for gw_gb in param_grads for g in gw_gb])
+        return value, [g for gw_gb in param_grads for g in gw_gb]
 
+    params = [arr for lay in trained.layers for arr in (lay.weights, lay.bias)]
+    report = _fit(params, step, data, cfg)
     report.final_eval = evaluate(trained, None, data)
     report.wall_time = time.perf_counter() - start
     return trained, report
@@ -315,7 +313,7 @@ def conversion_step(
     first_weights = frozen_net.layers[0].weights
     folded.layers[0].weights = fold_conversion(layer, first_weights)
     pred, cache = mlp_forward_batch(folded, xs)
-    base_loss, dpred = _batch_loss(cfg.loss_kind, pred, labels)
+    base_loss, dpred = _batch_loss(pred, labels)
     param_grads = mlp_backward_batch(folded, cache, dpred)
     grad = fold_conversion_grad(layer, first_weights, param_grads[0][0])
     penalty = -0.0
@@ -333,15 +331,13 @@ def train_conversion(
 ) -> tuple[MaskedLinearLayer, TrainReport]:
     """Fit only the conversion weights against the frozen predictor.
 
-    Per step: y = f(C @ x_s), loss = batch loss (plus the quadratic
-    orthology penalty in soft mode), computed by :func:`conversion_step`.
-    ``frozen_net`` is never written; its weights are bit-identical before
-    and after.
+    Trains ``layer`` in its own mode. Per step: y = f(C @ x_s), loss =
+    batch loss (plus the quadratic orthology penalty in soft mode),
+    computed by :func:`conversion_step`. ``frozen_net`` is never written;
+    its weights are bit-identical before and after.
     """
     if not frozen_net.frozen:
         raise InvalidStateError("conversion training requires a frozen network")
-    if layer.mode != cfg.mode:
-        raise ValueError(f"layer mode {layer.mode!r} does not match config mode {cfg.mode!r}")
     if data.n_genes != layer.n_sources:
         raise ValueError(
             f"dataset has {data.n_genes} genes but conversion layer expects {layer.n_sources}"
@@ -351,27 +347,19 @@ def train_conversion(
             f"network input dim {frozen_net.input_dim} does not match "
             f"conversion output dim {layer.n_targets}"
         )
-    _check_labels(cfg.loss_kind, data.labels, frozen_net.output_dim)
+    _check_labels(data, frozen_net.output_dim)
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
 
     start = time.perf_counter()
     trained = layer.copy()
-    optimizer = _make_optimizer(cfg, [trained.weights])
-    rng = np.random.default_rng(cfg.seed)
     folded = frozen_net.copy()
 
-    report = TrainReport(seed=cfg.seed)
-    for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
-        base_loss, penalty, grad = conversion_step(
-            trained, frozen_net, folded, data.samples[idx], data.labels[idx], cfg
-        )
-        value = base_loss + penalty
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite training loss at step {len(report.losses) + 1}")
-        report.losses.append(value)
-        optimizer.step([grad])
+    def step(xs, labels):
+        base_loss, penalty, grad = conversion_step(trained, frozen_net, folded, xs, labels, cfg)
+        return base_loss + penalty, [grad]
 
+    report = _fit([trained.weights], step, data, cfg)
     report.final_eval = evaluate(frozen_net, trained, data)
     report.wall_time = time.perf_counter() - start
     return trained, report
@@ -380,22 +368,18 @@ def train_conversion(
 def evaluate(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, data) -> float:
     """Mean base loss over all samples; pure, no parameter mutation.
 
-    The loss kind follows the label dtype: real labels score MSE, integer
-    class labels score cross-entropy. Labels are checked against the
-    network's output as in training. ``layer=None`` feeds expression
+    The loss follows the labels as in training: integer class labels score
+    cross-entropy, real labels score MSE. ``layer=None`` feeds expression
     straight into the network.
     """
     if data.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    labels = data.labels
-    is_class = labels is not None and np.issubdtype(labels.dtype, np.integer)
-    loss_kind = LOSS_CE if is_class else LOSS_MSE
-    _check_labels(loss_kind, labels, net.output_dim)
+    _check_labels(data, net.output_dim)
     xs = data.samples
     if layer is not None:
         xs = forward_conversion_batch(layer, xs)
     pred, _ = mlp_forward_batch(net, xs)
-    value, _ = _batch_loss(loss_kind, pred, labels)
+    value, _ = _batch_loss(pred, data.labels)
     if not math.isfinite(value):
         raise NumericalError("non-finite evaluation loss")
     return value

@@ -78,7 +78,7 @@ def bundle():
 
 
 def default_hard_layer(graph, cfg):
-    return initialize_conversion_layer(graph, "hard", cfg.init, np.random.default_rng(cfg.seed))
+    return initialize_conversion_layer(graph, "hard", "row_uniform", np.random.default_rng(cfg.seed))
 
 
 def test_criterion_1_gradient_correctness():
@@ -103,7 +103,7 @@ def test_criterion_1_gradient_correctness():
             else:
                 labels = rng.normal(0.0, 1.0, (n, out_dim))
             alpha, beta = rng.uniform(0.1, 2.0, 2)
-            cfg = TrainConfig(mode=mode, loss_kind=loss_kind, alpha=alpha, beta=beta)
+            cfg = TrainConfig(alpha=alpha, beta=beta)
 
             shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
             w0 = rng.normal(0.0, 1.0, shape)
@@ -181,8 +181,7 @@ def test_criterion_4_regularizer_closed_form():
         on[mask.edge_rows, mask.edge_cols] = True
         for steps in (1, 3, 10, 33, 100):
             cfg = TrainConfig(
-                mode="soft", optimizer="sgd", learning_rate=eta,
-                alpha=alpha, beta=0.0, steps=steps, seed=0,
+                optimizer="sgd", learning_rate=eta, alpha=alpha, beta=0.0, steps=steps, seed=0
             )
             layer = MaskedLinearLayer(mask, "soft", w0)
             trained, _ = train_conversion(layer, net, data, cfg)
@@ -208,9 +207,9 @@ def test_criterion_6_soft_constraint_shrinks_off_support(bundle):
     with criterion("C6 alpha=10 run has strictly smaller off-support weight"):
         summaries = {}
         for alpha in (10.0, 0.0):
-            cfg = TrainConfig(mode="soft", alpha=alpha, beta=0.0)
+            cfg = TrainConfig(alpha=alpha, beta=0.0)
             layer = initialize_conversion_layer(
-                bundle.graph, "soft", cfg.init, np.random.default_rng(cfg.seed)
+                bundle.graph, "soft", "row_uniform", np.random.default_rng(cfg.seed)
             )
             trained, _ = train_conversion(layer, bundle.frozen_net, bundle.train, cfg)
             summaries[alpha] = support_summary(trained)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from orthomask import cli
-from orthomask.dataio import read_expression_tsv
+from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model
+from orthomask.training import initialize_conversion_layer
 
 
 def run(argv):
@@ -43,6 +44,46 @@ def conversion_args(bundle, out, report, extra=()):
         "--out", str(out),
         "--report", str(report),
         *extra,
+    ]
+
+
+def assert_constant_losses(report, steps):
+    # full batch reshuffles the samples every step, so equal losses may
+    # differ in the last bits by summation order
+    lines = report.read_text().splitlines()
+    losses = [float(line.split("\t")[1]) for line in lines[1:-1]]
+    assert losses == pytest.approx([losses[0]] * steps, rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def clf_files(tmp_path):
+    """A frozen two-logit classifier on target genes t1, t2, a one-to-one
+    graph to source genes s1, s2, and source expression for samples a, b."""
+    (tmp_path / "base_expr.tsv").write_text("sample_id\tt1\tt2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
+    (tmp_path / "base_labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t1\n")
+    assert run(
+        [
+            "train-base", "--expr", str(tmp_path / "base_expr.tsv"),
+            "--labels", str(tmp_path / "base_labels.tsv"),
+            "--hidden", "2", "--loss", "ce", "--lr", "0.1",
+            "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
+        ]
+    ) == 0
+    (tmp_path / "t.tsv").write_text("gene_id\nt1\nt2\n")
+    (tmp_path / "s.tsv").write_text("gene_id\ns1\ns2\n")
+    (tmp_path / "graph.tsv").write_text("target_gene\tsource_gene\nt1\ts1\nt2\ts2\n")
+    (tmp_path / "expr.tsv").write_text("sample_id\ts1\ts2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
+    return tmp_path
+
+
+def clf_conversion_args(files, labels):
+    return [
+        "train-conversion", "--model", str(files / "clf.json"),
+        "--graph", str(files / "graph.tsv"),
+        "--target-genes", str(files / "t.tsv"), "--source-genes", str(files / "s.tsv"),
+        "--expr", str(files / "expr.tsv"), "--labels", str(labels),
+        "--mode", "hard", "--lr", "0.01", "--steps", "2", "--seed", "1",
+        "--out", str(files / "m.json"), "--report", str(files / "r.tsv"),
     ]
 
 
@@ -230,23 +271,9 @@ class TestClassLabelOutOfRange:
     message that names the logit count, in training and in evaluation."""
 
     @pytest.fixture
-    def files(self, tmp_path):
-        (tmp_path / "base_expr.tsv").write_text("sample_id\tt1\tt2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
-        (tmp_path / "base_labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t1\n")
-        assert run(
-            [
-                "train-base", "--expr", str(tmp_path / "base_expr.tsv"),
-                "--labels", str(tmp_path / "base_labels.tsv"),
-                "--hidden", "2", "--loss", "ce", "--lr", "0.1",
-                "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
-            ]
-        ) == 0
-        (tmp_path / "t.tsv").write_text("gene_id\nt1\nt2\n")
-        (tmp_path / "s.tsv").write_text("gene_id\ns1\ns2\n")
-        (tmp_path / "graph.tsv").write_text("target_gene\tsource_gene\nt1\ts1\nt2\ts2\n")
-        (tmp_path / "expr.tsv").write_text("sample_id\ts1\ts2\na\t1.0\t0.0\nb\t0.0\t1.0\n")
-        (tmp_path / "labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t2\n")
-        return tmp_path
+    def files(self, clf_files):
+        (clf_files / "labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t2\n")
+        return clf_files
 
     def test_eval(self, files, capsys):
         rc = run(
@@ -257,19 +284,84 @@ class TestClassLabelOutOfRange:
         assert "class index out of range for 2 logits" in capsys.readouterr().err
 
     def test_train_conversion(self, files, capsys):
-        rc = run(
-            [
-                "train-conversion", "--model", str(files / "clf.json"),
-                "--graph", str(files / "graph.tsv"),
-                "--target-genes", str(files / "t.tsv"), "--source-genes", str(files / "s.tsv"),
-                "--expr", str(files / "expr.tsv"), "--labels", str(files / "labels.tsv"),
-                "--mode", "hard", "--lr", "0.01", "--steps", "2", "--seed", "1",
-                "--out", str(files / "m.json"), "--report", str(files / "r.tsv"),
-            ]
-        )
-        assert rc == 2
+        assert run(clf_conversion_args(files, files / "labels.tsv")) == 2
         assert "class index out of range for 2 logits" in capsys.readouterr().err
         assert not (files / "m.json").exists()
+
+
+class TestRealLabelsForClassifier:
+    """Labels for a multi-logit model are read as class indices, so a real
+    value is a parse error naming its line, in training and in evaluation."""
+
+    @pytest.fixture
+    def labels(self, clf_files):
+        path = clf_files / "real_labels.tsv"
+        path.write_text("sample_id\tlabel\na\t0.5\nb\t1\n")
+        return path
+
+    def test_eval(self, clf_files, labels, capsys):
+        rc = run(
+            ["eval", "--model", str(clf_files / "clf.json"),
+             "--expr", str(clf_files / "base_expr.tsv"), "--labels", str(labels)]
+        )
+        assert rc == 2
+        assert f"{labels}:2: non-integer class label '0.5'" in capsys.readouterr().err
+
+    def test_train_conversion(self, clf_files, labels, capsys):
+        assert run(clf_conversion_args(clf_files, labels)) == 2
+        assert f"{labels}:2: non-integer class label '0.5'" in capsys.readouterr().err
+        assert not (clf_files / "m.json").exists()
+
+
+class TestDegenerateInputs:
+    """Inputs that leave nothing to learn still run to a clean exit 0."""
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_graph_without_edges(self, bundle_dir, tmp_path, mode):
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("target_gene\tsource_gene\n")
+        model, report = tmp_path / "m.json", tmp_path / "r.tsv"
+        argv = conversion_args(bundle_dir, model, report)
+        argv[argv.index("--steps") + 1] = "20"
+        argv[argv.index("--graph") + 1] = str(graph)
+        argv[argv.index("--mode") + 1] = mode
+        assert run(argv) == 0
+        _, conv = load_model(model)
+        assert conv.mask.n_edges == 0
+        if mode == "hard":
+            # no weight to train: the loss never moves
+            assert_constant_losses(report, 20)
+            table = tmp_path / "w.tsv"
+            assert run(["inspect-weights", "--model", str(model), "--out", str(table)]) == 0
+            assert table.read_text() == "target_gene\tsource_gene\tweight\ton_support\n"
+        test_expr = str(bundle_dir / "test_expr.tsv")
+        assert run(["eval", "--model", str(model), "--expr", test_expr,
+                    "--labels", str(bundle_dir / "test_labels.tsv")]) == 0
+        assert run(["predict", "--model", str(model), "--expr", test_expr,
+                    "--out", str(tmp_path / "p.tsv")]) == 0
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_all_zero_expression(self, bundle_dir, tmp_path, mode):
+        expr = read_expression_tsv(bundle_dir / "train_expr.tsv")
+        zeros = tmp_path / "zeros.tsv"
+        write_expression_tsv(
+            ExpressionDataset(expr.species, expr.gene_ids, expr.sample_ids,
+                              np.zeros_like(expr.samples)),
+            zeros,
+        )
+        model, report = tmp_path / "m.json", tmp_path / "r.tsv"
+        argv = conversion_args(bundle_dir, model, report)
+        argv[argv.index("--steps") + 1] = "20"
+        argv[argv.index("--expr") + 1] = str(zeros)
+        argv[argv.index("--mode") + 1] = mode
+        assert run(argv) == 0
+        # zero inputs give a zero gradient, and the initial soft weights
+        # carry no penalty gradient at beta = 0
+        assert_constant_losses(report, 20)
+        _, conv = load_model(model)
+        rng = np.random.default_rng(0)
+        initial = initialize_conversion_layer(conv.mask, mode, "row_uniform", rng)
+        assert np.array_equal(conv.weights, initial.weights)
 
 
 class TestPredict:

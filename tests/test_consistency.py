@@ -19,7 +19,7 @@ class TestOptimizerFormulas:
         net = identity_net(1.0, frozen=True)
         data = one_gene_dataset(2.0, 0.0)
         lr = 0.1
-        cfg = TrainConfig(mode="hard", optimizer="adam", learning_rate=lr, steps=1, seed=0)
+        cfg = TrainConfig(optimizer="adam", learning_rate=lr, steps=1, seed=0)
         trained, _ = train_conversion(layer, net, data, cfg)
 
         g = 8.0
@@ -34,7 +34,7 @@ class TestOptimizerFormulas:
         layer = single_edge_layer(1.0)
         net = identity_net(1.0, frozen=True)
         data = one_gene_dataset(2.0, 0.0)
-        cfg = TrainConfig(mode="hard", optimizer="adam", learning_rate=0.05, steps=2, seed=0)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.05, steps=2, seed=0)
         a, _ = train_conversion(layer, net, data, cfg)
         b, _ = train_conversion(layer, net, data, cfg)
         assert a.weights[0] == b.weights[0]
@@ -44,7 +44,7 @@ class TestOptimizerFormulas:
         net = identity_net(1.0, frozen=True)
         data = one_gene_dataset(2.0, 0.0)
         lr, steps = 0.02, 7
-        cfg = TrainConfig(mode="hard", optimizer="sgd", learning_rate=lr, steps=steps, seed=0)
+        cfg = TrainConfig(optimizer="sgd", learning_rate=lr, steps=steps, seed=0)
         trained, _ = train_conversion(layer, net, data, cfg)
         w = 1.0
         for _ in range(steps):

@@ -149,6 +149,38 @@ class TestBackwardConversion:
             assert np.max(rel_err(grad_w, fd_gradient(scalar_loss, w0).reshape(shape))) <= 1e-6
 
 
+class TestFoldShapes:
+    """The fold checks its operands' shapes in both modes; hard mode's edge
+    gather would otherwise ignore extra first-layer columns."""
+
+    @staticmethod
+    def layer(mode):
+        mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2"], [(0, 0), (1, 0), (1, 1)])
+        weights = [1.0, 1.0, 1.0] if mode == "hard" else [[1.0, 0.0], [1.0, 1.0]]
+        return MaskedLinearLayer(mask, mode, weights)
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_fold_rejects_wrong_first_layer_width(self, mode):
+        layer = self.layer(mode)
+        assert fold_conversion(layer, np.ones((1, 2))).tolist() == [[2.0, 1.0]]
+        for width in (1, 3):
+            with pytest.raises(ValueError, match="do not match conversion output dim 2"):
+                fold_conversion(layer, np.ones((1, width)))
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_fold_grad_rejects_wrong_shapes(self, mode):
+        layer = self.layer(mode)
+        assert np.array_equal(
+            fold_conversion_grad(layer, np.ones((1, 2)), np.ones((1, 2))),
+            [1.0, 1.0, 1.0] if mode == "hard" else np.ones((2, 2)),
+        )
+        for shape in ((1, 5), (1, 1), (2, 2)):
+            with pytest.raises(ValueError, match=r"folded gradient of shape .* does not match \(1, 2\)"):
+                fold_conversion_grad(layer, np.ones((1, 2)), np.ones(shape))
+        with pytest.raises(ValueError, match="do not match conversion output dim 2"):
+            fold_conversion_grad(layer, np.ones((1, 3)), np.ones((1, 2)))
+
+
 class TestLayerValidation:
     def test_weight_count_must_match_support(self):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])

@@ -202,6 +202,14 @@ class TestBiadjacencyMatrix:
                 BiadjacencyMatrix(["t"], ["s0", "s1"], edges)
         for edges in ([], np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)):
             assert BiadjacencyMatrix(["t"], ["s0", "s1"], edges).n_edges == 0
+        # a uint64 index of 2**63 or more is refused before the int64 cast
+        # could wrap it; small unsigned indices build as usual
+        with pytest.raises(ValueError, match="edge indices must be integers in int64 range"):
+            BiadjacencyMatrix(["t"], ["s"], np.array([[0, 2**63]], dtype=np.uint64))
+        for dtype in (np.uint8, np.uint64):
+            graph = BiadjacencyMatrix(["t"], ["s0", "s1"], np.array([[0, 1], [0, 0]], dtype=dtype))
+            assert graph.edge_cols.tolist() == [0, 1]
+            assert graph.edge_rows.dtype == np.int64
 
         # seeded random edge lists against the plain-Python reference, as
         # a list of tuples, a generator and an (E, 2) int64 array

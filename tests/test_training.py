@@ -15,7 +15,6 @@ from orthomask.netcore import (
 from orthomask.orthograph import BiadjacencyMatrix
 from orthomask.training import (
     FULL_BATCH,
-    LOSSES,
     TrainConfig,
     evaluate,
     initialize_conversion_layer,
@@ -126,10 +125,8 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"alpha": -0.5},
             {"beta": float("nan")},
-            {"loss_kind": "hinge"},
+            {"seed": -1},
             {"optimizer": "lbfgs"},
-            {"init": "xavier"},
-            {"mode": "loose"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -192,7 +189,7 @@ class TestTrainBase:
         from _helpers import random_network
 
         net = random_network(rng, [3, 4, 2], activations=["relu", "identity"])
-        cfg = TrainConfig(loss_kind="ce", steps=200, learning_rate=0.05, seed=1)
+        cfg = TrainConfig(steps=200, learning_rate=0.05, seed=1)
         trained, report = train_base(net, data, cfg)
         assert report.losses[-1] < report.losses[0]
 
@@ -202,18 +199,13 @@ class TestTrainBase:
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             train_base(net, one_gene_dataset(2.0, 0.0), cfg)
 
-    def test_label_kind_must_match_loss(self):
-        data = one_gene_dataset(1.0, 1.0)
-        with pytest.raises(ValueError):
-            train_base(identity_net(0.0), data, TrainConfig(loss_kind="ce"))
-
 
 class TestTrainConversion:
     def test_sgd_hand_step(self):
         layer = single_edge_layer(1.0)
         net = identity_net(1.0, frozen=True)
         data = one_gene_dataset(2.0, 0.0)
-        cfg = TrainConfig(mode="hard", optimizer="sgd", learning_rate=0.1, steps=1, seed=0)
+        cfg = TrainConfig(optimizer="sgd", learning_rate=0.1, steps=1, seed=0)
         trained, report = train_conversion(layer, net, data, cfg)
         # L = (2w)^2, dL/dw = 8w = 8 at w=1, update 1 - 0.1*8
         assert trained.weights.tolist() == [pytest.approx(0.2, abs=1e-15)]
@@ -223,7 +215,7 @@ class TestTrainConversion:
         layer = single_edge_layer(1.0)
         net = identity_net(1.0, frozen=True)
         data = one_gene_dataset(2.0, 2.0)
-        cfg = TrainConfig(mode="hard", optimizer="sgd", learning_rate=0.5, steps=10, seed=0)
+        cfg = TrainConfig(optimizer="sgd", learning_rate=0.5, steps=10, seed=0)
         trained, _ = train_conversion(layer, net, data, cfg)
         assert np.array_equal(trained.weights, layer.weights)
 
@@ -231,15 +223,6 @@ class TestTrainConversion:
         with pytest.raises(InvalidStateError):
             train_conversion(
                 single_edge_layer(), identity_net(1.0), one_gene_dataset(1.0, 0.0), TrainConfig()
-            )
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            train_conversion(
-                single_edge_layer(),
-                identity_net(1.0, frozen=True),
-                one_gene_dataset(1.0, 0.0),
-                TrainConfig(mode="soft"),
             )
 
     def test_frozen_net_untouched_and_mask_respected(self):
@@ -280,8 +263,7 @@ class TestTrainConversion:
         )
         eta, alpha, steps = 0.01, 1.0, 20
         cfg = TrainConfig(
-            mode="soft", optimizer="sgd", learning_rate=eta, alpha=alpha, beta=0.0,
-            steps=steps, seed=0,
+            optimizer="sgd", learning_rate=eta, alpha=alpha, beta=0.0, steps=steps, seed=0
         )
         trained, _ = train_conversion(layer, net, data, cfg)
         on = np.zeros((3, 4), dtype=bool)
@@ -316,7 +298,7 @@ class TestTrainConversion:
     def test_step_matches_dense_reference(self, mode, loss_kind):
         # one unregularized SGD step applies exactly the dense-reference
         # gradient, over random graphs that include the degenerate shapes
-        rng = np.random.default_rng(31 + 2 * MODES.index(mode) + LOSSES.index(loss_kind))
+        rng = np.random.default_rng(31 + 2 * MODES.index(mode) + ("mse", "ce").index(loss_kind))
         seen = set()
         for trial in range(60):
             n_t, n_s = int(rng.integers(1, 7)), int(rng.integers(1, 8))
@@ -337,8 +319,8 @@ class TestTrainConversion:
             shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
             layer = MaskedLinearLayer(mask, mode, rng.normal(0.0, 1.0, shape))
             cfg = TrainConfig(
-                mode=mode, optimizer="sgd", learning_rate=1.0, steps=1, alpha=0.0, beta=0.0,
-                loss_kind=loss_kind, batch_size=int(rng.integers(n, 2 * n + 3)), seed=trial,
+                optimizer="sgd", learning_rate=1.0, steps=1, alpha=0.0, beta=0.0,
+                batch_size=int(rng.integers(n, 2 * n + 3)), seed=trial,
             )
             before = model_document(net)
             trained, _ = train_conversion(layer, net, data, cfg)
@@ -387,6 +369,16 @@ class TestInitialization:
         off = np.ones((4, 5), dtype=bool)
         off[mask.edge_rows, mask.edge_cols] = False
         assert not layer.weights[off].any()
+
+    @pytest.mark.parametrize(
+        "mode, init, message",
+        [("loose", "row_uniform", "mode must be one of"), ("hard", "xavier", "init must be one of")],
+        ids=["mode", "init"],
+    )
+    def test_rejects_unknown_mode_and_init(self, mode, init, message):
+        mask = BiadjacencyMatrix(["t1"], ["s1"], [(0, 0)])
+        with pytest.raises(ValueError, match=message):
+            initialize_conversion_layer(mask, mode, init, np.random.default_rng(0))
 
 
 class TestEvaluate:

@@ -6,7 +6,6 @@ from .orthograph import (
     BiadjacencyMatrix,
     RbhConfig,
     ScoreTable,
-    best_hits,
     build_rbh_graph,
     graph_to_tsv,
     tsv_to_graph,
@@ -59,7 +58,6 @@ __all__ = [
     "TrainReport",
     "UnknownGeneError",
     "align_to_genes",
-    "best_hits",
     "build_rbh_graph",
     "evaluate",
     "export_weight_table",

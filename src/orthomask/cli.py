@@ -24,8 +24,7 @@ from .netcore import (
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
-    forward_conversion_batch,
-    mlp_forward_batch,
+    model_forward,
 )
 from .tsv import float_repr, write_table
 
@@ -314,10 +313,7 @@ def _cmd_predict(args):
     net, conversion = modelio.load_model(args.model)
     dataset = dataio.read_expression_tsv(args.expr)
     dataset = _align_inputs(net, conversion, dataset, args.expr)
-    inputs = dataset.samples
-    if conversion is not None:
-        inputs = forward_conversion_batch(conversion, inputs)
-    pred, _ = mlp_forward_batch(net, inputs)
+    pred = model_forward(net, conversion, dataset.samples)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
     if net.output_dim == 1:

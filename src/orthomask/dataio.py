@@ -31,8 +31,7 @@ from .netcore import (
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
-    forward_conversion_batch,
-    mlp_forward_batch,
+    model_forward,
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
@@ -306,13 +305,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticBundle:
     ids = [f"sample_{k:05d}" for k in range(spec.num_samples)]
 
     def subset(indices):
-        # labels are produced per split with the same batched arithmetic
-        # evaluate() uses, so the zero-noise oracle loss is exactly 0
+        # labels are produced per split by model_forward, the forward that
+        # evaluate() runs, so the zero-noise oracle loss is exactly 0
         indices = np.sort(indices)
         x_split = xs[indices]
-        clean, _ = mlp_forward_batch(
-            frozen_net, forward_conversion_batch(true_conversion, x_split)
-        )
+        clean = model_forward(frozen_net, true_conversion, x_split)
         return ExpressionDataset(
             "synthetic_source",
             graph.source_gene_ids,

@@ -8,6 +8,7 @@ not scaled by expression variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownGeneError
@@ -25,18 +26,21 @@ class SupportSummary:
     off_count: int
 
 
-def _iter_weight_entries(layer: MaskedLinearLayer):
-    """Yield (target_id, source_id, weight, on_support) for stored weights."""
+def _iter_weight_entries(layer: MaskedLinearLayer, row: int | None = None):
+    """Yield (target_id, source_id, weight, on_support) for stored weights,
+    of every target gene or only of target index ``row``."""
     mask = layer.mask
+    t_ids, s_ids = mask.target_gene_ids, mask.source_gene_ids
     if layer.mode == MODE_HARD:
-        for e in range(mask.n_edges):
-            i, j = int(mask.edge_rows[e]), int(mask.edge_cols[e])
-            yield mask.target_gene_ids[i], mask.source_gene_ids[j], float(layer.weights[e]), True
+        span = slice(None) if row is None else slice(mask.indptr[row], mask.indptr[row + 1])
+        edges = (mask.edge_rows[span], mask.edge_cols[span], layer.weights[span])
+        for i, j, weight in zip(*(a.tolist() for a in edges)):
+            yield t_ids[i], s_ids[j], weight, True
     else:
-        support = mask.edge_set()
-        for i, t_gene in enumerate(mask.target_gene_ids):
-            for j, s_gene in enumerate(mask.source_gene_ids):
-                yield t_gene, s_gene, float(layer.weights[i, j]), (i, j) in support
+        for i in range(mask.n_targets) if row is None else (row,):
+            on = set(mask.edge_cols[mask.indptr[i] : mask.indptr[i + 1]].tolist())
+            for j, weight in enumerate(layer.weights[i].tolist()):
+                yield t_ids[i], s_ids[j], weight, j in on
 
 
 def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]:
@@ -70,6 +74,8 @@ def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
             weight = float(weight_text)
         except ValueError:
             raise ParseError(f"non-numeric weight {weight_text!r}", path, lineno) from None
+        if not math.isfinite(weight):
+            raise ParseError(f"non-finite weight {weight_text!r}", path, lineno)
         if flag not in ("true", "false"):
             raise ParseError(f"on_support must be true or false, got {flag!r}", path, lineno)
         result.append((t_gene, s_gene, weight, flag == "true"))
@@ -85,11 +91,11 @@ def contributor_rows(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if target_gene_id not in layer.mask.target_gene_ids:
+    t_ids = layer.mask.target_gene_ids
+    if target_gene_id not in t_ids:
         raise UnknownGeneError(f"unknown target gene {target_gene_id!r}")
-    rows = [row for row in _iter_weight_entries(layer) if row[0] == target_gene_id]
-    rows.sort(key=lambda row: (-abs(row[2]), row[1]))
-    return rows[:k]
+    rows = _iter_weight_entries(layer, t_ids.index(target_gene_id))
+    return sorted(rows, key=lambda row: (-abs(row[2]), row[1]))[:k]
 
 
 def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> list[tuple[str, float]]:

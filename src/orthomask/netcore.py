@@ -252,6 +252,14 @@ def mlp_forward_batch(net: FeedforwardNetwork, xs) -> tuple[np.ndarray, ForwardC
     return post[-1], ForwardCache(xs, pre, post)
 
 
+def model_forward(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, xs) -> np.ndarray:
+    """Predictions of ``net`` on ``xs``, through ``layer`` unless it is None."""
+    if layer is not None:
+        xs = forward_conversion_batch(layer, xs)
+    pred, _ = mlp_forward_batch(net, xs)
+    return pred
+
+
 def mlp_backward_batch(net, cache: ForwardCache, dldy):
     """Backpropagate a loss gradient through the network.
 

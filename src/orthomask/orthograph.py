@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -141,23 +143,27 @@ class BiadjacencyMatrix:
         )
 
 
-def best_hits(scores: ScoreTable, cfg: RbhConfig) -> dict[str, set[str]]:
-    """Per-query best-hit subject sets.
+def _indexed(entries, q_index, s_index, q_side: str, s_side: str):
+    """Query and subject indices and scores of the records; the first record
+    naming an unknown gene raises, its query checked before its subject."""
+    n = len(entries)
+    q = np.fromiter(map(q_index.get, map(itemgetter(0), entries), repeat(-1)), np.int64, n)
+    s = np.fromiter(map(s_index.get, map(itemgetter(1), entries), repeat(-1)), np.int64, n)
+    bad = np.flatnonzero((q < 0) | (s < 0))
+    if bad.size:
+        query, subject, _ = entries[bad[0]]
+        if q[bad[0]] < 0:
+            raise UnknownGeneError(f"query gene {query!r} not in {q_side} gene list")
+        raise UnknownGeneError(f"subject gene {subject!r} not in {s_side} gene list")
+    return q, s, np.fromiter(map(itemgetter(2), entries), np.float64, n)
 
-    A subject qualifies when its score clears both the absolute threshold
-    and the query's row maximum minus the tie tolerance. Queries with no
-    qualifying subject are omitted.
-    """
-    row_max: dict[str, float] = {}
-    for query, _, score in scores.entries:
-        if score > row_max.get(query, -math.inf):
-            row_max[query] = score
 
-    hits: dict[str, set[str]] = {}
-    for query, subject, score in scores.entries:
-        if score >= cfg.threshold and score >= row_max[query] - cfg.tie_tolerance:
-            hits.setdefault(query, set()).add(subject)
-    return hits
+def _best_hit_mask(q, scores, n_queries: int, cfg: RbhConfig) -> np.ndarray:
+    """Which records are best hits: the score clears both the absolute
+    threshold and its query's row maximum minus the tie tolerance."""
+    row_max = np.full(n_queries, -np.inf)
+    np.maximum.at(row_max, q, scores)
+    return (scores >= cfg.threshold) & (scores >= row_max[q] - cfg.tie_tolerance)
 
 
 def build_rbh_graph(
@@ -178,31 +184,16 @@ def build_rbh_graph(
     source_genes = list(source_genes)
     t_index = {g: i for i, g in enumerate(target_genes)}
     s_index = {g: j for j, g in enumerate(source_genes)}
-    if len(t_index) != len(target_genes):
-        raise ValueError("duplicate target gene IDs")
-    if len(s_index) != len(source_genes):
-        raise ValueError("duplicate source gene IDs")
-
-    for query, subject, _ in scores_tq.entries:
-        if query not in t_index:
-            raise UnknownGeneError(f"query gene {query!r} not in target gene list")
-        if subject not in s_index:
-            raise UnknownGeneError(f"subject gene {subject!r} not in source gene list")
-    for query, subject, _ in scores_qt.entries:
-        if query not in s_index:
-            raise UnknownGeneError(f"query gene {query!r} not in source gene list")
-        if subject not in t_index:
-            raise UnknownGeneError(f"subject gene {subject!r} not in target gene list")
-
-    hits_tq = best_hits(scores_tq, cfg)
-    hits_qt = best_hits(scores_qt, cfg)
-
-    edges = []
-    for t_gene, subjects in hits_tq.items():
-        for s_gene in subjects:
-            if t_gene in hits_qt.get(s_gene, ()):
-                edges.append((t_index[t_gene], s_index[s_gene]))
-    return BiadjacencyMatrix(target_genes, source_genes, edges)
+    t_fwd, s_fwd, v_fwd = _indexed(scores_tq.entries, t_index, s_index, "target", "source")
+    s_rev, t_rev, v_rev = _indexed(scores_qt.entries, s_index, t_index, "source", "target")
+    fwd = _best_hit_mask(t_fwd, v_fwd, len(target_genes), cfg)
+    rev = _best_hit_mask(s_rev, v_rev, len(source_genes), cfg)
+    # an edge is a pair key t*n_s + s that is a best hit both ways; not
+    # assume_unique: an entries list appended to after construction may
+    # repeat a pair, and a key repeated in one side would pass as an edge
+    n_s = max(len(source_genes), 1)
+    keys = np.intersect1d(t_fwd[fwd] * n_s + s_fwd[fwd], t_rev[rev] * n_s + s_rev[rev])
+    return BiadjacencyMatrix(target_genes, source_genes, np.column_stack(np.divmod(keys, n_s)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from .netcore import (
     MaskedLinearLayer,
     fold_conversion,
     fold_conversion_grad,
-    forward_conversion_batch,
     loss_cross_entropy_batch,
     loss_mse_batch,
     mlp_backward_batch,
     mlp_forward_batch,
+    model_forward,
 )
 from .orthograph import BiadjacencyMatrix
 from .tsv import float_repr, write_table
@@ -184,18 +184,23 @@ class _Adam:
         self.learning_rate = learning_rate
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, grads):
+        """``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`` in the textbook's
+        operation order, into arrays allocated once."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self.scratch):
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), ADAM_EPS, out=a)
+            np.multiply(np.divide(m, bc1, out=b), self.learning_rate, out=b)
+            p -= np.divide(b, a, out=b)
 
 
 def _make_optimizer(cfg: TrainConfig, params):
@@ -375,11 +380,7 @@ def evaluate(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, data) -> 
     if data.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_labels(data, net.output_dim)
-    xs = data.samples
-    if layer is not None:
-        xs = forward_conversion_batch(layer, xs)
-    pred, _ = mlp_forward_batch(net, xs)
-    value, _ = _batch_loss(pred, data.labels)
+    value, _ = _batch_loss(model_forward(net, layer, data.samples), data.labels)
     if not math.isfinite(value):
         raise NumericalError("non-finite evaluation loss")
     return value

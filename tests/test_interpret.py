@@ -3,6 +3,7 @@ import pytest
 
 from orthomask.errors import ParseError, UnknownGeneError
 from orthomask.interpret import (
+    contributor_rows,
     export_weight_table,
     read_weight_table,
     support_summary,
@@ -97,6 +98,16 @@ class TestExportWeightTable:
             read_weight_table(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_reader_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            f"target_gene\tsource_gene\tweight\ton_support\nt1\ts1\t1.0\ttrue\nt1\ts2\t{text}\tfalse\n"
+        )
+        with pytest.raises(ParseError, match=f"non-finite weight '{text}'") as err:
+            read_weight_table(path)
+        assert err.value.line == 3
+
 
 class TestSupportSummary:
     def test_hard_mode_has_no_off_support(self):
@@ -133,3 +144,22 @@ class TestViewConsistency:
                 gene_rows.sort(key=lambda r: (-abs(r[2]), r[1]))
                 expected = [(r[1], r[2]) for r in gene_rows[:3]]
                 assert top_contributors(layer, t_gene, 3) == expected
+
+    def test_contributor_rows_match_table_with_ties(self):
+        # weights drawn from a few magnitudes of either sign, so |w| ties
+        # are common and the source-ID tie break decides; past 10 sources
+        # the IDs ("s10" < "s2") do not sort in index order
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            mode = ("hard", "soft")[trial % 2]
+            n_t, n_s = (int(v) for v in rng.integers(1, 13, 2))
+            mask = random_mask(rng, n_t, n_s, rng.uniform(0.0, 0.8))
+            shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
+            weights = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], shape)
+            layer = MaskedLinearLayer(mask, mode, weights)
+            table = weight_table(layer)
+            k = int(rng.integers(1, n_s + 2))
+            for t_gene in mask.target_gene_ids:
+                gene_rows = [r for r in table if r[0] == t_gene]
+                gene_rows.sort(key=lambda r: (-abs(r[2]), r[1]))
+                assert contributor_rows(layer, t_gene, k) == gene_rows[:k]

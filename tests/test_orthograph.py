@@ -6,7 +6,6 @@ from orthomask.orthograph import (
     BiadjacencyMatrix,
     RbhConfig,
     ScoreTable,
-    best_hits,
     build_rbh_graph,
     graph_to_tsv,
     read_gene_list,
@@ -58,25 +57,33 @@ class TestKmerSimilarity:
             assert sim == kmer_similarity(b, a, k)
 
 
+def forward_hits(entries, cfg):
+    """Best hits of a target->source table, read off the RBH graph: the
+    reverse table scores every pair 1.0, so every candidate is reciprocal."""
+    reverse = ScoreTable("source_sp", "target_sp", [(s, q, 1.0) for q, s, _ in entries])
+    graph = build_rbh_graph(table(entries), reverse, cfg, ["q1"], ["s1", "s2"])
+    return {(graph.target_gene_ids[i], graph.source_gene_ids[j]) for i, j in graph.edge_set()}
+
+
 class TestBestHits:
     def test_clear_winner(self):
-        hits = best_hits(table([("q1", "s1", 0.9), ("q1", "s2", 0.3)]), RbhConfig(0.5))
-        assert hits == {"q1": {"s1"}}
+        hits = forward_hits([("q1", "s1", 0.9), ("q1", "s2", 0.3)], RbhConfig(0.5))
+        assert hits == {("q1", "s1")}
 
     def test_all_below_threshold(self):
-        assert best_hits(table([("q1", "s1", 0.4)]), RbhConfig(0.5)) == {}
+        assert forward_hits([("q1", "s1", 0.4)], RbhConfig(0.5)) == set()
 
     def test_exact_tie_keeps_both(self):
-        hits = best_hits(table([("q1", "s1", 0.9), ("q1", "s2", 0.9)]), RbhConfig(0.5))
-        assert hits == {"q1": {"s1", "s2"}}
+        hits = forward_hits([("q1", "s1", 0.9), ("q1", "s2", 0.9)], RbhConfig(0.5))
+        assert hits == {("q1", "s1"), ("q1", "s2")}
 
     def test_threshold_boundary_inclusive(self):
-        assert best_hits(table([("q1", "s1", 0.5)]), RbhConfig(0.5)) == {"q1": {"s1"}}
+        assert forward_hits([("q1", "s1", 0.5)], RbhConfig(0.5)) == {("q1", "s1")}
 
     def test_tie_tolerance_widens(self):
         entries = [("q1", "s1", 0.9), ("q1", "s2", 0.8)]
-        assert best_hits(table(entries), RbhConfig(0.5, 0.0)) == {"q1": {"s1"}}
-        assert best_hits(table(entries), RbhConfig(0.5, 0.1)) == {"q1": {"s1", "s2"}}
+        assert forward_hits(entries, RbhConfig(0.5, 0.0)) == {("q1", "s1")}
+        assert forward_hits(entries, RbhConfig(0.5, 0.1)) == {("q1", "s1"), ("q1", "s2")}
 
 
 class TestScoreTableInvariants:
@@ -114,6 +121,13 @@ class TestBuildRbhGraph:
             ["s1"],
         )
         assert graph.edge_set() == set()
+
+    def test_pair_repeated_after_construction(self):
+        # s1's best hit is t2; t1 -> s1 listed twice is still one direction
+        tq = table([("t1", "s1", 0.9)])
+        tq.entries.append(("t1", "s1", 0.9))
+        qt = table([("s1", "t2", 0.9)])
+        assert build_rbh_graph(tq, qt, RbhConfig(0.5), ["t1", "t2"], ["s1"]).edge_set() == set()
 
     def test_empty_tables(self):
         graph = build_rbh_graph(table([]), table([]), RbhConfig(0.5), ["t1"], ["s1"])
@@ -156,19 +170,61 @@ class TestBuildRbhGraph:
             wide = build_rbh_graph(table(tq), qt_table, RbhConfig(thr, tol + 0.2), tg, sg)
             assert narrow.edge_set() <= wide.edge_set()
 
-    def test_reciprocity_of_output(self):
-        rng = np.random.default_rng(14)
-        for _ in range(40):
-            tq, qt, thr, tol, tg, sg = random_score_instance(rng, 8, 8)
-            cfg = RbhConfig(thr, tol)
-            tq_table = table(tq)
-            qt_table = ScoreTable("source_sp", "target_sp", qt)
-            graph = build_rbh_graph(tq_table, qt_table, cfg, tg, sg)
-            hits_tq = best_hits(tq_table, cfg)
-            hits_qt = best_hits(qt_table, cfg)
-            for i, j in graph.edge_set():
-                assert sg[j] in hits_tq[tg[i]]
-                assert tg[i] in hits_qt[sg[j]]
+    def test_empty_universes(self):
+        for tg, sg in (([], []), (["t1"], []), ([], ["s1"])):
+            graph = build_rbh_graph(table([]), table([]), RbhConfig(0.5), tg, sg)
+            assert (graph.n_targets, graph.n_sources, graph.n_edges) == (len(tg), len(sg), 0)
+
+    def test_duplicate_gene_ids(self):
+        fwd, rev = table([("t1", "s1", 0.9)]), table([("s1", "t1", 0.9)])
+        with pytest.raises(ValueError, match="^duplicate target gene IDs$"):
+            build_rbh_graph(fwd, rev, RbhConfig(0.5), ["t1", "t1"], ["s1"])
+        with pytest.raises(ValueError, match="^duplicate source gene IDs$"):
+            build_rbh_graph(fwd, rev, RbhConfig(0.5), ["t1"], ["s1", "s2", "s1"])
+        # an unknown gene is reported before the duplicate
+        with pytest.raises(UnknownGeneError):
+            build_rbh_graph(table([("t9", "s1", 0.9)]), rev, RbhConfig(0.5), ["t1", "t1"], ["s1"])
+
+    def test_unknown_gene_names_first_offender(self):
+        """Unknown names injected as query or subject of either table; the
+        message names the first offender of a plain-Python scan: records in
+        file order, the query before the subject, scores_tq before scores_qt."""
+
+        def first_offender(tq, qt, tg, sg):
+            for entries, q_list, s_list, q_side, s_side in (
+                (tq, tg, sg, "target", "source"),
+                (qt, sg, tg, "source", "target"),
+            ):
+                for query, subject, _ in entries:
+                    if query not in q_list:
+                        return f"query gene {query!r} not in {q_side} gene list"
+                    if subject not in s_list:
+                        return f"subject gene {subject!r} not in {s_side} gene list"
+
+        rng = np.random.default_rng(15)
+        seen = set()
+        for trial in range(300):
+            tq, qt, thr, tol, tg, sg = random_score_instance(rng, 6, 6)
+            for k in range(int(rng.integers(1, 4))):
+                side, column = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+                entries, q_list, s_list = ((tq, tg, sg), (qt, sg, tg))[side]
+                # a name in no list, or a gene of the other species
+                other = (s_list, q_list)[column]
+                name = f"x{trial}_{k}" if rng.uniform() < 0.5 else str(rng.choice(other))
+                record = [q_list[0], s_list[0], 0.5]
+                if entries:
+                    record = [*entries[int(rng.integers(0, len(entries)))]]
+                record[column] = name
+                entries.insert(int(rng.integers(0, len(entries) + 1)), tuple(record))
+                seen.add((side, column))
+            try:
+                tables = table(tq), ScoreTable("source_sp", "target_sp", qt)
+            except ValueError:  # two injections made the same pair
+                continue
+            with pytest.raises(UnknownGeneError) as err:
+                build_rbh_graph(*tables, RbhConfig(thr, tol), tg, sg)
+            assert str(err.value) == first_offender(tq, qt, tg, sg)
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def reference_edges(n_t, n_s, edges):

@@ -14,6 +14,9 @@ from orthomask.netcore import (
 )
 from orthomask.orthograph import BiadjacencyMatrix
 from orthomask.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     FULL_BATCH,
     TrainConfig,
     evaluate,
@@ -23,6 +26,7 @@ from orthomask.training import (
     train_base,
     train_conversion,
     write_report_tsv,
+    _Adam,
 )
 
 from _helpers import dense_conversion_grad, fd_gradient, random_mask, random_network, rel_err
@@ -379,6 +383,32 @@ class TestInitialization:
         mask = BiadjacencyMatrix(["t1"], ["s1"], [(0, 0)])
         with pytest.raises(ValueError, match=message):
             initialize_conversion_layer(mask, mode, init, np.random.default_rng(0))
+
+
+class TestAdam:
+    def test_in_place_step_is_bitwise_textbook(self):
+        rng = np.random.default_rng(41)
+        params = [rng.normal(0, 1, 7), rng.normal(0, 1, (3, 4))]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        lr = 0.03
+        opt = _Adam(params, lr)
+        for t in range(1, 8):
+            # raw normals, an exact zero and widely spread magnitudes
+            grads = [rng.normal(0, 1, p.shape) * 10.0 ** rng.integers(-6, 4, p.shape) for p in params]
+            grads[0][0] = 0.0
+            kept = [g.copy() for g in grads]
+            opt.step(grads)
+            for i, g in enumerate(kept):
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * (g * g)
+                m_hat = m[i] / (1.0 - ADAM_BETA1**t)
+                v_hat = v[i] / (1.0 - ADAM_BETA2**t)
+                ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                assert np.array_equal(params[i], ref[i])
+                assert np.array_equal(grads[i], g)
+        assert opt.params[0] is params[0] and opt.params[1] is params[1]
 
 
 class TestEvaluate:

@@ -35,7 +35,7 @@ from .netcore import (
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
-from .tsv import float_repr, read_table, write_table
+from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -105,24 +105,25 @@ class ExpressionDataset:
 
 def read_expression_tsv(path, species: str = "") -> ExpressionDataset:
     """Parse an expression TSV (``sample_id`` then one column per gene)."""
-    rows = read_table(path)
-    fields = next(rows)
-    if fields[0] != "sample_id":
+    table = read_table(path)
+    if table.names[0] != "sample_id":
         raise ParseError("header must start with 'sample_id'", path, 1)
-    gene_ids = fields[1:]
+    gene_ids = table.names[1:]
 
     sample_ids: list[str] = []
-    values: list[list[float]] = []
-    for lineno, cells in rows:
-        try:
-            row = list(map(float, cells[1:]))
-        except ValueError:
-            raise ParseError("non-numeric expression value", path, lineno) from None
-        if not all(map(math.isfinite, row)):
-            raise ParseError("non-finite expression value", path, lineno)
-        sample_ids.append(cells[0])
-        values.append(row)
-    samples = np.array(values) if values else np.zeros((0, len(gene_ids)))
+    samples = np.zeros((len(table), len(gene_ids)))
+    # one record at a time: the whole file's fields as strings would
+    # take several times the file's size
+    for k, record in enumerate(table.records):
+        sample_id, _, text = record.partition("\t")
+        if gene_ids:
+            row, stop = parse_numbers(text.split("\t"))
+            if stop is not None:
+                table.fail(k, "non-numeric expression value")
+            if not np.isfinite(row).all():
+                table.fail(k, "non-finite expression value")
+            samples[k] = row
+        sample_ids.append(sample_id)
     return ExpressionDataset(species, gene_ids, sample_ids, samples)
 
 
@@ -136,32 +137,22 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a phenotype TSV; ``kind`` selects decimal vs class-index labels."""
     if kind not in (KIND_REGRESSION, KIND_CLASSIFICATION):
         raise ValueError(f"kind must be regression or classification, got {kind!r}")
-    sample_ids: list[str] = []
-    values: list[float | int] = []
-    rows = read_table(path, LABEL_HEADER)
-    next(rows)
-    for lineno, (sid, text) in rows:
-        if kind == KIND_REGRESSION:
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"non-numeric label {text!r}", path, lineno) from None
-            if not math.isfinite(value):
-                raise ParseError("non-finite label", path, lineno)
-        else:
-            try:
-                value = int(text)
-            except ValueError:
-                raise ParseError(f"non-integer class label {text!r}", path, lineno) from None
-            if value < 0:
-                raise ParseError(f"negative class label {value}", path, lineno)
-        sample_ids.append(sid)
-        values.append(value)
+    table = read_table(path, LABEL_HEADER)
+    texts = table.column(1)
     if kind == KIND_REGRESSION:
-        arr = np.array(values, dtype=np.float64).reshape(-1, 1)
+        values, stop = parse_numbers(texts)
+        table.raise_first(
+            (stop, lambda k: f"non-numeric label {texts[k]!r}"),
+            (first_true(~np.isfinite(values)), lambda k: "non-finite label"),
+        )
+        values = values.reshape(-1, 1)
     else:
-        arr = np.array(values, dtype=np.int64)
-    return tuple(sample_ids), arr
+        values, stop = parse_numbers(texts, np.int64)
+        table.raise_first(
+            (stop, lambda k: f"non-integer class label {texts[k]!r}"),
+            (first_true(values < 0), lambda k: f"negative class label {values[k]}"),
+        )
+    return tuple(table.column(0)), values
 
 
 def write_labels_tsv(sample_ids, labels, path) -> None:

@@ -8,12 +8,13 @@ not scaled by expression variance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownGeneError
+import numpy as np
+
+from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import float_repr, read_table, write_table
+from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 
@@ -66,20 +67,19 @@ def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, 
 
 
 def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
-    result = []
-    rows = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
-    next(rows)
-    for lineno, (t_gene, s_gene, weight_text, flag) in rows:
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ParseError(f"non-numeric weight {weight_text!r}", path, lineno) from None
-        if not math.isfinite(weight):
-            raise ParseError(f"non-finite weight {weight_text!r}", path, lineno)
-        if flag not in ("true", "false"):
-            raise ParseError(f"on_support must be true or false, got {flag!r}", path, lineno)
-        result.append((t_gene, s_gene, weight, flag == "true"))
-    return result
+    table = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
+    texts, flags = table.column(2), table.column(3)
+    weights, stop = parse_numbers(texts)
+    table.raise_first(
+        (stop, lambda k: f"non-numeric weight {texts[k]!r}"),
+        (first_true(~np.isfinite(weights)), lambda k: f"non-finite weight {texts[k]!r}"),
+        (
+            first_true(~np.isin(flags, ("true", "false"))),
+            lambda k: f"on_support must be true or false, got {flags[k]!r}",
+        ),
+    )
+    on_support = [flag == "true" for flag in flags]
+    return list(zip(table.column(0), table.column(1), weights.tolist(), on_support))
 
 
 def contributor_rows(

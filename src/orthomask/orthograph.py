@@ -8,40 +8,107 @@ tools themselves are out of scope; scores arrive as precomputed tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import ParseError, UnknownGeneError
-from .tsv import float_repr, read_table, write_table
+from .errors import UnknownGeneError
+from .tsv import Factorized, factorize, first_true, float_repr, parse_numbers, read_table, write_table
 
 SCORE_HEADER = ("query", "subject", "score")
 GRAPH_HEADER = ("target_gene", "source_gene")
 GENE_LIST_HEADER = ("gene_id",)
 
 
-@dataclass
 class ScoreTable:
     """Directed pairwise similarity scores: one species' genes queried
-    against another's."""
+    against another's.
 
-    query_species: str
-    subject_species: str
-    entries: list[tuple[str, str, float]] = field(default_factory=list)
+    The records are stored as columns: ``queries`` and ``subjects``
+    factorized (distinct gene IDs plus an int64 code per record) and
+    ``scores`` a float64 array, all read-only. ``entries`` views them as
+    ``(query, subject, score)`` triples. A table built from ``entries``
+    is checked: no (query, subject) pair twice, and every score finite
+    and >= 0.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for query, subject, score in self.entries:
-            pair = (query, subject)
-            if pair in seen:
+    def __init__(self, query_species: str, subject_species: str, entries=()):
+        entries = list(entries)
+        queries, subjects, scores = (list(map(itemgetter(k), entries)) for k in range(3))
+        try:
+            values = np.array(scores)
+        except ValueError:  # a sequence among numbers
+            values = np.array(scores, dtype=object)
+        if values.dtype.kind not in "biuf" or values.ndim != 1:
+            raise TypeError("scores must be real numbers")
+        self._assign(
+            query_species, subject_species, factorize(queries), factorize(subjects),
+            values.astype(np.float64),
+        )
+        # the first bad record in entry order; a repeated pair before its score
+        keys = self.queries.codes * len(self.subjects.names) + self.subjects.codes
+        order = np.argsort(keys, kind="stable")
+        repeated = np.zeros(len(keys), dtype=bool)
+        repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        k = first_true(repeated | ~(np.isfinite(self.scores) & (self.scores >= 0.0)))
+        if k is not None:
+            query, subject, score = entries[k]
+            if repeated[k]:
                 raise ValueError(f"duplicate score entry ({query}, {subject})")
-            seen.add(pair)
-            if not math.isfinite(score) or score < 0.0:
-                raise ValueError(
-                    f"score for ({query}, {subject}) must be finite and >= 0, got {score}"
-                )
+            raise ValueError(f"score for ({query}, {subject}) must be finite and >= 0, got {score}")
+
+    @classmethod
+    def _of_columns(cls, query_species, subject_species, queries, subjects, scores):
+        """A table of columns already known to meet the checks."""
+        table = cls.__new__(cls)
+        table._assign(query_species, subject_species, queries, subjects, scores)
+        return table
+
+    def _assign(self, query_species, subject_species, queries, subjects, scores):
+        for array in (queries.codes, subjects.codes, scores):
+            array.flags.writeable = False
+        self.query_species, self.subject_species = query_species, subject_species
+        self.queries, self.subjects, self.scores = queries, subjects, scores
+
+    @property
+    def entries(self) -> "ScoreEntries":
+        return ScoreEntries(self)
+
+
+class ScoreEntries(Sequence):
+    """Read-only ``(query, subject, score)`` view of a :class:`ScoreTable`,
+    in record order; equal to a list of the same triples."""
+
+    def __init__(self, table: ScoreTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.scores)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        t = self._table
+        return (
+            t.queries.names[t.queries.codes[k]],
+            t.subjects.names[t.subjects.codes[k]],
+            float(t.scores[k]),
+        )
+
+    def __iter__(self):
+        t = self._table
+        return zip(t.queries.decoded(), t.subjects.decoded(), t.scores.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, ScoreEntries)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScoreEntries({list(self)!r})"
 
 
 @dataclass
@@ -143,19 +210,25 @@ class BiadjacencyMatrix:
         )
 
 
-def _indexed(entries, q_index, s_index, q_side: str, s_side: str):
-    """Query and subject indices and scores of the records; the first record
-    naming an unknown gene raises, its query checked before its subject."""
-    n = len(entries)
-    q = np.fromiter(map(q_index.get, map(itemgetter(0), entries), repeat(-1)), np.int64, n)
-    s = np.fromiter(map(s_index.get, map(itemgetter(1), entries), repeat(-1)), np.int64, n)
-    bad = np.flatnonzero((q < 0) | (s < 0))
-    if bad.size:
-        query, subject, _ = entries[bad[0]]
-        if q[bad[0]] < 0:
-            raise UnknownGeneError(f"query gene {query!r} not in {q_side} gene list")
-        raise UnknownGeneError(f"subject gene {subject!r} not in {s_side} gene list")
-    return q, s, np.fromiter(map(itemgetter(2), entries), np.float64, n)
+def _positions(column: Factorized, index: dict) -> np.ndarray:
+    """Each entry's position in a gene list (``index`` maps ID to position),
+    or -1; one lookup per distinct ID."""
+    names = column.names
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))[column.codes]
+
+
+def _indexed(table: ScoreTable, q_index, s_index, q_side: str, s_side: str):
+    """Each record's query and subject index in the gene lists; the first
+    record naming an unknown gene raises, its query checked before its
+    subject."""
+    q, s = _positions(table.queries, q_index), _positions(table.subjects, s_index)
+    k = first_true((q < 0) | (s < 0))
+    if k is not None:
+        entry = table.entries[k]
+        if q[k] < 0:
+            raise UnknownGeneError(f"query gene {entry[0]!r} not in {q_side} gene list")
+        raise UnknownGeneError(f"subject gene {entry[1]!r} not in {s_side} gene list")
+    return q, s
 
 
 def _best_hit_mask(q, scores, n_queries: int, cfg: RbhConfig) -> np.ndarray:
@@ -184,15 +257,16 @@ def build_rbh_graph(
     source_genes = list(source_genes)
     t_index = {g: i for i, g in enumerate(target_genes)}
     s_index = {g: j for j, g in enumerate(source_genes)}
-    t_fwd, s_fwd, v_fwd = _indexed(scores_tq.entries, t_index, s_index, "target", "source")
-    s_rev, t_rev, v_rev = _indexed(scores_qt.entries, s_index, t_index, "source", "target")
-    fwd = _best_hit_mask(t_fwd, v_fwd, len(target_genes), cfg)
-    rev = _best_hit_mask(s_rev, v_rev, len(source_genes), cfg)
-    # an edge is a pair key t*n_s + s that is a best hit both ways; not
-    # assume_unique: an entries list appended to after construction may
-    # repeat a pair, and a key repeated in one side would pass as an edge
+    t_fwd, s_fwd = _indexed(scores_tq, t_index, s_index, "target", "source")
+    s_rev, t_rev = _indexed(scores_qt, s_index, t_index, "source", "target")
+    fwd = _best_hit_mask(t_fwd, scores_tq.scores, len(target_genes), cfg)
+    rev = _best_hit_mask(s_rev, scores_qt.scores, len(source_genes), cfg)
+    # an edge is a pair key t*n_s + s that is a best hit both ways; the
+    # keys of one side are distinct, as a table holds no pair twice
     n_s = max(len(source_genes), 1)
-    keys = np.intersect1d(t_fwd[fwd] * n_s + s_fwd[fwd], t_rev[rev] * n_s + s_rev[rev])
+    keys = np.intersect1d(
+        t_fwd[fwd] * n_s + s_fwd[fwd], t_rev[rev] * n_s + s_rev[rev], assume_unique=True
+    )
     return BiadjacencyMatrix(target_genes, source_genes, np.column_stack(np.divmod(keys, n_s)))
 
 
@@ -202,30 +276,30 @@ def build_rbh_graph(
 
 def read_score_table(path, query_species: str = "", subject_species: str = "") -> ScoreTable:
     """Parse a score TSV (header ``query<TAB>subject<TAB>score``)."""
-    entries = []
-    rows = read_table(path, SCORE_HEADER, key_fields=2)
-    next(rows)
-    for lineno, (query, subject, score_text) in rows:
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"non-numeric score {score_text!r}", path, lineno) from None
-        if not math.isfinite(score) or score < 0.0:
-            raise ParseError(f"score must be finite and >= 0, got {score_text}", path, lineno)
-        entries.append((query, subject, score))
-    return ScoreTable(query_species, subject_species, entries)
+    table = read_table(path, SCORE_HEADER, key_fields=2)
+    texts = table.column(2)
+    scores, stop = parse_numbers(texts)
+    table.raise_first(
+        (stop, lambda k: f"non-numeric score {texts[k]!r}"),
+        (
+            first_true(~(np.isfinite(scores) & (scores >= 0.0))),
+            lambda k: f"score must be finite and >= 0, got {texts[k]}",
+        ),
+    )
+    # the reader checked what the constructor would: distinct pairs, scores
+    return ScoreTable._of_columns(
+        query_species, subject_species, table.factor(0), table.factor(1), scores
+    )
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    records = ((query, subject, float_repr(score)) for query, subject, score in table.entries)
-    write_table(path, SCORE_HEADER, records)
+    scores = map(float_repr, table.scores.tolist())
+    write_table(path, SCORE_HEADER, zip(table.queries.decoded(), table.subjects.decoded(), scores))
 
 
 def read_gene_list(path) -> list[str]:
     """Parse a gene universe file (header ``gene_id``, one ID per line)."""
-    rows = read_table(path, GENE_LIST_HEADER)
-    next(rows)
-    return [gene for _, (gene,) in rows]
+    return read_table(path, GENE_LIST_HEADER).column(0)
 
 
 def write_gene_list(gene_ids, path) -> None:
@@ -243,13 +317,10 @@ def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:
     """Read an edge-list TSV against explicitly supplied gene universes."""
     t_index = {g: i for i, g in enumerate(target_genes)}
     s_index = {g: j for j, g in enumerate(source_genes)}
-    edges = []
-    rows = read_table(path, GRAPH_HEADER, key_fields=2)
-    next(rows)
-    for lineno, (t_gene, s_gene) in rows:
-        if t_gene not in t_index:
-            raise ParseError(f"unknown target gene {t_gene!r}", path, lineno)
-        if s_gene not in s_index:
-            raise ParseError(f"unknown source gene {s_gene!r}", path, lineno)
-        edges.append((t_index[t_gene], s_index[s_gene]))
-    return BiadjacencyMatrix(target_genes, source_genes, edges)
+    table = read_table(path, GRAPH_HEADER, key_fields=2)
+    t, s = _positions(table.factor(0), t_index), _positions(table.factor(1), s_index)
+    table.raise_first(
+        (first_true(t < 0), lambda k: f"unknown target gene {table.column(0)[k]!r}"),
+        (first_true(s < 0), lambda k: f"unknown source gene {table.column(1)[k]!r}"),
+    )
+    return BiadjacencyMatrix(target_genes, source_genes, np.column_stack((t, s)))

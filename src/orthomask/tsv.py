@@ -1,15 +1,26 @@
 """The tab-separated table format of every orthomask table file.
 
-A table is UTF-8 text with LF line ends. The first line is the header: a
-tab-separated list of distinct column names. Each later non-blank line is
-a record with as many tab-separated fields as the header has names; blank
-lines are skipped but still counted. The first ``key_fields`` fields of a
-record are its key, and no key appears twice. A file that breaks a rule
-raises :class:`ParseError` with the path and the 1-based line number, so
-its message starts ``path:line:``. What a cell may hold (a number, a gene
-ID, a flag) is checked by the reader of each format. No name or field
-holds a tab, LF or CR, and no line is empty (a one-column table has no
-empty field); the writer refuses either.
+A table is UTF-8 text with LF line ends (CRLF and lone CR read as LF). The
+first line is the header: a tab-separated list of distinct column names.
+Each later non-blank line is a record with as many tab-separated fields as
+the header has names; blank lines are skipped but still counted. The first
+``key_fields`` fields of a record are its key, and no key appears twice. A
+file that breaks a rule raises :class:`ParseError` with the path and the
+1-based line number, so its message starts ``path:line:``. What a cell may
+hold (a number, a gene ID, a flag) is checked by the reader of each format.
+No name or field holds a tab, LF or CR, and no line is empty (a one-column
+table has no empty field); the writer refuses either.
+
+A file is read in one pass: :func:`read_table` reads it whole and checks
+every line against the rules at once, column by column. Only a file that
+breaks a rule is then scanned line by line, to name the first bad line.
+
+A numeric field (a score, expression value, label or weight) is a decimal
+as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
+``-2.5``, ``1e-3``, ``inf``, ``nan``. Unlike ``float()``, the reader refuses
+a ``_`` digit separator and leading or trailing whitespace, so ``1_0`` and
+`` 0.5`` are not numbers. :func:`parse_numbers` parses a column with one
+numpy call.
 
 Floats are written by :func:`float_repr`, so a file's bytes depend only on
 its values.
@@ -18,41 +29,181 @@ its values.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError
 
+# the whitespace an ASCII field can hold: a tab ends the field, LF and CR the line
+_ASCII_SPACES = (" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
-def read_table(path, header=None, key_fields=1):
-    """Yield the header's names, then ``(lineno, fields)`` for each record.
+
+class Factorized(NamedTuple):
+    """A column as its distinct strings, in order of first appearance, and
+    each entry's int64 index into them."""
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+
+    def decoded(self) -> list[str]:
+        """Each entry's string, in order."""
+        return np.fromiter(self.names, object, len(self.names))[self.codes].tolist()
+
+
+def factorize(values) -> Factorized:
+    names = tuple(dict.fromkeys(values))
+    index = dict(zip(names, range(len(names))))
+    return Factorized(names, np.fromiter(map(index.__getitem__, values), np.int64, len(values)))
+
+
+class Table:
+    """A table file's header names and records, as :func:`read_table` read them."""
+
+    def __init__(self, path, names: list[str], records: list[str], linenos: list[int] | None):
+        self.path = path
+        self.names = names
+        # the non-blank lines after the header, in file order
+        self.records = records
+        self._linenos = linenos  # None: no blank line follows the header
+        self._fields: list[str] | None = None
+        self._factors: dict[int, Factorized] = {}
+
+    @property
+    def width(self) -> int:
+        return len(self.names)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def line(self, k: int) -> int:
+        """The 1-based line number of record ``k``."""
+        return k + 2 if self._linenos is None else self._linenos[k]
+
+    def column(self, k: int) -> list[str]:
+        """Field ``k`` of every record."""
+        if self._fields is None:
+            self._fields = "\t".join(self.records).split("\t") if self.records else []
+        return self._fields[k :: self.width]
+
+    def factor(self, k: int) -> Factorized:
+        """Column ``k`` factorized, computed once."""
+        if k not in self._factors:
+            self._factors[k] = factorize(self.column(k))
+        return self._factors[k]
+
+    def fail(self, k: int, message: str):
+        raise ParseError(message, self.path, self.line(k))
+
+    def raise_first(self, *checks) -> None:
+        """Raise the ParseError of the first record that fails a check.
+
+        Each check is ``(k, message)``: ``k`` is the first record failing
+        it, or None, and ``message(k)`` the error's text. Checks are listed
+        in the order they apply to one record, which breaks ties.
+        """
+        failed = [(k, order) for order, (k, _) in enumerate(checks) if k is not None]
+        if failed:
+            k, order = min(failed)
+            self.fail(k, checks[order][1](k))
+
+
+def first_true(mask) -> int | None:
+    """The index of the first true entry of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def read_table(path, header=None, key_fields=1) -> Table:
+    """Read a table file and check it against the format's rules.
 
     ``header``, when given, is the sequence of column names the file's
     header must list.
     """
     with open(path, encoding="utf-8") as fh:
-        line = fh.readline().rstrip("\n")
-        expected = line if header is None else "\t".join(header)
-        if line != expected:
-            raise ParseError(f"expected header {expected!r}, got {line!r}", path, 1)
-        names = line.split("\t")
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate column name in header", path, 1)
-        yield names
+        lines = fh.read().split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()  # the text after the last LF
+    first = lines[0]
+    expected = first if header is None else "\t".join(header)
+    if first != expected:
+        raise ParseError(f"expected header {expected!r}, got {first!r}", path, 1)
+    names = first.split("\t")
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate column name in header", path, 1)
 
-        width, key_of, seen = len(names), itemgetter(*range(key_fields)), set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise ParseError(f"expected {width} fields, got {len(fields)}", path, lineno)
-            key = key_of(fields)
-            if key in seen:
-                raise ParseError(f"duplicate {'/'.join(names[:key_fields])} {key!r}", path, lineno)
-            seen.add(key)
-            yield lineno, fields
+    del lines[0]
+    linenos = None
+    if "" in lines:
+        linenos = [k for k, line in enumerate(lines, start=2) if line]
+        lines = list(filter(None, lines))
+    table = Table(path, names, lines, linenos)
+    if lines and (
+        set(map(str.count, lines, repeat("\t"))) != {len(names) - 1}
+        or not _distinct_keys(table, key_fields)
+    ):
+        _raise_first_bad_record(table, key_fields)
+    return table
+
+
+def _distinct_keys(table: Table, key_fields: int) -> bool:
+    if key_fields == 1:
+        # the text before a record's first tab, without splitting the rest
+        # (an expression record holds one field per gene)
+        keys = set(map(itemgetter(0), map(str.partition, table.records, repeat("\t"))))
+        return len(keys) == len(table)
+    factors = [table.factor(k) for k in range(key_fields)]
+    keys = np.sort(np.ravel_multi_index([f.codes for f in factors], [len(f.names) for f in factors]))
+    return not (keys[1:] == keys[:-1]).any()
+
+
+def _raise_first_bad_record(table: Table, key_fields: int) -> None:
+    """Check the width and key of one record after another, and raise for
+    the first that breaks a rule. Runs only after the checks over the whole
+    table failed."""
+    width, seen = table.width, set()
+    for k, line in enumerate(table.records):
+        fields = line.split("\t")
+        if len(fields) != width:
+            table.fail(k, f"expected {width} fields, got {len(fields)}")
+        key = fields[0] if key_fields == 1 else tuple(fields[:key_fields])
+        if key in seen:
+            table.fail(k, f"duplicate {'/'.join(table.names[:key_fields])} {key!r}")
+        seen.add(key)
+
+
+def parse_numbers(texts: list[str], dtype=np.float64):
+    """Parse numeric fields with one numpy call.
+
+    Returns the values of the longest prefix of ``texts`` that holds only
+    numbers, as a ``dtype`` array, and the index of the first field that is
+    not a number (None if every field is).
+    """
+    joined = "\t".join(texts)
+    # numpy reads as float() does; only a field with "_", whitespace or a
+    # non-ASCII character can break the stricter rule, so only such fields
+    # send the column to the field-by-field scan
+    if joined.isascii() and "_" not in joined and not any(map(joined.__contains__, _ASCII_SPACES)):
+        try:
+            return np.array(texts, dtype=dtype), None
+        except (ValueError, OverflowError):
+            pass
+    for k, text in enumerate(texts):
+        if not _is_number(text, dtype):
+            return np.array(texts[:k], dtype=dtype), k
+    return np.array(texts, dtype=dtype), None
+
+
+def _is_number(text: str, dtype) -> bool:
+    if "_" in text or text != text.strip():
+        return False
+    try:
+        dtype(text)
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def write_table(path, header, records) -> None:

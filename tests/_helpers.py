@@ -2,12 +2,16 @@
 a stand-in sequence scorer.
 
 The oracles here deliberately avoid the library's own code paths: the RBH
-oracle is a direct double loop over the best-hit definition, and gradient
-checks use central finite differences.
+oracle is a direct double loop over the best-hit definition, gradient
+checks use central finite differences, and the table oracle reads a file
+line by line.
 """
+
+from operator import itemgetter
 
 import numpy as np
 
+from orthomask.errors import ParseError
 from orthomask.netcore import (
     ACT_IDENTITY,
     ACTIVATIONS,
@@ -178,3 +182,37 @@ def random_score_instance(rng, max_targets=20, max_sources=30):
     threshold = rng.uniform(0.0, 0.8)
     tie_tol = 0.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 0.3)
     return entries_tq, entries_qt, threshold, tie_tol, target_genes, source_genes
+
+
+# ---------------------------------------------------------------------------
+# line-by-line table reader oracle
+# ---------------------------------------------------------------------------
+
+def read_table_per_line(path, header=None, key_fields=1):
+    """The table rules checked one line at a time: returns the header's
+    names and ``(lineno, fields)`` for each record, or raises the
+    ParseError of the first bad line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        line = fh.readline().rstrip("\n")
+        expected = line if header is None else "\t".join(header)
+        if line != expected:
+            raise ParseError(f"expected header {expected!r}, got {line!r}", path, 1)
+        names = line.split("\t")
+        if len(set(names)) != len(names):
+            raise ParseError("duplicate column name in header", path, 1)
+
+        width, key_of, seen = len(names), itemgetter(*range(key_fields)), set()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}", path, lineno)
+            key = key_of(fields)
+            if key in seen:
+                raise ParseError(f"duplicate {'/'.join(names[:key_fields])} {key!r}", path, lineno)
+            seen.add(key)
+            records.append((lineno, fields))
+    return names, records

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orthomask
 from orthomask import cli
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model
+from orthomask.orthograph import ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
 
 
@@ -147,6 +153,47 @@ class TestBuildGraph:
         )
         assert rc == 2
         assert "tq.tsv" in capsys.readouterr().err
+
+
+    def test_outputs_do_not_depend_on_hash_seed(self, bundle_dir, tmp_path):
+        # string hashing, and so set and dict order, changes with
+        # PYTHONHASHSEED; no such order may reach graph.tsv, model.json
+        # or report.tsv
+        rng = np.random.default_rng(23)
+        targets = read_gene_list(bundle_dir / "target_genes.tsv")
+        sources = read_gene_list(bundle_dir / "source_genes.tsv")
+        for name, queries, subjects in (("tq", targets, sources), ("qt", sources, targets)):
+            entries = [
+                (q, s, float(np.round(rng.uniform(), 1)))
+                for q in queries for s in subjects if rng.uniform() < 0.6
+            ]
+            write_score_table(ScoreTable("a", "b", entries), tmp_path / f"{name}.tsv")
+        genes = ["--target-genes", str(bundle_dir / "target_genes.tsv"),
+                 "--source-genes", str(bundle_dir / "source_genes.tsv")]
+        src = str(Path(orthomask.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"hashseed{seed}"
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            for argv in (
+                ["build-graph", "--scores-tq", str(tmp_path / "tq.tsv"),
+                 "--scores-qt", str(tmp_path / "qt.tsv"), *genes,
+                 "--threshold", "0.3", "--tie-tol", "0.1", "--out", str(out / "graph.tsv")],
+                ["train-conversion", "--model", str(bundle_dir / "base_model.json"),
+                 "--graph", str(out / "graph.tsv"), *genes,
+                 "--expr", str(bundle_dir / "train_expr.tsv"),
+                 "--labels", str(bundle_dir / "train_labels.tsv"),
+                 "--mode", "soft", "--lr", "0.01", "--steps", "20", "--seed", "3",
+                 "--out", str(out / "model.json"), "--report", str(out / "report.tsv")],
+            ):
+                done = subprocess.run([sys.executable, "-m", "orthomask.cli", *argv],
+                                      env=env, capture_output=True, text=True)
+                assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("graph.tsv", "model.json", "report.tsv")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") > 2  # the graph has edges
 
 
 class TestSynth:

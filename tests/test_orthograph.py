@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,56 @@ class TestScoreTableInvariants:
         with pytest.raises(ValueError):
             table([("q1", "s1", float("nan"))])
 
+    def test_checks_name_first_offender_in_entry_order(self):
+        """Repeated pairs and bad scores anywhere; the message names the
+        first offender of a plain-Python scan, a repeated pair before its
+        score."""
+
+        def first_offender(entries):
+            seen = set()
+            for query, subject, score in entries:
+                if (query, subject) in seen:
+                    return f"duplicate score entry ({query}, {subject})"
+                seen.add((query, subject))
+                if not math.isfinite(score) or score < 0.0:
+                    return f"score for ({query}, {subject}) must be finite and >= 0, got {score}"
+
+        rng = np.random.default_rng(17)
+        scores = [0.0, 0.5, 2, -0.25, -1, float("nan"), float("inf"), -float("inf")]
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(0, 10))
+            entries = [
+                (f"q{rng.integers(0, 3)}", f"s{rng.integers(0, 3)}", scores[k])
+                for k in rng.choice(len(scores), n, p=[0.4, 0.4, 0.1, 0.02, 0.02, 0.02, 0.02, 0.02])
+            ]
+            expected = first_offender(entries)
+            outcomes.add(None if expected is None else expected.split(" ")[0])
+            if expected is None:
+                assert table(entries).entries == entries
+                continue
+            with pytest.raises(ValueError) as err:
+                table(entries)
+            assert str(err.value) == expected
+        assert outcomes == {None, "duplicate", "score"}
+
+    def test_columns_and_entries_are_read_only(self):
+        tq = table([("q1", "s1", 0.5), ("q2", "s1", 1)])
+        assert tq.entries == [("q1", "s1", 0.5), ("q2", "s1", 1.0)]
+        assert tq.entries[-1] == ("q2", "s1", 1.0) and tq.entries[:1] == [("q1", "s1", 0.5)]
+        assert tq.queries.names == ("q1", "q2") and tq.subjects.names == ("s1",)
+        assert tq.scores.dtype == np.float64
+        with pytest.raises(AttributeError):
+            tq.entries.append(("q1", "s1", 0.9))
+        for array in (tq.scores, tq.queries.codes, tq.subjects.codes):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("score", ["0.5", None, [0.5]])
+    def test_non_number_score_rejected(self, score):
+        with pytest.raises(TypeError):
+            table([("q1", "s1", 0.5), ("q2", "s1", score)])
+
 
 class TestBuildRbhGraph:
     def test_reciprocal_edge(self):
@@ -121,13 +173,6 @@ class TestBuildRbhGraph:
             ["s1"],
         )
         assert graph.edge_set() == set()
-
-    def test_pair_repeated_after_construction(self):
-        # s1's best hit is t2; t1 -> s1 listed twice is still one direction
-        tq = table([("t1", "s1", 0.9)])
-        tq.entries.append(("t1", "s1", 0.9))
-        qt = table([("s1", "t2", 0.9)])
-        assert build_rbh_graph(tq, qt, RbhConfig(0.5), ["t1", "t2"], ["s1"]).edge_set() == set()
 
     def test_empty_tables(self):
         graph = build_rbh_graph(table([]), table([]), RbhConfig(0.5), ["t1"], ["s1"])
@@ -368,6 +413,44 @@ class TestGraphTsv:
         with pytest.raises(ParseError) as err:
             tsv_to_graph(dup, ["t1"], ["s1"])
         assert err.value.line == 3
+
+
+    def test_unknown_gene_names_first_offender(self, tmp_path):
+        """Unknown names as target or source of random edge lines; the error
+        names the first offender of a plain line scan, the target before
+        the source."""
+
+        def first_offender(lines, tg, sg):
+            for lineno, line in enumerate(lines, start=2):
+                t_gene, s_gene = line.split("\t")
+                if t_gene not in tg:
+                    return f"{path}:{lineno}: unknown target gene {t_gene!r}"
+                if s_gene not in sg:
+                    return f"{path}:{lineno}: unknown source gene {s_gene!r}"
+
+        rng = np.random.default_rng(19)
+        path = tmp_path / "graph.tsv"
+        seen = set()
+        for trial in range(200):
+            tg = [f"t{i}" for i in range(int(rng.integers(1, 5)))]
+            sg = [f"s{j}" for j in range(int(rng.integers(1, 5)))]
+            pairs = [(t, s) for t in tg for s in sg if rng.uniform() < 0.5]
+            for k in range(int(rng.integers(1, 4))):
+                column = int(rng.integers(0, 2))
+                # a name in no list, or a gene of the other species
+                name = f"x{trial}_{k}" if rng.uniform() < 0.5 else str(rng.choice((sg, tg)[column]))
+                record = [tg[0], sg[0]]
+                record[column] = name
+                pairs.insert(int(rng.integers(0, len(pairs) + 1)), tuple(record))
+                seen.add(column)
+            if len(set(pairs)) != len(pairs):  # two injections made the same pair
+                continue
+            lines = ["\t".join(pair) for pair in pairs]
+            path.write_text("target_gene\tsource_gene\n" + "".join(f"{line}\n" for line in lines))
+            with pytest.raises(ParseError) as err:
+                tsv_to_graph(path, tg, sg)
+            assert str(err.value) == first_offender(lines, tg, sg)
+        assert seen == {0, 1}
 
 
 class TestGeneListFiles:

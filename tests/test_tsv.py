@@ -1,6 +1,8 @@
 import re
 
+import numpy as np
 import pytest
+from _helpers import read_table_per_line
 
 from orthomask.dataio import (
     ExpressionDataset,
@@ -18,7 +20,7 @@ from orthomask.orthograph import (
     tsv_to_graph,
     write_gene_list,
 )
-from orthomask.tsv import write_table
+from orthomask.tsv import parse_numbers, read_table, write_table
 
 
 def _expression(path):
@@ -121,3 +123,136 @@ def test_writer_rejects_empty_line(tmp_path):
     # an empty field beside others is still a line with a tab
     write_table(path, ("a", "b"), [("", "")])
     assert path.read_text() == "a\tb\n\t\n"
+
+
+# IDs a table may hold: non-ASCII, and characters that str.splitlines
+# would take for line breaks but a table does not
+CELLS = ["a", "b", "g_1", "\u00e4\u00df", "\u6f22", "x\x0by", "x\x0cy", "x\x1cy", "x\x85y", " ", "\u2028"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_table_text(rng):
+    """A table file's text: a header, records of the header's width or
+    not, repeated keys, and blank lines anywhere, with LF, CRLF or lone-CR
+    line ends (mixed at times) and sometimes no line end after the last
+    line; at times empty or only a header."""
+    shape = rng.uniform()
+    if shape < 0.03:
+        return ""
+    width = int(rng.integers(1, 5))
+    names = [f"c{k}" for k in range(width)]
+    if rng.uniform() < 0.05:
+        names[-1] = names[0]
+    lines = ["\t".join(names)]
+    if shape >= 0.06:  # else header only
+        for _ in range(int(rng.integers(0, 10))):
+            if rng.uniform() < 0.2:
+                lines.append("")
+                continue
+            n = width if rng.uniform() < 0.9 else max(1, width + int(rng.choice([-1, 1])))
+            lines.append("\t".join(str(rng.choice(CELLS)) for _ in range(n)))
+    if rng.uniform() < 0.05:
+        lines.insert(0, "")  # a blank first line is the header
+    ends = [str(rng.choice(LINE_ENDS))] * len(lines)
+    if rng.uniform() < 0.2:
+        ends = [str(rng.choice(LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if rng.uniform() < 0.3:
+        text = text[: -len(ends[-1])]
+    return text
+
+
+def test_bulk_reader_matches_line_by_line_oracle(tmp_path):
+    rng = np.random.default_rng(41)
+    path = tmp_path / "table.tsv"
+    outcomes = set()
+    for trial in range(600):
+        path.write_bytes(random_table_text(rng).encode("utf-8"))
+        width = len(path.read_text(encoding="utf-8").split("\n")[0].split("\t"))
+        key_fields = int(rng.integers(1, min(width, 2) + 1))
+        header = None
+        if rng.uniform() < 0.5:
+            header = [f"c{k}" for k in range(width)] if rng.uniform() < 0.9 else ["c0", "other"]
+        try:
+            names, records = read_table_per_line(path, header, key_fields)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                read_table(path, header, key_fields)
+            assert (str(got.value), got.value.line) == (str(err), err.line)
+            outcomes.add(str(err).split(": ", 1)[1].split(" ")[0])
+            continue
+        table = read_table(path, header, key_fields)
+        assert table.names == names
+        assert [table.line(k) for k in range(len(table))] == [lineno for lineno, _ in records]
+        for k in range(len(names)):
+            assert table.column(k) == [fields[k] for _, fields in records]
+        outcomes.add("ok")
+    # good files and each rule's failure were drawn
+    assert outcomes == {"ok", "expected", "duplicate"}
+
+
+NUMERIC_READERS = {
+    "score": (read_score_table, "query\tsubject\tscore", "q_{}\ts_1\t{}",
+              "non-numeric score {!r}"),
+    "expression": (read_expression_tsv, "sample_id\tg_1\tg_2", "sample_{}\t1.5\t{}",
+                   "non-numeric expression value"),
+    "regression_label": (lambda path: read_labels_tsv(path, "regression"), "sample_id\tlabel",
+                         "sample_{}\t{}", "non-numeric label {!r}"),
+    "class_label": (lambda path: read_labels_tsv(path, "classification"), "sample_id\tlabel",
+                    "sample_{}\t{}", "non-integer class label {!r}"),
+    "weight": (read_weight_table, "target_gene\tsource_gene\tweight\ton_support",
+               "t_{}\ts_1\t{}\ttrue", "non-numeric weight {!r}"),
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "\x0c1", "1\x85", "\u30001"])
+@pytest.mark.parametrize("name", sorted(NUMERIC_READERS))
+def test_numeric_fields_refuse_underscores_and_blanks(tmp_path, name, text):
+    # float() and int() would read each of these; IDs may hold "_"
+    read, header, record, message = NUMERIC_READERS[name]
+    path = tmp_path / f"{name}.tsv"
+    first = record.replace("{}", "0", 1).replace("{}", "1")
+    bad = record.replace("{}", "1", 1).replace("{}", text)
+    path.write_text(f"{header}\n{first}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    expected = message.format(text) if "{" in message else message
+    assert (str(err.value), err.value.line) == (f"{path}:4: {expected}", 4)
+    path.write_text(f"{header}\n{first}\n", encoding="utf-8")
+    read(path)
+
+
+NUMBER_TEXTS = ["1", "-2.5", "1e-3", "+4", "inf", "nan", "١", "0x1", "1.5.", "", "1_0", " 1",
+                "1 ", "\x0b1", "1\xa0", "12345678901234567890"]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_parse_numbers_matches_plain_scan(dtype):
+    """The parsed prefix and the first bad field match a field-by-field
+    scan with float() or int(), refusing "_" and surrounding whitespace."""
+    convert = float if dtype is np.float64 else int
+
+    def plain(texts):
+        values = []
+        for k, text in enumerate(texts):
+            try:
+                if "_" in text or text != text.strip():
+                    raise ValueError(text)
+                values.append(convert(text))
+                np.array(values[-1:], dtype=dtype)  # within int64
+            except (ValueError, OverflowError):
+                return values[:k], k
+        return values, None
+
+    rng = np.random.default_rng(43)
+    stops = set()
+    for _ in range(400):
+        good = rng.uniform() < 0.3
+        pool = NUMBER_TEXTS[:4] if good else NUMBER_TEXTS
+        texts = [str(rng.choice(pool)) for _ in range(int(rng.integers(0, 6)))]
+        values, stop = parse_numbers(texts, dtype)
+        expected, expected_stop = plain(texts)
+        assert values.dtype == dtype and stop == expected_stop
+        assert np.array_equal(values, np.array(expected, dtype=dtype), equal_nan=True)
+        stops.add(stop is None)
+    assert stops == {True, False}

@@ -190,27 +190,38 @@ def _cmd_synth(args):
     return EXIT_OK
 
 
-def _label_kind_for(net: FeedforwardNetwork) -> str:
-    # 1-output heads are regression; multi-logit heads are classifiers
-    return dataio.KIND_REGRESSION if net.output_dim == 1 else dataio.KIND_CLASSIFICATION
+def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None):
+    """An expression file as the model reads it.
 
-
-def _load_labeled(expr_path, labels_path, kind):
+    With ``labels_path``, the samples are labelled: regression for a
+    1-output head, class indices for a multi-logit one. With ``gene_ids``
+    (a conversion layer's source genes), the columns are taken in that
+    order; without, in file order, and there must be one per network input.
+    """
     dataset = dataio.read_expression_tsv(expr_path)
-    return dataio.attach_labels(dataset, labels_path, kind)
-
-
-def _align_checked(dataset, gene_ids, expr_path):
+    if labels_path is not None:
+        kind = dataio.KIND_REGRESSION if net.output_dim == 1 else dataio.KIND_CLASSIFICATION
+        dataset = dataio.attach_labels(dataset, labels_path, kind)
+    if gene_ids is None:
+        if dataset.n_genes != net.input_dim:
+            raise ValueError(
+                f"{expr_path} has {dataset.n_genes} genes but model expects {net.input_dim} "
+                "(model has no conversion layer; columns are used in file order)"
+            )
+        return dataset
     try:
-        aligned, _ = dataio.align_to_genes(dataset, gene_ids)
+        return dataio.align_to_genes(dataset, gene_ids)[0]
     except UnknownGeneError as exc:
         raise UnknownGeneError(f"{expr_path}: {exc}") from None
-    return aligned
+
+
+def _source_genes(conversion):
+    return None if conversion is None else conversion.mask.source_gene_ids
 
 
 def _cmd_train_base(args):
     kind = dataio.KIND_REGRESSION if args.loss == "mse" else dataio.KIND_CLASSIFICATION
-    data = _load_labeled(args.expr, args.labels, kind)
+    data = dataio.attach_labels(dataio.read_expression_tsv(args.expr), args.labels, kind)
     if data.n_samples == 0:
         raise ValueError(f"no samples in {args.expr}")
 
@@ -277,8 +288,7 @@ def _cmd_train_conversion(args):
             f"but graph {args.graph} has {graph.n_targets}"
         )
 
-    data = _load_labeled(args.expr, args.labels, _label_kind_for(net))
-    data = _align_checked(data, graph.source_gene_ids, args.expr)
+    data = _model_inputs(net, graph.source_gene_ids, args.expr, args.labels)
 
     layer = _resolve_start_layer(existing, graph, args.mode, args.init, args.seed)
     cfg = training.TrainConfig(
@@ -297,22 +307,9 @@ def _cmd_train_conversion(args):
     return EXIT_OK
 
 
-def _align_inputs(net, conversion, dataset, expr_path):
-    """The dataset with its genes in the order the model reads them."""
-    if conversion is not None:
-        return _align_checked(dataset, conversion.mask.source_gene_ids, expr_path)
-    if dataset.n_genes != net.input_dim:
-        raise ValueError(
-            f"{expr_path} has {dataset.n_genes} genes but model expects {net.input_dim} "
-            "(model has no conversion layer; columns are used in file order)"
-        )
-    return dataset
-
-
 def _cmd_predict(args):
     net, conversion = modelio.load_model(args.model)
-    dataset = dataio.read_expression_tsv(args.expr)
-    dataset = _align_inputs(net, conversion, dataset, args.expr)
+    dataset = _model_inputs(net, _source_genes(conversion), args.expr)
     pred = model_forward(net, conversion, dataset.samples)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
@@ -338,11 +335,9 @@ def _cmd_inspect_weights(args):
 
 def _cmd_eval(args):
     net, conversion = modelio.load_model(args.model)
-    dataset = dataio.read_expression_tsv(args.expr)
-    dataset = dataio.attach_labels(dataset, args.labels, _label_kind_for(net))
+    dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
     if dataset.n_samples == 0:
         raise ValueError(f"no samples in {args.expr}")
-    dataset = _align_inputs(net, conversion, dataset, args.expr)
     value = training.evaluate(net, conversion, dataset)
     print(float_repr(value))
     return EXIT_OK

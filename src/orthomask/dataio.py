@@ -103,7 +103,7 @@ class ExpressionDataset:
         return self.samples.shape[1]
 
 
-def read_expression_tsv(path, species: str = "") -> ExpressionDataset:
+def read_expression_tsv(path) -> ExpressionDataset:
     """Parse an expression TSV (``sample_id`` then one column per gene)."""
     table = read_table(path)
     if table.names[0] != "sample_id":
@@ -124,7 +124,7 @@ def read_expression_tsv(path, species: str = "") -> ExpressionDataset:
                 table.fail(k, "non-finite expression value")
             samples[k] = row
         sample_ids.append(sample_id)
-    return ExpressionDataset(species, gene_ids, sample_ids, samples)
+    return ExpressionDataset("", gene_ids, sample_ids, samples)
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
@@ -172,15 +172,12 @@ def write_labels_tsv(sample_ids, labels, path) -> None:
 def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionDataset:
     """Join a phenotype file onto a dataset by sample ID."""
     label_ids, values = read_labels_tsv(path, kind)
-    by_id = {sid: values[k] for k, sid in enumerate(label_ids)}
-    missing = [sid for sid in dataset.sample_ids if sid not in by_id]
+    position = {sid: k for k, sid in enumerate(label_ids)}
+    missing = [sid for sid in dataset.sample_ids if sid not in position]
     if missing:
         raise ValueError(f"no label for sample {missing[0]!r} in {path}")
-    ordered = np.array([by_id[sid] for sid in dataset.sample_ids], dtype=values.dtype)
-    if kind == KIND_CLASSIFICATION:
-        ordered = ordered.reshape(dataset.n_samples)
-    else:
-        ordered = ordered.reshape(dataset.n_samples, 1)
+    # one row per sample; a (n, 1) or (n,) array keeps its shape
+    ordered = values[[position[sid] for sid in dataset.sample_ids]]
     return ExpressionDataset(
         dataset.species, dataset.gene_ids, dataset.sample_ids, dataset.samples, ordered
     )

@@ -127,6 +127,12 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         if mode not in MODES:
             raise ParseError(f"unknown conversion mode {mode!r}", path)
         targets = _json_list(conv_doc["target_gene_ids"], {str}, "target_gene_ids", path)
+        if len(targets) != net.input_dim:
+            raise ParseError(
+                f"conversion layer has {len(targets)} target genes "
+                f"but the network's first layer reads {net.input_dim}",
+                path,
+            )
         sources = _json_list(conv_doc["source_gene_ids"], {str}, "source_gene_ids", path)
         edges = conv_doc["edges"]
         if mode == MODE_HARD:

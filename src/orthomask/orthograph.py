@@ -8,7 +8,6 @@ tools themselves are out of scope; scores arrive as precomputed tables.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -16,7 +15,16 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import UnknownGeneError
-from .tsv import Factorized, factorize, first_true, float_repr, parse_numbers, read_table, write_table
+from .tsv import (
+    Factorized,
+    factorize,
+    first_repeat,
+    first_true,
+    float_repr,
+    parse_numbers,
+    read_table,
+    write_table,
+)
 
 SCORE_HEADER = ("query", "subject", "score")
 GRAPH_HEADER = ("target_gene", "source_gene")
@@ -29,10 +37,10 @@ class ScoreTable:
 
     The records are stored as columns: ``queries`` and ``subjects``
     factorized (distinct gene IDs plus an int64 code per record) and
-    ``scores`` a float64 array, all read-only. ``entries`` views them as
-    ``(query, subject, score)`` triples. A table built from ``entries``
-    is checked: no (query, subject) pair twice, and every score finite
-    and >= 0.
+    ``scores`` a float64 array, all read-only. ``entries`` returns them
+    as a new list of ``(query, subject, score)`` triples. A table built
+    from ``entries`` is checked: no (query, subject) pair twice, and every
+    score finite and >= 0.
     """
 
     def __init__(self, query_species: str, subject_species: str, entries=()):
@@ -49,22 +57,20 @@ class ScoreTable:
             values.astype(np.float64),
         )
         # the first bad record in entry order; a repeated pair before its score
-        keys = self.queries.codes * len(self.subjects.names) + self.subjects.codes
-        order = np.argsort(keys, kind="stable")
-        repeated = np.zeros(len(keys), dtype=bool)
-        repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
-        k = first_true(repeated | ~(np.isfinite(self.scores) & (self.scores >= 0.0)))
-        if k is not None:
-            query, subject, score = entries[k]
-            if repeated[k]:
-                raise ValueError(f"duplicate score entry ({query}, {subject})")
-            raise ValueError(f"score for ({query}, {subject}) must be finite and >= 0, got {score}")
+        pair = first_repeat(self.queries, self.subjects)
+        bad = first_true(~(np.isfinite(self.scores) & (self.scores >= 0.0)))
+        if pair is not None and (bad is None or pair <= bad):
+            raise ValueError(f"duplicate score entry ({queries[pair]}, {subjects[pair]})")
+        if bad is not None:
+            raise ValueError(
+                f"score for ({queries[bad]}, {subjects[bad]}) must be finite and >= 0, got {scores[bad]}"
+            )
 
     @classmethod
-    def _of_columns(cls, query_species, subject_species, queries, subjects, scores):
+    def _of_columns(cls, queries, subjects, scores):
         """A table of columns already known to meet the checks."""
         table = cls.__new__(cls)
-        table._assign(query_species, subject_species, queries, subjects, scores)
+        table._assign("", "", queries, subjects, scores)
         return table
 
     def _assign(self, query_species, subject_species, queries, subjects, scores):
@@ -74,41 +80,9 @@ class ScoreTable:
         self.queries, self.subjects, self.scores = queries, subjects, scores
 
     @property
-    def entries(self) -> "ScoreEntries":
-        return ScoreEntries(self)
-
-
-class ScoreEntries(Sequence):
-    """Read-only ``(query, subject, score)`` view of a :class:`ScoreTable`,
-    in record order; equal to a list of the same triples."""
-
-    def __init__(self, table: ScoreTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table.scores)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        t = self._table
-        return (
-            t.queries.names[t.queries.codes[k]],
-            t.subjects.names[t.subjects.codes[k]],
-            float(t.scores[k]),
-        )
-
-    def __iter__(self):
-        t = self._table
-        return zip(t.queries.decoded(), t.subjects.decoded(), t.scores.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, ScoreEntries)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ScoreEntries({list(self)!r})"
+    def entries(self) -> list[tuple[str, str, float]]:
+        """The records as ``(query, subject, score)`` triples, in order."""
+        return list(zip(self.queries.decoded(), self.subjects.decoded(), self.scores.tolist()))
 
 
 @dataclass
@@ -224,10 +198,11 @@ def _indexed(table: ScoreTable, q_index, s_index, q_side: str, s_side: str):
     q, s = _positions(table.queries, q_index), _positions(table.subjects, s_index)
     k = first_true((q < 0) | (s < 0))
     if k is not None:
-        entry = table.entries[k]
         if q[k] < 0:
-            raise UnknownGeneError(f"query gene {entry[0]!r} not in {q_side} gene list")
-        raise UnknownGeneError(f"subject gene {entry[1]!r} not in {s_side} gene list")
+            query = table.queries.names[table.queries.codes[k]]
+            raise UnknownGeneError(f"query gene {query!r} not in {q_side} gene list")
+        subject = table.subjects.names[table.subjects.codes[k]]
+        raise UnknownGeneError(f"subject gene {subject!r} not in {s_side} gene list")
     return q, s
 
 
@@ -274,7 +249,7 @@ def build_rbh_graph(
 # file formats
 # ---------------------------------------------------------------------------
 
-def read_score_table(path, query_species: str = "", subject_species: str = "") -> ScoreTable:
+def read_score_table(path) -> ScoreTable:
     """Parse a score TSV (header ``query<TAB>subject<TAB>score``)."""
     table = read_table(path, SCORE_HEADER, key_fields=2)
     texts = table.column(2)
@@ -287,9 +262,7 @@ def read_score_table(path, query_species: str = "", subject_species: str = "") -
         ),
     )
     # the reader checked what the constructor would: distinct pairs, scores
-    return ScoreTable._of_columns(
-        query_species, subject_species, table.factor(0), table.factor(1), scores
-    )
+    return ScoreTable._of_columns(table.factor(0), table.factor(1), scores)
 
 
 def write_score_table(table: ScoreTable, path) -> None:

@@ -14,7 +14,6 @@ and gradient reductions run in fixed sample order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +92,6 @@ class TrainConfig:
 class TrainReport:
     losses: list[float] = field(default_factory=list)
     final_eval: float = math.nan
-    wall_time: float = 0.0
-    seed: int = 0
 
 
 def write_report_tsv(report: TrainReport, path) -> None:
@@ -251,7 +248,7 @@ def _fit(params, step, data, cfg: TrainConfig) -> TrainReport:
     """
     optimizer = _make_optimizer(cfg, params)
     rng = np.random.default_rng(cfg.seed)
-    report = TrainReport(seed=cfg.seed)
+    report = TrainReport()
     for idx in _batch_indices(data.n_samples, cfg.batch_size, cfg.steps, rng):
         value, grads = step(data.samples[idx], data.labels[idx])
         if not math.isfinite(value):
@@ -279,7 +276,6 @@ def train_base(
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
 
-    start = time.perf_counter()
     trained = net.copy()
 
     def step(xs, labels):
@@ -291,7 +287,6 @@ def train_base(
     params = [arr for lay in trained.layers for arr in (lay.weights, lay.bias)]
     report = _fit(params, step, data, cfg)
     report.final_eval = evaluate(trained, None, data)
-    report.wall_time = time.perf_counter() - start
     return trained, report
 
 
@@ -356,7 +351,6 @@ def train_conversion(
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
 
-    start = time.perf_counter()
     trained = layer.copy()
     folded = frozen_net.copy()
 
@@ -366,7 +360,6 @@ def train_conversion(
 
     report = _fit([trained.weights], step, data, cfg)
     report.final_eval = evaluate(frozen_net, trained, data)
-    report.wall_time = time.perf_counter() - start
     return trained, report
 
 

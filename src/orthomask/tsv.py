@@ -12,8 +12,8 @@ No name or field holds a tab, LF or CR, and no line is empty (a one-column
 table has no empty field); the writer refuses either.
 
 A file is read in one pass: :func:`read_table` reads it whole and checks
-every line against the rules at once, column by column. Only a file that
-breaks a rule is then scanned line by line, to name the first bad line.
+every line against the rules at once, column by column. The same arrays
+name the first bad line, so a good file and a bad one run the same code.
 
 A numeric field (a score, expression value, label or weight) is a decimal
 as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
@@ -71,10 +71,6 @@ class Table:
         self._fields: list[str] | None = None
         self._factors: dict[int, Factorized] = {}
 
-    @property
-    def width(self) -> int:
-        return len(self.names)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -86,7 +82,7 @@ class Table:
         """Field ``k`` of every record."""
         if self._fields is None:
             self._fields = "\t".join(self.records).split("\t") if self.records else []
-        return self._fields[k :: self.width]
+        return self._fields[k :: len(self.names)]
 
     def factor(self, k: int) -> Factorized:
         """Column ``k`` factorized, computed once."""
@@ -140,38 +136,38 @@ def read_table(path, header=None, key_fields=1) -> Table:
         linenos = [k for k, line in enumerate(lines, start=2) if line]
         lines = list(filter(None, lines))
     table = Table(path, names, lines, linenos)
-    if lines and (
-        set(map(str.count, lines, repeat("\t"))) != {len(names) - 1}
-        or not _distinct_keys(table, key_fields)
-    ):
-        _raise_first_bad_record(table, key_fields)
-    return table
-
-
-def _distinct_keys(table: Table, key_fields: int) -> bool:
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+    misfit = first_true(tabs != len(names) - 1)
+    # the records before the first of the wrong width are aligned, so the
+    # first entries of a key column are theirs
+    aligned = len(lines) if misfit is None else misfit
     if key_fields == 1:
         # the text before a record's first tab, without splitting the rest
         # (an expression record holds one field per gene)
-        keys = set(map(itemgetter(0), map(str.partition, table.records, repeat("\t"))))
-        return len(keys) == len(table)
-    factors = [table.factor(k) for k in range(key_fields)]
-    keys = np.sort(np.ravel_multi_index([f.codes for f in factors], [len(f.names) for f in factors]))
-    return not (keys[1:] == keys[:-1]).any()
+        firsts = map(itemgetter(0), map(str.partition, lines[:aligned], repeat("\t")))
+        keys = [factorize(list(firsts))]
+    else:
+        keys = [Factorized(f.names, f.codes[:aligned]) for f in map(table.factor, range(key_fields))]
+
+    def duplicate(k):
+        key = itemgetter(*range(key_fields))(lines[k].split("\t"))
+        return f"duplicate {'/'.join(names[:key_fields])} {key!r}"
+
+    table.raise_first(
+        (misfit, lambda k: f"expected {len(names)} fields, got {tabs[k] + 1}"),
+        (first_repeat(*keys), duplicate),
+    )
+    return table
 
 
-def _raise_first_bad_record(table: Table, key_fields: int) -> None:
-    """Check the width and key of one record after another, and raise for
-    the first that breaks a rule. Runs only after the checks over the whole
-    table failed."""
-    width, seen = table.width, set()
-    for k, line in enumerate(table.records):
-        fields = line.split("\t")
-        if len(fields) != width:
-            table.fail(k, f"expected {width} fields, got {len(fields)}")
-        key = fields[0] if key_fields == 1 else tuple(fields[:key_fields])
-        if key in seen:
-            table.fail(k, f"duplicate {'/'.join(table.names[:key_fields])} {key!r}")
-        seen.add(key)
+def first_repeat(*columns: Factorized) -> int | None:
+    """The first entry whose codes, one per column, are those of an earlier
+    entry, or None."""
+    keys = np.ravel_multi_index([c.codes for c in columns], [len(c.names) for c in columns])
+    order = np.argsort(keys, kind="stable")
+    # in a run of equal keys, every entry but the first is a repeat
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
 
 
 def parse_numbers(texts: list[str], dtype=np.float64):

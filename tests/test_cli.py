@@ -466,6 +466,31 @@ class TestInspectWeights:
         mags = [abs(r[2]) for r in rows]
         assert mags == sorted(mags, reverse=True)
 
+    def test_conversion_that_does_not_fit_the_network(self, bundle_dir, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
+        # drop the last target gene and its edges: the layer now writes one
+        # input fewer than the network's first layer reads
+        doc = json.loads(model.read_text())
+        conv = doc["conversion"]
+        last = len(conv["target_gene_ids"]) - 1
+        conv["target_gene_ids"].pop()
+        conv["edges"] = [edge for edge in conv["edges"] if edge[0] != last]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        expr, labels = str(bundle_dir / "test_expr.tsv"), str(bundle_dir / "test_labels.tsv")
+        capsys.readouterr()
+        for argv in (
+            ["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")],
+            ["predict", "--model", str(bad), "--expr", expr, "--out", str(tmp_path / "p.tsv")],
+            ["eval", "--model", str(bad), "--expr", expr, "--labels", labels],
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"orthomask: error: {bad}: conversion layer has {last} target genes "
+                f"but the network's first layer reads {last + 1}\n"
+            )
+
     def test_model_without_conversion_rejected(self, bundle_dir, tmp_path):
         rc = run(
             ["inspect-weights", "--model", str(bundle_dir / "base_model.json"),

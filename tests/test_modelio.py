@@ -144,6 +144,9 @@ def test_malformed_documents(tmp_path):
         ' "edges": [[0, 0, 1.0]]}',
         '{"mode": "hard", "target_gene_ids": ["t1", "t2"], "source_gene_ids": ["s1", null],'
         ' "edges": [[0, 0, 1.0]]}',
+        # one target gene per input of the first layer, which reads two
+        '{"mode": "hard", "target_gene_ids": ["t1"], "source_gene_ids": ["s1", "s2"],'
+        ' "edges": [[0, 0, 1.0]]}',
     ):
         path.write_text(network + ' "conversion": ' + conversion + "}")
         with pytest.raises(ParseError):

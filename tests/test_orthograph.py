@@ -140,8 +140,9 @@ class TestScoreTableInvariants:
         assert tq.entries[-1] == ("q2", "s1", 1.0) and tq.entries[:1] == [("q1", "s1", 0.5)]
         assert tq.queries.names == ("q1", "q2") and tq.subjects.names == ("s1",)
         assert tq.scores.dtype == np.float64
-        with pytest.raises(AttributeError):
-            tq.entries.append(("q1", "s1", 0.9))
+        # entries is a new list each time: changing it leaves the table as it was
+        tq.entries.append(("q1", "s1", 0.9))
+        assert tq.entries == [("q1", "s1", 0.5), ("q2", "s1", 1.0)]
         for array in (tq.scores, tq.queries.codes, tq.subjects.codes):
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -442,7 +442,7 @@ class TestReportTsv:
     def test_format(self, tmp_path):
         from orthomask.training import TrainReport
 
-        report = TrainReport(losses=[0.5, 0.25], final_eval=0.125, seed=9)
+        report = TrainReport(losses=[0.5, 0.25], final_eval=0.125)
         path = tmp_path / "report.tsv"
         write_report_tsv(report, path)
         assert path.read_text() == "step\tloss\n1\t0.5\n2\t0.25\n# final_eval\t0.125\n"

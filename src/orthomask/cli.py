@@ -197,6 +197,7 @@ def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None
     1-output head, class indices for a multi-logit one. With ``gene_ids``
     (a conversion layer's source genes), the columns are taken in that
     order; without, in file order, and there must be one per network input.
+    Labelled samples must not be empty; gene problems are reported first.
     """
     dataset = dataio.read_expression_tsv(expr_path)
     if labels_path is not None:
@@ -208,11 +209,14 @@ def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None
                 f"{expr_path} has {dataset.n_genes} genes but model expects {net.input_dim} "
                 "(model has no conversion layer; columns are used in file order)"
             )
-        return dataset
-    try:
-        return dataio.align_to_genes(dataset, gene_ids)[0]
-    except UnknownGeneError as exc:
-        raise UnknownGeneError(f"{expr_path}: {exc}") from None
+    else:
+        try:
+            dataset = dataio.align_to_genes(dataset, gene_ids)[0]
+        except UnknownGeneError as exc:
+            raise UnknownGeneError(f"{expr_path}: {exc}") from None
+    if labels_path is not None and dataset.n_samples == 0:
+        raise ValueError(f"no samples in {expr_path}")
+    return dataset
 
 
 def _source_genes(conversion):
@@ -336,8 +340,6 @@ def _cmd_inspect_weights(args):
 def _cmd_eval(args):
     net, conversion = modelio.load_model(args.model)
     dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
-    if dataset.n_samples == 0:
-        raise ValueError(f"no samples in {args.expr}")
     value = training.evaluate(net, conversion, dataset)
     print(float_repr(value))
     return EXIT_OK

@@ -34,7 +34,7 @@ from .netcore import (
     model_forward,
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
-from .training import evaluate
+from .training import evaluate, integer_field
 from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -223,6 +223,8 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_sources", "n_targets", "num_samples", "hidden_dim", "seed"):
+            setattr(self, name, integer_field(name, getattr(self, name)))
         if self.n_sources < 1 or self.n_targets < 1:
             raise ValueError("gene counts must be positive")
         if not 0.0 < self.orthology_density <= 1.0:
@@ -233,7 +235,7 @@ class SyntheticSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 

@@ -4,6 +4,12 @@ A larger |weight| marks a stronger learned influence of a source gene on
 a target gene's expression; the signed weight is always reported since
 direction of effect is itself informative. Weights are reported raw,
 not scaled by expression variance.
+
+A weight is on-support when its (target, source) pair is an edge of the
+layer's orthology mask. Hard mode stores only those weights, so every row
+is on-support; soft mode stores the dense matrix, whose non-edge entries
+are off-support. :func:`support_summary` means are numpy's pairwise sums
+divided by the counts.
 """
 
 from __future__ import annotations
@@ -27,26 +33,33 @@ class SupportSummary:
     off_count: int
 
 
-def _iter_weight_entries(layer: MaskedLinearLayer, row: int | None = None):
-    """Yield (target_id, source_id, weight, on_support) for stored weights,
-    of every target gene or only of target index ``row``."""
+def _weight_columns(layer: MaskedLinearLayer, row: int | None = None):
+    """Target index, source index, weight and on-support flag of every
+    stored weight, or only of target index ``row``, in row-major order."""
     mask = layer.mask
-    t_ids, s_ids = mask.target_gene_ids, mask.source_gene_ids
+    lo, hi = (0, mask.n_targets) if row is None else (row, row + 1)
+    span = slice(mask.indptr[lo], mask.indptr[hi])
+    rows, cols = mask.edge_rows[span], mask.edge_cols[span]
     if layer.mode == MODE_HARD:
-        span = slice(None) if row is None else slice(mask.indptr[row], mask.indptr[row + 1])
-        edges = (mask.edge_rows[span], mask.edge_cols[span], layer.weights[span])
-        for i, j, weight in zip(*(a.tolist() for a in edges)):
-            yield t_ids[i], s_ids[j], weight, True
-    else:
-        for i in range(mask.n_targets) if row is None else (row,):
-            on = set(mask.edge_cols[mask.indptr[i] : mask.indptr[i + 1]].tolist())
-            for j, weight in enumerate(layer.weights[i].tolist()):
-                yield t_ids[i], s_ids[j], weight, j in on
+        return rows, cols, layer.weights[span], np.ones(rows.size, dtype=bool)
+    weights = layer.weights[lo:hi]
+    on = np.zeros(weights.shape, dtype=bool)
+    on[rows - lo, cols] = True
+    targets, sources = np.indices(weights.shape)
+    return (targets + lo).ravel(), sources.ravel(), weights.ravel(), on.ravel()
+
+
+def _table_rows(layer: MaskedLinearLayer, row: int | None = None):
+    """Weight-table tuples of :func:`_weight_columns`, in its order."""
+    rows, cols, weights, on = _weight_columns(layer, row)
+    t_ids = np.array(layer.mask.target_gene_ids, dtype=object)
+    s_ids = np.array(layer.mask.source_gene_ids, dtype=object)
+    return zip(t_ids[rows].tolist(), s_ids[cols].tolist(), weights.tolist(), on.tolist())
 
 
 def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]:
     """All stored weights, sorted by (target_gene_id, source_gene_id)."""
-    return sorted(_iter_weight_entries(layer), key=lambda row: (row[0], row[1]))
+    return sorted(_table_rows(layer), key=lambda row: (row[0], row[1]))
 
 
 def write_weight_rows(rows, path) -> None:
@@ -94,7 +107,7 @@ def contributor_rows(
     t_ids = layer.mask.target_gene_ids
     if target_gene_id not in t_ids:
         raise UnknownGeneError(f"unknown target gene {target_gene_id!r}")
-    rows = _iter_weight_entries(layer, t_ids.index(target_gene_id))
+    rows = _table_rows(layer, t_ids.index(target_gene_id))
     return sorted(rows, key=lambda row: (-abs(row[2]), row[1]))[:k]
 
 
@@ -106,18 +119,11 @@ def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> l
 def support_summary(layer: MaskedLinearLayer) -> SupportSummary:
     """Mean |weight| on and off the orthology support (hard mode stores no
     off-support weights, so that side reports count 0 and mean 0)."""
-    on_total = off_total = 0.0
-    on_count = off_count = 0
-    for _, _, weight, on_support in _iter_weight_entries(layer):
-        if on_support:
-            on_total += abs(weight)
-            on_count += 1
-        else:
-            off_total += abs(weight)
-            off_count += 1
+    _, _, weights, on = _weight_columns(layer)
+    on_abs, off_abs = np.abs(weights[on]), np.abs(weights[~on])
     return SupportSummary(
-        on_mean_abs=on_total / on_count if on_count else 0.0,
-        off_mean_abs=off_total / off_count if off_count else 0.0,
-        on_count=on_count,
-        off_count=off_count,
+        on_mean_abs=float(on_abs.mean()) if on_abs.size else 0.0,
+        off_mean_abs=float(off_abs.mean()) if off_abs.size else 0.0,
+        on_count=on_abs.size,
+        off_count=off_abs.size,
     )

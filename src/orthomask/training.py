@@ -52,6 +52,14 @@ ADAM_EPS = 1e-8
 FULL_BATCH = 2**31 - 1
 
 
+def integer_field(name: str, value) -> int:
+    """``value`` as a Python int, or a ValueError naming the field unless it
+    is a Python or numpy integer (a bool or an integral float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class TrainConfig:
     """Knobs for both training entry points.
@@ -72,6 +80,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "seed"):
+            setattr(self, name, integer_field(name, getattr(self, name)))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.steps < 1:
@@ -84,7 +94,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
@@ -158,11 +168,8 @@ def initialize_conversion_layer(
     else:
         draws = rng.uniform(-1.0, 1.0, mask.n_edges)
         support = draws / np.sqrt(edge_deg)
-    if mode == MODE_HARD:
-        return MaskedLinearLayer(mask, MODE_HARD, support)
-    dense = np.zeros((mask.n_targets, mask.n_sources))
-    dense[mask.edge_rows, mask.edge_cols] = support
-    return MaskedLinearLayer(mask, MODE_SOFT, dense)
+    layer = MaskedLinearLayer(mask, MODE_HARD, support)
+    return layer if mode == MODE_HARD else MaskedLinearLayer(mask, MODE_SOFT, layer.to_dense())
 
 
 class _Sgd:

@@ -3,8 +3,8 @@ a stand-in sequence scorer.
 
 The oracles here deliberately avoid the library's own code paths: the RBH
 oracle is a direct double loop over the best-hit definition, gradient
-checks use central finite differences, and the table oracle reads a file
-line by line.
+checks use central finite differences, the table oracle reads a file
+line by line, and the weight-table oracle loops over the dense matrix.
 """
 
 from operator import itemgetter
@@ -102,6 +102,20 @@ def dense_conversion_grad(layer, net, xs, labels, loss_kind):
     if layer.mode == "soft":
         return grad
     return grad[layer.mask.edge_rows, layer.mask.edge_cols]
+
+
+def weight_table_oracle(layer):
+    """The weight table by plain loops over the dense matrix and the edge
+    set: every entry in soft mode, only the edges in hard mode, sorted by
+    (target ID, source ID) as ``str``."""
+    dense, edges = layer.to_dense(), layer.mask.edge_set()
+    rows = []
+    for i, t_gene in enumerate(layer.mask.target_gene_ids):
+        for j, s_gene in enumerate(layer.mask.source_gene_ids):
+            if layer.mode == "soft" or (i, j) in edges:
+                rows.append((t_gene, s_gene, float(dense[i, j]), (i, j) in edges))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return rows
 
 
 def kmer_similarity(seq_a: str, seq_b: str, k: int) -> float:

@@ -360,6 +360,37 @@ class TestRealLabelsForClassifier:
         assert not (clf_files / "m.json").exists()
 
 
+class TestHeaderOnlyExpression:
+    """An expression file with a header and no samples exits 2 naming the
+    file, in training and in evaluation."""
+
+    @pytest.fixture
+    def files(self, clf_files):
+        (clf_files / "empty_expr.tsv").write_text("sample_id\ts1\ts2\n")
+        (clf_files / "empty_base_expr.tsv").write_text("sample_id\tt1\tt2\n")
+        (clf_files / "empty_labels.tsv").write_text("sample_id\tlabel\n")
+        return clf_files
+
+    def test_train_conversion(self, files, capsys):
+        argv = clf_conversion_args(files, files / "empty_labels.tsv")
+        argv[argv.index("--expr") + 1] = str(files / "empty_expr.tsv")
+        assert run(argv) == 2
+        assert f"no samples in {files / 'empty_expr.tsv'}" in capsys.readouterr().err
+        assert not (files / "m.json").exists()
+        assert not (files / "r.tsv").exists()
+
+    def test_eval(self, files, capsys):
+        rc = run(
+            ["eval", "--model", str(files / "clf.json"),
+             "--expr", str(files / "empty_base_expr.tsv"),
+             "--labels", str(files / "empty_labels.tsv")]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"no samples in {files / 'empty_base_expr.tsv'}" in captured.err
+        assert captured.out == ""
+
+
 class TestDegenerateInputs:
     """Inputs that leave nothing to learn still run to a clean exit 0."""
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,20 @@ class TestGenerateSynthetic:
             SyntheticSpec(5, 5, 0.5, 1, 0.0, 2, 0)
         with pytest.raises(ValueError):
             SyntheticSpec(5, 5, 0.5, 10, -0.1, 2, 0)
+
+    def test_rejects_non_integer_counts(self):
+        # used to be built and then fail inside generate_synthetic
+        with pytest.raises(ValueError, match="^n_sources must be an integer, got 6.5$"):
+            SyntheticSpec(6.5, 5, 0.5, 10, 0.0, 2, 0)
+        with pytest.raises(ValueError, match="^hidden_dim must be an integer, got True$"):
+            SyntheticSpec(6, 5, 0.5, 10, 0.0, True, 0)
+
+    def test_numpy_integers_write_a_bundle(self, tmp_path):
+        spec = SyntheticSpec(np.int64(6), 5, 0.3, np.int32(20), 0.01, 3, np.uint64(11))
+        paths = write_bundle(generate_synthetic(spec), spec, tmp_path)
+        with open(paths["meta"], encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert (meta["n_sources"], meta["num_samples"], meta["seed"]) == (6, 20, 11)
 
 
 class TestWriteBundle:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from orthomask.interpret import (
 from orthomask.netcore import MaskedLinearLayer
 from orthomask.orthograph import BiadjacencyMatrix
 
-from _helpers import random_mask
+from _helpers import random_mask, weight_table_oracle
 
 
 def two_source_layer():
@@ -145,21 +147,45 @@ class TestViewConsistency:
                 expected = [(r[1], r[2]) for r in gene_rows[:3]]
                 assert top_contributors(layer, t_gene, 3) == expected
 
-    def test_contributor_rows_match_table_with_ties(self):
-        # weights drawn from a few magnitudes of either sign, so |w| ties
-        # are common and the source-ID tie break decides; past 10 sources
-        # the IDs ("s10" < "s2") do not sort in index order
+    def test_views_match_dense_oracle(self):
+        # IDs are numbered in shuffled order, and past 10 genes they do not
+        # sort in number order either ("s10" < "s2"); half the layers draw
+        # weights from a few magnitudes of either sign, so |w| ties are
+        # common and the source-ID tie break decides
         rng = np.random.default_rng(4)
-        for trial in range(200):
+        for trial in range(240):
             mode = ("hard", "soft")[trial % 2]
-            n_t, n_s = (int(v) for v in rng.integers(1, 13, 2))
-            mask = random_mask(rng, n_t, n_s, rng.uniform(0.0, 0.8))
+            n_t, n_s = (int(v) for v in rng.integers(1, 14, 2))
+            density = (0.0, 1.0, rng.uniform(0.0, 0.8))[trial % 6 // 2]
+            bern = rng.uniform(0.0, 1.0, (n_t, n_s)) < density
+            if 0.0 < density < 1.0:
+                bern[rng.integers(0, n_t)] = False  # a target with no orthologs
+            mask = BiadjacencyMatrix(
+                [f"t{k}" for k in rng.permutation(n_t)],
+                [f"s{k}" for k in rng.permutation(n_s)],
+                np.argwhere(bern),
+            )
             shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
-            weights = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], shape)
+            if trial % 4 < 2:
+                weights = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], shape)
+            else:
+                weights = rng.normal(0.0, 1.0, shape)
             layer = MaskedLinearLayer(mask, mode, weights)
-            table = weight_table(layer)
-            k = int(rng.integers(1, n_s + 2))
+
+            table = weight_table_oracle(layer)
+            assert weight_table(layer) == table
             for t_gene in mask.target_gene_ids:
-                gene_rows = [r for r in table if r[0] == t_gene]
-                gene_rows.sort(key=lambda r: (-abs(r[2]), r[1]))
-                assert contributor_rows(layer, t_gene, k) == gene_rows[:k]
+                ranked = [r for r in table if r[0] == t_gene]
+                ranked.sort(key=lambda r: (-abs(r[2]), r[1]))
+                for k in range(1, len(ranked) + 2):
+                    assert contributor_rows(layer, t_gene, k) == ranked[:k]
+
+            summary = support_summary(layer)
+            for on_support, count, mean in (
+                (True, summary.on_count, summary.on_mean_abs),
+                (False, summary.off_count, summary.off_mean_abs),
+            ):
+                magnitudes = [abs(r[2]) for r in table if r[3] == on_support]
+                assert count == len(magnitudes)
+                expected = math.fsum(magnitudes) / count if count else 0.0
+                assert mean == pytest.approx(expected, rel=1e-12, abs=0.0)

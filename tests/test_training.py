@@ -137,6 +137,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    # each of these used to pass construction and fail, or run, later
+    @pytest.mark.parametrize(
+        "name, value", [("steps", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("steps", True)]
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = TrainConfig(steps=np.int32(3), batch_size=np.int64(2), seed=np.uint64(2**64 - 1))
+        assert (cfg.steps, cfg.batch_size, cfg.seed) == (3, 2, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.steps, cfg.batch_size, cfg.seed))
+
 
 class TestTrainBase:
     def test_sgd_hand_step(self):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UnknownGeneError
+from .errors import ParseError, UnknownGeneError, integer_field, real_field
 from .modelio import save_model
 from .netcore import (
     ACT_IDENTITY,
@@ -34,7 +34,7 @@ from .netcore import (
     model_forward,
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
-from .training import evaluate, integer_field
+from .training import evaluate
 from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -225,6 +225,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_sources", "n_targets", "num_samples", "hidden_dim", "seed"):
             setattr(self, name, integer_field(name, getattr(self, name)))
+        for name in ("orthology_density", "noise_sigma"):
+            setattr(self, name, real_field(name, getattr(self, name)))
         if self.n_sources < 1 or self.n_targets < 1:
             raise ValueError("gene counts must be positive")
         if not 0.0 < self.orthology_density <= 1.0:

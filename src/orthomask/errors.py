@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks of
+config fields, kept here because this module imports nothing from the
+package."""
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -30,3 +34,19 @@ class InvalidStateError(RuntimeError):
 
 class NumericalError(ArithmeticError):
     """A loss or gradient became non-finite during training/evaluation."""
+
+
+def integer_field(name: str, value) -> int:
+    """``value`` as a Python int, or a ValueError naming the field unless it
+    is a Python or numpy integer (a bool or an integral float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real_field(name: str, value) -> float:
+    """``value`` as a Python float, or a ValueError naming the field unless
+    it is a Python or numpy integer or float (a bool, str or None is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -5,11 +5,12 @@ per edge in row-major order, so its products are edge operations rather than
 dense matmuls. There are two, each written once in numpy float64 with a
 fixed reduction order, so every call is deterministic:
 
-- one scatter, ``out[m, scatter[e]] += a[m, gather[e]] * data[e]`` summed
-  in edge order by ``np.bincount``. Scattering onto the columns gives
-  :func:`dense_times_csr` (the fold of the layer into the frozen network's
-  first layer); scattering onto the rows gives
-  :func:`csr_matvec_batch` (the layer's forward pass in evaluation,
+- one scatter, ``out[m, scatter[e]] += a[m, gather[e]] * data[e]``, run by
+  ``np.bincount`` one row of ``a`` at a time: each output sums its edges in
+  edge order, and scratch memory is O(edges) whatever the batch size.
+  Scattering onto the columns gives :func:`dense_times_csr` (the fold of the
+  layer into the frozen network's first layer); scattering onto the rows
+  gives :func:`csr_matvec_batch` (the layer's forward pass in evaluation,
   prediction and synthetic labels).
 - one gather-dot, :func:`edge_dot`, the gradient with respect to the edge
   weights.
@@ -26,12 +27,10 @@ def _edge_rows(indptr):
 
 def _scatter(a, gather, scatter, data, n_out):
     """``out[m, scatter[e]] += a[m, gather[e]] * data[e]``; shape (k, n_out)."""
-    k = a.shape[0]
-    values = a[:, gather] * data
-    slots = scatter + n_out * np.arange(k)[:, None]
-    out = np.bincount(slots.ravel(), weights=values.ravel(), minlength=k * n_out)
-    # with no edges bincount has nothing to sum and returns integer zeros
-    return out.astype(np.float64, copy=False).reshape(k, n_out)
+    out = np.zeros((a.shape[0], n_out))
+    for m, row in enumerate(a):
+        out[m] = np.bincount(scatter, weights=row[gather] * data, minlength=n_out)
+    return out
 
 
 def dense_times_csr(indptr, indices, data, a, n_cols):

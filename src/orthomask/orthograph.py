@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import UnknownGeneError
+from .errors import UnknownGeneError, real_field
 from .tsv import (
     Factorized,
     factorize,
@@ -98,6 +98,8 @@ class RbhConfig:
     tie_tolerance: float = 0.0
 
     def __post_init__(self):
+        for name in ("threshold", "tie_tolerance"):
+            setattr(self, name, real_field(name, getattr(self, name)))
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if not math.isfinite(self.tie_tolerance) or self.tie_tolerance < 0.0:

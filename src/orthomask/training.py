@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalError
+from .errors import InvalidStateError, NumericalError, integer_field, real_field
 from .netcore import (
     MODE_HARD,
     MODE_SOFT,
@@ -52,14 +52,6 @@ ADAM_EPS = 1e-8
 FULL_BATCH = 2**31 - 1
 
 
-def integer_field(name: str, value) -> int:
-    """``value`` as a Python int, or a ValueError naming the field unless it
-    is a Python or numpy integer (a bool or an integral float is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class TrainConfig:
     """Knobs for both training entry points.
@@ -82,6 +74,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("steps", "batch_size", "seed"):
             setattr(self, name, integer_field(name, getattr(self, name)))
+        for name in ("learning_rate", "alpha", "beta"):
+            setattr(self, name, real_field(name, getattr(self, name)))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.steps < 1:

@@ -251,6 +251,26 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="^hidden_dim must be an integer, got True$"):
             SyntheticSpec(6, 5, 0.5, 10, 0.0, True, 0)
 
+    def test_rejects_non_real_fractions(self):
+        # a bool used to construct as density 1.0 and noise 0.0
+        with pytest.raises(ValueError, match="^orthology_density must be a real number, got True$"):
+            SyntheticSpec(5, 5, True, 10, False, 2, 0)
+        with pytest.raises(ValueError, match="^noise_sigma must be a real number, got False$"):
+            SyntheticSpec(5, 5, 0.5, 10, False, 2, 0)
+        with pytest.raises(ValueError, match="^orthology_density must be a real number, got '0.5'$"):
+            SyntheticSpec(5, 5, "0.5", 10, 0.0, 2, 0)
+        with pytest.raises(ValueError, match="^noise_sigma must be a real number, got None$"):
+            SyntheticSpec(5, 5, 0.5, 10, None, 2, 0)
+
+    def test_numpy_reals_write_a_bundle(self, tmp_path):
+        spec = SyntheticSpec(6, 5, np.float32(0.1), 20, np.float64(0.01), 3, 11)
+        assert type(spec.orthology_density) is float and type(spec.noise_sigma) is float
+        assert spec.orthology_density == float(np.float32(0.1))
+        paths = write_bundle(generate_synthetic(spec), spec, tmp_path)
+        with open(paths["meta"], encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assert (meta["orthology_density"], meta["noise_sigma"]) == (float(np.float32(0.1)), 0.01)
+
     def test_numpy_integers_write_a_bundle(self, tmp_path):
         spec = SyntheticSpec(np.int64(6), 5, 0.3, np.int32(20), 0.01, 3, np.uint64(11))
         paths = write_bundle(generate_synthetic(spec), spec, tmp_path)

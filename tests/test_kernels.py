@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from orthomask import kernels
@@ -61,3 +63,57 @@ def test_empty_support():
     assert not folded.any()
     grad_data = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
     assert grad_data.shape == (0,) and grad_data.dtype == np.float64
+
+
+def scatter_oracle(a, gather, scatter, data, n_out):
+    """``out[m][scatter[e]] += a[m][gather[e]] * data[e]`` as a Python double
+    loop: rows, then edges in edge order, into float zeros."""
+    out = [[0.0] * n_out for _ in range(len(a))]
+    for m, row in enumerate(a.tolist()):
+        for g, s, d in zip(gather.tolist(), scatter.tolist(), data.tolist()):
+            out[m][s] += row[g] * d
+    return np.array(out, dtype=np.float64).reshape(len(a), n_out)
+
+
+def test_scatters_sum_in_edge_order():
+    # bitwise, so the summation order that keeps output bytes stable is pinned;
+    # magnitudes spread over 16 decades make any other order round differently
+    rng = np.random.default_rng(13)
+    seen = {"no edges": 0, "orthologless target": 0, "0 rows": 0, "1 row": 0, "long row": 0}
+    for case in range(240):
+        n_t, n_s = rng.integers(1, 12), rng.integers(1, 12)
+        density = (0.0, 0.2, 0.5, 0.95)[case % 4]
+        mask = random_mask(rng, n_t, n_s, density)
+        data = rng.normal(0.0, 1.0, mask.n_edges) * 10.0 ** rng.uniform(-8, 8, mask.n_edges)
+        k = (0, 1, 2, 5)[case // 4 % 4]
+        xs = rng.normal(0.0, 1.0, (k, n_s)) * 10.0 ** rng.uniform(-8, 8, (k, n_s))
+        upstream = rng.normal(0.0, 1.0, (k, n_t))
+        rows, cols = mask.edge_rows, mask.edge_cols
+
+        got = kernels.csr_matvec_batch(mask.indptr, cols, data, xs)
+        assert np.array_equal(got, scatter_oracle(xs, cols, rows, data, n_t))
+        got = kernels.dense_times_csr(mask.indptr, cols, data, upstream, n_s)
+        assert np.array_equal(got, scatter_oracle(upstream, rows, cols, data, n_s))
+
+        seen["no edges"] += mask.n_edges == 0
+        seen["orthologless target"] += bool((mask.row_degrees() == 0).any())
+        seen["0 rows"] += k == 0
+        seen["1 row"] += k == 1
+        seen["long row"] += bool((mask.row_degrees() >= 8).any())
+    assert min(seen.values()) > 0, seen
+
+
+def test_scatter_scratch_does_not_grow_with_the_batch():
+    # about 2000 edges and 500 rows: a (rows x edges) intermediate would be 8 MB
+    rng = np.random.default_rng(5)
+    mask = random_mask(rng, 1000, 1000, 0.002)
+    assert 1800 <= mask.n_edges <= 2200
+    data = rng.normal(0.0, 1.0, mask.n_edges)
+    xs = rng.normal(0.0, 1.0, (500, mask.n_sources))
+    tracemalloc.start()
+    try:
+        out = kernels.csr_matvec_batch(mask.indptr, mask.edge_cols, data, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2**20

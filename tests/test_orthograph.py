@@ -88,6 +88,27 @@ class TestBestHits:
         assert forward_hits(entries, RbhConfig(0.5, 0.1)) == {("q1", "s1"), ("q1", "s2")}
 
 
+class TestRbhConfig:
+    # a bool used to construct as threshold 1.0; a str or None failed later
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("name", ["threshold", "tie_tolerance"])
+    def test_rejects_non_real_values(self, name, value):
+        kwargs = {"threshold": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+            RbhConfig(**kwargs)
+
+    def test_keeps_range_checks(self):
+        with pytest.raises(ValueError, match="^threshold must be finite and >= 0, got -1.0$"):
+            RbhConfig(-1)
+        with pytest.raises(ValueError, match="^tie_tolerance must be finite and >= 0, got nan$"):
+            RbhConfig(0.5, math.nan)
+
+    def test_accepts_numpy_reals(self):
+        cfg = RbhConfig(np.float32(0.1), np.int64(0))
+        assert (cfg.threshold, cfg.tie_tolerance) == (float(np.float32(0.1)), 0.0)
+        assert type(cfg.threshold) is float and type(cfg.tie_tolerance) is float
+
+
 class TestScoreTableInvariants:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,23 @@ class TestTrainConfig:
         cfg = TrainConfig(steps=np.int32(3), batch_size=np.int64(2), seed=np.uint64(2**64 - 1))
         assert (cfg.steps, cfg.batch_size, cfg.seed) == (3, 2, 2**64 - 1)
         assert all(type(v) is int for v in (cfg.steps, cfg.batch_size, cfg.seed))
+
+    # a bool used to construct as 1.0; a str or None failed later with a TypeError
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    @pytest.mark.parametrize("name", ["learning_rate", "alpha", "beta"])
+    def test_rejects_non_real_rates(self, name, value):
+        message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{name: value})
+
+    def test_rejects_bool_rate_and_alpha(self):
+        with pytest.raises(ValueError, match="^learning_rate must be a real number, got True$"):
+            TrainConfig(learning_rate=True, alpha=True)
+
+    def test_accepts_numpy_reals(self):
+        cfg = TrainConfig(learning_rate=np.float32(0.1), alpha=np.int64(2), beta=0)
+        assert (cfg.learning_rate, cfg.alpha, cfg.beta) == (float(np.float32(0.1)), 2.0, 0.0)
+        assert all(type(v) is float for v in (cfg.learning_rate, cfg.alpha, cfg.beta))
 
 
 class TestTrainBase:

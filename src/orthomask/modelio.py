@@ -6,11 +6,28 @@ encoding via the json module) and documents are byte-stable: same model
 in, same bytes out. Documents are written as compact one-line JSON, the
 layout the json module's C encoder produces; any JSON layout of the same
 fields loads.
+
+Every document also holds ``network_sha256``, between ``network`` and
+``conversion``: the hex SHA-256 of the UTF-8 bytes of the network's
+compact JSON text, which is the text between ``{"network":`` and
+``,"network_sha256":"``. Every save writes it and loading checks nothing
+with it. It lets a save copy a loaded network's text instead of
+formatting every weight again: :func:`load_model` remembers the text it
+read, and :func:`model_document` copies the network's part of it when the
+network is still bit for bit what was parsed and that part hashes to the
+document's digest. Otherwise, as for documents without the key (all
+written before it existed), the network is formatted, which gives the
+same bytes. A digest that matches its text is taken as this writer's own,
+so a document hand-edited and hashed again falls outside the byte-stability
+promise: its network text is copied as it stands.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,47 +42,117 @@ from .netcore import (
     MaskedLinearLayer,
 )
 from .orthograph import BiadjacencyMatrix
+from .tsv import read_text
+
+_COMPACT = (",", ":")
+_NETWORK_KEY = '"network":'
+_DIGEST_KEY = ',"network_sha256":"'
+
+
+class _Loaded(NamedTuple):
+    """A document's text and the network fields parsed from it."""
+
+    text: str
+    digest: object  # the document's network_sha256 value, if any
+    frozen: bool
+    layers: list[Layer]  # not the network's own, which may change in place
+
+
+# each network load_model returned, until it is garbage
+_LOADED: weakref.WeakKeyDictionary[FeedforwardNetwork, _Loaded] = weakref.WeakKeyDictionary()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # bits, not values: 0.0 == -0.0, but they format differently
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _unchanged(net: FeedforwardNetwork, loaded: _Loaded) -> bool:
+    """Whether the network is still bit for bit what was loaded."""
+    return (
+        net.frozen is loaded.frozen
+        and len(net.layers) == len(loaded.layers)
+        and all(
+            lay.activation == old.activation
+            and _same_bits(lay.weights, old.weights)
+            and _same_bits(lay.bias, old.bias)
+            for lay, old in zip(net.layers, loaded.layers)
+        )
+    )
+
+
+def _network_part(text: str) -> str | None:
+    """The text between a document's ``{"network":`` and its
+    ``,"network_sha256":"``, or None unless each occurs once, the first
+    at the start."""
+    if (
+        text.startswith("{" + _NETWORK_KEY)
+        and text.count(_NETWORK_KEY) == 1
+        and text.count(_DIGEST_KEY) == 1
+    ):
+        return text[len(_NETWORK_KEY) + 1 : text.index(_DIGEST_KEY)]
+    return None
+
+
+def _network_json(net: FeedforwardNetwork) -> tuple[str, str]:
+    """The network's compact JSON text and its digest: copied from the
+    document it was loaded from when that text provably is what formatting
+    gives, else formatted."""
+    loaded = _LOADED.get(net)
+    if loaded is not None and _unchanged(net, loaded):
+        copied = _network_part(loaded.text)
+        if copied is not None and _sha256(copied) == loaded.digest:
+            return copied, loaded.digest
+    network = {
+        "frozen": net.frozen,
+        "layers": [
+            {
+                "rows": lay.weights.shape[0],
+                "cols": lay.weights.shape[1],
+                "weights": lay.weights.ravel().tolist(),
+                "bias": lay.bias.tolist(),
+                "activation": lay.activation,
+            }
+            for lay in net.layers
+        ],
+    }
+    # no indent: json runs its C encoder only when indent is None
+    text = json.dumps(network, separators=_COMPACT)
+    return text, _sha256(text)
+
+
+def _conversion_fields(conversion: MaskedLinearLayer) -> dict:
+    mask = conversion.mask
+    conv = {
+        "mode": conversion.mode,
+        "target_gene_ids": list(mask.target_gene_ids),
+        "source_gene_ids": list(mask.source_gene_ids),
+    }
+    rows = mask.edge_rows.tolist()
+    cols = mask.edge_cols.tolist()
+    if conversion.mode == MODE_HARD:
+        conv["edges"] = [[i, j, w] for i, j, w in zip(rows, cols, conversion.weights.tolist())]
+    else:
+        # soft mode keeps the mask alongside the dense weights so
+        # on/off-support reporting survives a reload
+        conv["edges"] = [[i, j] for i, j in zip(rows, cols)]
+        conv["weights"] = conversion.weights.ravel().tolist()
+    return conv
 
 
 def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None = None) -> str:
     """Render the model as canonical JSON text."""
-    doc = {
-        "network": {
-            "frozen": net.frozen,
-            "layers": [
-                {
-                    "rows": lay.weights.shape[0],
-                    "cols": lay.weights.shape[1],
-                    "weights": lay.weights.ravel().tolist(),
-                    "bias": lay.bias.tolist(),
-                    "activation": lay.activation,
-                }
-                for lay in net.layers
-            ],
-        },
-        "conversion": None,
-    }
-    if conversion is not None:
-        mask = conversion.mask
-        conv = {
-            "mode": conversion.mode,
-            "target_gene_ids": list(mask.target_gene_ids),
-            "source_gene_ids": list(mask.source_gene_ids),
-        }
-        rows = mask.edge_rows.tolist()
-        cols = mask.edge_cols.tolist()
-        if conversion.mode == MODE_HARD:
-            conv["edges"] = [
-                [i, j, w] for i, j, w in zip(rows, cols, conversion.weights.tolist())
-            ]
-        else:
-            # soft mode keeps the mask alongside the dense weights so
-            # on/off-support reporting survives a reload
-            conv["edges"] = [[i, j] for i, j in zip(rows, cols)]
-            conv["weights"] = conversion.weights.ravel().tolist()
-        doc["conversion"] = conv
-    # no indent: json runs its C encoder only when indent is None
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    network, digest = _network_json(net)
+    conv = None if conversion is None else _conversion_fields(conversion)
+    # the text json.dumps gives for the whole document, key order included
+    return (
+        f'{{{_NETWORK_KEY}{network}{_DIGEST_KEY}{digest}",'
+        f'"conversion":{json.dumps(conv, separators=_COMPACT)}}}\n'
+    )
 
 
 def save_model(net, conversion, path) -> None:
@@ -91,11 +178,11 @@ def _finite_floats(values, what, path):
 
 def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """Parse a model document back into network and conversion layer."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path) from None
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path) from None
 
     try:
         net_doc = doc["network"]
@@ -118,6 +205,7 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         if type(frozen) is not bool:
             raise ParseError(f"frozen must be true or false, got {json.dumps(frozen)}", path)
         net = FeedforwardNetwork(layers, frozen=frozen)
+        _LOADED[net] = _Loaded(text, doc.get("network_sha256"), frozen, layers)
 
         conv_doc = doc["conversion"]
         if conv_doc is None:

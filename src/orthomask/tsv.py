@@ -6,8 +6,9 @@ Each later non-blank line is a record with as many tab-separated fields as
 the header has names; blank lines are skipped but still counted. The first
 ``key_fields`` fields of a record are its key, and no key appears twice. A
 file that breaks a rule raises :class:`ParseError` with the path and the
-1-based line number, so its message starts ``path:line:``. What a cell may
-hold (a number, a gene ID, a flag) is checked by the reader of each format.
+1-based line number, so its message starts ``path:line:``; a byte that is
+not UTF-8 is named by its line too. What a cell may hold (a number, a gene
+ID, a flag) is checked by the reader of each format.
 No name or field holds a tab, LF or CR, and no line is empty (a one-column
 table has no empty field); the writer refuses either.
 
@@ -112,14 +113,36 @@ def first_true(mask) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's whole text, with CRLF and lone CR read as LF.
+
+    A file that is not UTF-8 raises :class:`ParseError` with the path and
+    the 1-based line of its first bad byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        pass
+    # the decoder's offset need not count from the start of the file, so
+    # decode the raw bytes again to place the first bad one
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        message = f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise ParseError(message, path, head.count(b"\n") + 1) from None
+
+
 def read_table(path, header=None, key_fields=1) -> Table:
     """Read a table file and check it against the format's rules.
 
     ``header``, when given, is the sequence of column names the file's
     header must list.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if len(lines) > 1 and not lines[-1]:
         lines.pop()  # the text after the last LF
     first = lines[0]

@@ -3,8 +3,10 @@
 ``orthobench/workloads.py`` writes each workload's inputs with the
 package's own constructors and writers, several called positionally, so a
 signature change under ``src/`` breaks the benchmark before it times
-anything. This runs every workload's set-up at tiny scale; the full
-benchmark smoke test (``python3 -m pytest orthobench``) takes far longer.
+anything. This runs every workload's set-up at tiny scale, and the
+``train-conversion`` command of the two that start from a saved frozen
+network; the full benchmark smoke test (``python3 -m pytest orthobench``)
+takes far longer.
 """
 
 import importlib.util
@@ -12,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from orthomask import cli
+from orthomask.modelio import load_model, model_document
 
 BENCH = Path(__file__).resolve().parents[1] / "orthobench"
 
@@ -37,3 +42,34 @@ def test_every_workload_sets_up(workloads, tmp_path):
         paths, planted = workloads.setup(tiny, 7, str(tmp_path / name))
         assert all(Path(path).stat().st_size > 0 for path in paths.values()), name
         assert planted.edge_rows.size == tiny.n_edges, name
+
+
+@pytest.mark.parametrize("name", ["hard_genome", "soft_dense"])
+def test_train_conversion_copies_the_base_network(workloads, tmp_path, name, capsys):
+    # the frozen network's text goes to the trained model unchanged, so
+    # the benchmark's train-conversion times the copy, not the formatting
+    shape = workloads.tiny(workloads.WORKLOADS[name])
+    paths, _ = workloads.setup(shape, 7, str(tmp_path / "inputs"))
+    genes = ["--target-genes", paths["target_genes.tsv"], "--source-genes", paths["source_genes.tsv"]]
+    graph, out = tmp_path / "graph.tsv", tmp_path / "model.json"
+    assert cli.main([
+        "build-graph", "--scores-tq", paths["scores_tq.tsv"], "--scores-qt", paths["scores_qt.tsv"],
+        *genes, "--threshold", repr(workloads.THRESHOLD), "--tie-tol", repr(workloads.TIE_TOL),
+        "--out", str(graph),
+    ]) == 0
+    (conv,) = shape.conversions
+    assert cli.main([
+        "train-conversion", "--model", paths["base_model.json"], "--graph", str(graph), *genes,
+        "--expr", paths["train_expr.tsv"], "--labels", paths["train_labels.tsv"],
+        "--mode", conv.mode, "--alpha", repr(conv.alpha), "--lr", repr(conv.lr),
+        "--steps", str(conv.steps), "--seed", "7", "--out", str(out),
+        "--report", str(tmp_path / "report.tsv"),
+    ]) == 0
+    capsys.readouterr()
+
+    def network_part(text):
+        return text[: text.index(',"conversion":')]
+
+    base, trained = Path(paths["base_model.json"]).read_text(), out.read_text()
+    assert network_part(trained) == network_part(base)
+    assert model_document(*load_model(out)) == trained

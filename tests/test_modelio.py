@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -202,3 +203,130 @@ def test_compact_layout_and_indented_documents(tmp_path, mode):
         assert loaded.mask == mask
         assert np.array_equal(loaded.weights, layer.weights)
     assert model_document(loaded_net, loaded) == text
+
+
+def _network_part(text):
+    """The text between ``{"network":`` and ``,"network_sha256":"``."""
+    return text[len('{"network":') : text.index(',"network_sha256":"')]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _saved_model(tmp_path, mode, seed=6):
+    """A saved model's path and text, and the model as loaded from it."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, [4, 3, 1], frozen=True)
+    layer = None
+    if mode is not None:
+        mask = random_mask(rng, 4, 6, 0.4, force_edge=True)
+        shape = (mask.n_edges,) if mode == "hard" else (4, 6)
+        layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
+    path = tmp_path / f"{mode}.json"
+    save_model(net, layer, path)
+    return path, path.read_text(), *load_model(path)
+
+
+@pytest.mark.parametrize("mode", [None, "hard", "soft"])
+def test_network_digest_and_copied_text(tmp_path, mode):
+    path, text, net, layer = _saved_model(tmp_path, mode)
+    doc = json.loads(text)
+    assert list(doc) == ["network", "network_sha256", "conversion"]
+    network = json.dumps(doc["network"], separators=(",", ":"))
+    assert _network_part(text) == network
+    assert doc["network_sha256"] == _sha256(network)
+    # a loaded network's document, copied or formatted, is the file's bytes
+    assert model_document(net, layer) == text
+    assert model_document(net.copy(), layer) == text
+    # the conversion layer is always formatted
+    if layer is not None:
+        assert model_document(net, None) == model_document(net.copy(), None)
+
+
+def _reload(path, text):
+    path.write_text(text)
+    return load_model(path)
+
+
+def test_rehashed_network_text_is_copied_as_it_stands(tmp_path):
+    # a digest that matches its text is taken as the writer's own: the
+    # network text is copied, not formatted again
+    path, text, net, _ = _saved_model(tmp_path, None)
+    weight = repr(net.layers[0].weights[0, 0])
+    network = _network_part(text).replace(weight, weight + "0", 1)
+    edited = '{"network":' + network + ',"network_sha256":"' + _sha256(network) + '","conversion":null}\n'
+    loaded, _ = _reload(path, edited)
+    assert model_document(loaded) == edited
+    assert model_document(loaded.copy()) == text
+
+
+def test_copy_falls_back_to_formatting(tmp_path):
+    path, text, net, _ = _saved_model(tmp_path, None)
+    _, other_text, other, _ = _saved_model(tmp_path, None, seed=7)
+    digest = json.loads(text)["network_sha256"]
+    network = _network_part(text)
+
+    def formatted(loaded):
+        return model_document(loaded.copy())
+
+    doc = json.loads(text)
+    doc["network"]["layers"][0]["weights"][0] += 1.0
+    edited_weight = json.dumps(doc, separators=(",", ":")) + "\n"
+    nested = network[:-1] + ',"network_sha256":"' + _sha256(network[:-1]) + '"}'
+    documents = {
+        "indented": json.dumps(json.loads(text), indent=2) + "\n",
+        "without the key": text.replace(',"network_sha256":"' + digest + '"', ""),
+        # a weight hand-edited under the old digest
+        "edited weight": edited_weight,
+        "other digest": text.replace(digest, json.loads(other_text)["network_sha256"]),
+        # json keeps the last "network": the copy would be the first one's
+        "duplicate network": text[:-2] + ',"network":' + _network_part(other_text) + "}\n",
+        # the text in the place of the network, hashed, is another key's
+        "network not first": '{"xetwork":' + network + ',"network_sha256":"' + digest
+        + '","network":' + _network_part(other_text) + ',"conversion":null}\n',
+        # without the count, the text before the nested key would be copied
+        "nested digest": '{"network":' + nested + ',"network_sha256":"' + _sha256(network[:-1])
+        + '","conversion":null}\n',
+    }
+    for name, document in documents.items():
+        loaded, _ = _reload(path, document)
+        assert model_document(loaded) == formatted(loaded), name
+    assert model_document(_reload(path, documents["edited weight"])[0]) != text
+    assert model_document(_reload(path, documents["duplicate network"])[0]) == other_text
+    assert model_document(_reload(path, documents["network not first"])[0]) == other_text
+
+    # a loaded network changed after loading is formatted again
+    loaded, _ = _reload(path, text)
+    loaded.layers[0].weights[0, 0] += 1.0
+    assert model_document(loaded) == formatted(loaded) != text
+    loaded, _ = _reload(path, text)
+    loaded.frozen = not loaded.frozen
+    assert model_document(loaded) == formatted(loaded) != text
+    loaded, _ = _reload(path, text)
+    loaded.layers[-1].activation = "relu"
+    assert model_document(loaded) == formatted(loaded) != text
+    loaded, _ = _reload(path, text)
+    del loaded.layers[-1]
+    assert model_document(loaded) == formatted(loaded) != text
+    loaded, _ = _reload(path, text)
+    assert model_document(loaded.copy()) == text
+
+
+def test_signed_zero_change_is_formatted_again(tmp_path):
+    # -0.0 == 0.0, but they format differently: the check compares bits
+    net = FeedforwardNetwork([Layer([[-0.0, 1.0]], [0.0], ACT_IDENTITY)], frozen=True)
+    path = tmp_path / "model.json"
+    save_model(net, None, path)
+    loaded, _ = load_model(path)
+    loaded.layers[0].weights[0, 0] = 0.0
+    text = model_document(loaded)
+    assert text == model_document(loaded.copy()) != path.read_text()
+    assert '"weights":[0.0,1.0]' in text
+
+
+def test_non_utf8_model_names_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ParseError, match=r"model\.json:1: not UTF-8 text: byte 0xff"):
+        load_model(path)

@@ -256,3 +256,14 @@ def test_parse_numbers_matches_plain_scan(dtype):
         assert np.array_equal(values, np.array(expected, dtype=dtype), equal_nan=True)
         stops.add(stop is None)
     assert stops == {True, False}
+
+
+def test_non_utf8_table_names_its_line(tmp_path):
+    # CRLF and lone CR end lines, as the reader reads them
+    path = tmp_path / "genes.tsv"
+    path.write_bytes(b"gene_id\r\ng1\rg2\n\ng\xff3\n")
+    with pytest.raises(ParseError, match=r"genes\.tsv:5: not UTF-8 text: byte 0xff"):
+        read_gene_list(path)
+    path.write_bytes(b"\xffgene_id\ng1\n")
+    with pytest.raises(ParseError, match=r"genes\.tsv:1: "):
+        read_gene_list(path)

@@ -326,7 +326,7 @@ def _cmd_predict(args):
 
 
 def _cmd_inspect_weights(args):
-    net, conversion = modelio.load_model(args.model)
+    conversion = modelio.load_conversion(args.model)
     if conversion is None:
         raise ValueError(f"model in {args.model} has no conversion layer to inspect")
     if args.target_gene is None:

@@ -10,23 +10,30 @@ fields loads.
 Every document also holds ``network_sha256``, between ``network`` and
 ``conversion``: the hex SHA-256 of the UTF-8 bytes of the network's
 compact JSON text, which is the text between ``{"network":`` and
-``,"network_sha256":"``. Every save writes it and loading checks nothing
-with it. It lets a save copy a loaded network's text instead of
-formatting every weight again: :func:`load_model` remembers the text it
-read, and :func:`model_document` copies the network's part of it when the
-network is still bit for bit what was parsed and that part hashes to the
-document's digest. Otherwise, as for documents without the key (all
-written before it existed), the network is formatted, which gives the
-same bytes. A digest that matches its text is taken as this writer's own,
-so a document hand-edited and hashed again falls outside the byte-stability
-promise: its network text is copied as it stands.
+``,"network_sha256":"``. Every save writes it. A network text that hashes
+to the digest, holds no NaN or Infinity (which saving refuses, with
+ValueError, and earlier versions wrote) and has each of those two keys
+once, the first at the start, is taken as this writer's own. Two paths
+use that. :func:`model_document` copies a loaded network's text instead
+of formatting every weight again, when the network is still bit for bit
+what :func:`load_model` parsed; otherwise, as for documents without the
+key (all written before it existed), the network is formatted, which
+gives the same bytes. :func:`load_conversion`, which ``inspect-weights``
+calls, skips parsing the network: it parses only the document from
+``network_sha256`` on and reads the network's input width from the
+canonical head ``{"frozen":…,"layers":[{"rows":R,"cols":C,``. Every other
+document takes the full load, with its errors and messages. A document
+hand-edited and hashed again falls outside both promises: its network
+text is copied as it stands, and ``inspect-weights`` does not check it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import weakref
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +54,10 @@ from .tsv import read_text
 _COMPACT = (",", ":")
 _NETWORK_KEY = '"network":'
 _DIGEST_KEY = ',"network_sha256":"'
+# the start of this writer's network text, up to the first layer's width
+_HEAD = re.compile(
+    r'\{"frozen":(?:true|false),"layers":\[\{"rows":(?:0|[1-9][0-9]*),"cols":(0|[1-9][0-9]*),'
+)
 
 
 class _Loaded(NamedTuple):
@@ -98,6 +109,18 @@ def _network_part(text: str) -> str | None:
     return None
 
 
+def _own_network(network: str | None, digest) -> bool:
+    """Whether a document's network text (see :func:`_network_part`) is
+    this writer's own: it hashes to the document's digest and holds no
+    NaN or Infinity, which this writer refuses and earlier ones wrote."""
+    return (
+        network is not None
+        and "NaN" not in network
+        and "Infinity" not in network
+        and _sha256(network) == digest
+    )
+
+
 def _network_json(net: FeedforwardNetwork) -> tuple[str, str]:
     """The network's compact JSON text and its digest: copied from the
     document it was loaded from when that text provably is what formatting
@@ -105,8 +128,14 @@ def _network_json(net: FeedforwardNetwork) -> tuple[str, str]:
     loaded = _LOADED.get(net)
     if loaded is not None and _unchanged(net, loaded):
         copied = _network_part(loaded.text)
-        if copied is not None and _sha256(copied) == loaded.digest:
+        if _own_network(copied, loaded.digest):
             return copied, loaded.digest
+    # a network changed in place is checked again as its constructor
+    # checks it (finite values, shapes, activations, layers that chain),
+    # so that no document load_model refuses is written
+    if type(net.frozen) is not bool:
+        raise ValueError(f"frozen must be True or False, got {net.frozen!r}")
+    FeedforwardNetwork(net.layers)
     network = {
         "frozen": net.frozen,
         "layers": [
@@ -145,19 +174,29 @@ def _conversion_fields(conversion: MaskedLinearLayer) -> dict:
 
 
 def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None = None) -> str:
-    """Render the model as canonical JSON text."""
+    """Render the model as canonical JSON text; raise ValueError for a
+    model :func:`load_model` would refuse, such as a non-finite weight."""
     network, digest = _network_json(net)
-    conv = None if conversion is None else _conversion_fields(conversion)
+    conv = None
+    if conversion is not None:
+        if conversion.n_targets != net.input_dim:
+            raise ValueError(
+                f"conversion layer has {conversion.n_targets} target genes "
+                f"but the network's first layer reads {net.input_dim}"
+            )
+        conv = _conversion_fields(conversion)
     # the text json.dumps gives for the whole document, key order included
     return (
         f'{{{_NETWORK_KEY}{network}{_DIGEST_KEY}{digest}",'
-        f'"conversion":{json.dumps(conv, separators=_COMPACT)}}}\n'
+        f'"conversion":{json.dumps(conv, separators=_COMPACT, allow_nan=False)}}}\n'
     )
 
 
 def save_model(net, conversion, path) -> None:
+    # rendered first: a refused model leaves an existing file as it was
+    text = model_document(net, conversion)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_document(net, conversion))
+        fh.write(text)
 
 
 def _json_list(values, types, what, path):
@@ -176,6 +215,17 @@ def _finite_floats(values, what, path):
     return arr
 
 
+@contextmanager
+def _malformed(path):
+    """Report a field of the wrong type or shape as a ParseError."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed model document: {exc}", path) from None
+
+
 def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """Parse a model document back into network and conversion layer."""
     text = read_text(path)
@@ -184,7 +234,7 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from None
 
-    try:
+    with _malformed(path):
         net_doc = doc["network"]
         layers = []
         for k, lay in enumerate(net_doc["layers"]):
@@ -206,56 +256,76 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
             raise ParseError(f"frozen must be true or false, got {json.dumps(frozen)}", path)
         net = FeedforwardNetwork(layers, frozen=frozen)
         _LOADED[net] = _Loaded(text, doc.get("network_sha256"), frozen, layers)
+        return net, _conversion(doc["conversion"], net.input_dim, path)
 
-        conv_doc = doc["conversion"]
-        if conv_doc is None:
-            return net, None
 
-        mode = conv_doc["mode"]
-        if mode not in MODES:
-            raise ParseError(f"unknown conversion mode {mode!r}", path)
-        targets = _json_list(conv_doc["target_gene_ids"], {str}, "target_gene_ids", path)
-        if len(targets) != net.input_dim:
-            raise ParseError(
-                f"conversion layer has {len(targets)} target genes "
-                f"but the network's first layer reads {net.input_dim}",
-                path,
-            )
-        sources = _json_list(conv_doc["source_gene_ids"], {str}, "source_gene_ids", path)
-        edges = conv_doc["edges"]
-        if mode == MODE_HARD:
-            width, form = 3, "[target, source, weight] triples"
-        else:
-            width, form = 2, "[target, source] pairs"
-        if not (
-            type(edges) is list
-            and set(map(type, edges)) <= {list}
-            and set(map(len, edges)) <= {width}
+def load_conversion(path) -> MaskedLinearLayer | None:
+    """The conversion layer of a model document, as :func:`load_model`
+    returns it, without parsing the network when the document's network
+    text is this writer's own (see the module docstring)."""
+    text = read_text(path)
+    network = _network_part(text)
+    head = None if network is None else _HEAD.match(network)
+    if head is not None:
+        try:
+            # the document from network_sha256 on, as an object of its own
+            tail = json.loads("{" + text[len(_NETWORK_KEY) + len(network) + 2 :])
+        except json.JSONDecodeError:
+            tail = None
+        if (
+            type(tail) is dict
+            and tail.keys() == {"network_sha256", "conversion"}
+            and _own_network(network, tail["network_sha256"])
         ):
-            raise ParseError(f"{mode}-mode edges must be {form}", path)
-        fields = list(zip(*edges)) or [()] * width
-        # exact type: int() would load 1.9 or true as a different edge
-        if not set(map(type, fields[0])) | set(map(type, fields[1])) <= {int}:
-            bad = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
-            raise ParseError(f"non-integer edge index in {json.dumps(bad)}", path)
-        rows = np.array(fields[0], dtype=np.int64)
-        cols = np.array(fields[1], dtype=np.int64)
-        mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))
-        if mode == MODE_HARD:
-            weights = _finite_floats(list(fields[2]), "conversion weights", path)
-            # reorder weights into the mask's canonical (row-major) edge order
-            layer = MaskedLinearLayer(mask, MODE_HARD, weights[np.lexsort((cols, rows))])
-        else:
-            weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
-            if weights.shape != (mask.n_targets * mask.n_sources,):
-                raise ParseError(
-                    f"expected {mask.n_targets * mask.n_sources} conversion weights, "
-                    f"got {weights.shape[0]}",
-                    path,
-                )
-            layer = MaskedLinearLayer(mask, MODE_SOFT, weights.reshape(mask.n_targets, mask.n_sources))
-        return net, layer
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed model document: {exc}", path) from None
+            with _malformed(path):
+                return _conversion(tail["conversion"], int(head[1]), path)
+    return load_model(path)[1]
+
+
+def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:
+    """The conversion layer from its part of a document, for a network
+    whose first layer reads ``n_inputs`` values."""
+    if conv_doc is None:
+        return None
+    mode = conv_doc["mode"]
+    if mode not in MODES:
+        raise ParseError(f"unknown conversion mode {mode!r}", path)
+    targets = _json_list(conv_doc["target_gene_ids"], {str}, "target_gene_ids", path)
+    if len(targets) != n_inputs:
+        raise ParseError(
+            f"conversion layer has {len(targets)} target genes "
+            f"but the network's first layer reads {n_inputs}",
+            path,
+        )
+    sources = _json_list(conv_doc["source_gene_ids"], {str}, "source_gene_ids", path)
+    edges = conv_doc["edges"]
+    if mode == MODE_HARD:
+        width, form = 3, "[target, source, weight] triples"
+    else:
+        width, form = 2, "[target, source] pairs"
+    if not (
+        type(edges) is list
+        and set(map(type, edges)) <= {list}
+        and set(map(len, edges)) <= {width}
+    ):
+        raise ParseError(f"{mode}-mode edges must be {form}", path)
+    fields = list(zip(*edges)) or [()] * width
+    # exact type: int() would load 1.9 or true as a different edge
+    if not set(map(type, fields[0])) | set(map(type, fields[1])) <= {int}:
+        bad = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+        raise ParseError(f"non-integer edge index in {json.dumps(bad)}", path)
+    rows = np.array(fields[0], dtype=np.int64)
+    cols = np.array(fields[1], dtype=np.int64)
+    mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))
+    if mode == MODE_HARD:
+        weights = _finite_floats(list(fields[2]), "conversion weights", path)
+        # reorder weights into the mask's canonical (row-major) edge order
+        return MaskedLinearLayer(mask, MODE_HARD, weights[np.lexsort((cols, rows))])
+    weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
+    if weights.shape != (mask.n_targets * mask.n_sources,):
+        raise ParseError(
+            f"expected {mask.n_targets * mask.n_sources} conversion weights, "
+            f"got {weights.shape[0]}",
+            path,
+        )
+    return MaskedLinearLayer(mask, MODE_SOFT, weights.reshape(mask.n_targets, mask.n_sources))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import orthomask
-from orthomask import cli
+from orthomask import cli, modelio
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model
@@ -497,7 +498,8 @@ class TestInspectWeights:
         mags = [abs(r[2]) for r in rows]
         assert mags == sorted(mags, reverse=True)
 
-    def test_conversion_that_does_not_fit_the_network(self, bundle_dir, tmp_path, capsys):
+    def test_conversion_that_does_not_fit_the_network(self, bundle_dir, tmp_path, capsys,
+                                                       monkeypatch):
         model = tmp_path / "m.json"
         assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
         # drop the last target gene and its edges: the layer now writes one
@@ -507,20 +509,52 @@ class TestInspectWeights:
         last = len(conv["target_gene_ids"]) - 1
         conv["target_gene_ids"].pop()
         conv["edges"] = [edge for edge in conv["edges"] if edge[0] != last]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
         expr, labels = str(bundle_dir / "test_expr.tsv"), str(bundle_dir / "test_labels.tsv")
+        full_loads, full_load = [], modelio.load_model
+
+        def counted(path):
+            full_loads.append(path)
+            return full_load(path)
+
+        monkeypatch.setattr(modelio, "load_model", counted)
+        # default separators take the full load; the compact layout keeps
+        # the network text and its digest, so inspect-weights skips it
+        for name, separators, loads in (("spaced", None, 1), ("compact", (",", ":"), 0)):
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(doc, separators=separators))
+            capsys.readouterr()
+            for argv in (
+                ["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")],
+                ["predict", "--model", str(bad), "--expr", expr, "--out", str(tmp_path / "p.tsv")],
+                ["eval", "--model", str(bad), "--expr", expr, "--labels", labels],
+            ):
+                full_loads.clear()
+                assert run(argv) == 2
+                assert capsys.readouterr().err == (
+                    f"orthomask: error: {bad}: conversion layer has {last} target genes "
+                    f"but the network's first layer reads {last + 1}\n"
+                )
+                assert len(full_loads) == (loads if argv[0] == "inspect-weights" else 1)
+
+    @pytest.mark.parametrize("digest", ["stale", "rehashed"])
+    def test_non_finite_network_weight(self, bundle_dir, tmp_path, capsys, digest):
+        # a NaN weight under the old digest, or under one of the NaN text as
+        # earlier writers made it: both are refused as load_model refuses them
+        model = tmp_path / "m.json"
+        assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
+        doc = json.loads(model.read_text())
+        doc["network"]["layers"][0]["weights"][0] = float("nan")
+        if digest == "rehashed":
+            network = json.dumps(doc["network"], separators=(",", ":"))
+            doc["network_sha256"] = hashlib.sha256(network.encode()).hexdigest()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, separators=(",", ":")))
+        assert '"weights":[NaN,' in bad.read_text()
         capsys.readouterr()
-        for argv in (
-            ["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")],
-            ["predict", "--model", str(bad), "--expr", expr, "--out", str(tmp_path / "p.tsv")],
-            ["eval", "--model", str(bad), "--expr", expr, "--labels", labels],
-        ):
-            assert run(argv) == 2
-            assert capsys.readouterr().err == (
-                f"orthomask: error: {bad}: conversion layer has {last} target genes "
-                f"but the network's first layer reads {last + 1}\n"
-            )
+        assert run(["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")]) == 2
+        assert capsys.readouterr().err == (
+            f"orthomask: error: {bad}: non-finite value in layer 0 weights\n"
+        )
 
     def test_model_without_conversion_rejected(self, bundle_dir, tmp_path):
         rc = run(

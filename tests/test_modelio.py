@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from orthomask.errors import ParseError
-from orthomask.modelio import load_model, model_document, save_model
+from orthomask import modelio
+from orthomask.modelio import load_conversion, load_model, model_document, save_model
 from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 
 from _helpers import random_mask, random_network
@@ -72,32 +73,18 @@ def test_soft_mode_mask_survives_reload(tmp_path):
     assert loaded.mask.edge_set() == mask.edge_set()
 
 
-def test_malformed_documents(tmp_path):
-    path = tmp_path / "bad.json"
-
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_model(path)
-
-    path.write_text('{"network": {"frozen": true, "layers": []}, "conversion": null}')
-    with pytest.raises(ParseError):
-        load_model(path)
-
-    path.write_text(
+def _malformed_documents():
+    """Documents load_model refuses, each for one reason."""
+    docs = [
+        "{not json",
+        '{"network": {"frozen": true, "layers": []}, "conversion": null}',
         '{"network": {"frozen": true, "layers": ['
         '{"rows": 1, "cols": 2, "weights": [1.0], "bias": [0.0], "activation": "identity"}'
-        ']}, "conversion": null}'
-    )
-    with pytest.raises(ParseError):
-        load_model(path)
-
-    path.write_text(
+        ']}, "conversion": null}',
         '{"network": {"frozen": true, "layers": ['
         '{"rows": 1, "cols": 1, "weights": [1.0], "bias": [0.0], "activation": "tanh"}'
-        ']}, "conversion": null}'
-    )
-    with pytest.raises(ParseError):
-        load_model(path)
+        ']}, "conversion": null}',
+    ]
 
     # edge indices must be JSON integers: int() would turn 1.9 and true into 1
     network = (
@@ -111,9 +98,7 @@ def test_malformed_documents(tmp_path):
         '{"mode": "soft", ' + genes + ', "edges": [[0, 1.0]], "weights": [0.0, 1.0, 0.0, 0.0]}',
         '{"mode": "soft", ' + genes + ', "edges": [[false, 1]], "weights": [0.0, 1.0, 0.0, 0.0]}',
     ):
-        path.write_text(network + ' "conversion": ' + conversion + "}")
-        with pytest.raises(ParseError):
-            load_model(path)
+        docs.append(network + ' "conversion": ' + conversion + "}")
 
     # every other field must have its JSON type too: bool(), int(), float()
     # and str() would load each of these as a different, valid model
@@ -134,9 +119,7 @@ def test_malformed_documents(tmp_path):
         '"frozen": true, "layers": [{"rows": 1, "cols": 2, "weights": [1.0, 1' + "0" * 400 + '],'
         ' "bias": [0.0], "activation": "identity"}]',
     ):
-        path.write_text('{"network": {' + bad_network + '}, "conversion": null}')
-        with pytest.raises(ParseError):
-            load_model(path)
+        docs.append('{"network": {' + bad_network + '}, "conversion": null}')
     for conversion in (
         '{"mode": "hard", ' + genes + ', "edges": [[0, 0, "2.5"], [1, 1, true]]}',
         '{"mode": "hard", ' + genes + ', "edges": [[0, 0, 2.5], [1, 1, true]]}',
@@ -149,7 +132,17 @@ def test_malformed_documents(tmp_path):
         '{"mode": "hard", "target_gene_ids": ["t1"], "source_gene_ids": ["s1", "s2"],'
         ' "edges": [[0, 0, 1.0]]}',
     ):
-        path.write_text(network + ' "conversion": ' + conversion + "}")
+        docs.append(network + ' "conversion": ' + conversion + "}")
+    return docs
+
+
+MALFORMED = _malformed_documents()
+
+
+def test_malformed_documents(tmp_path):
+    path = tmp_path / "bad.json"
+    for doc in MALFORMED:
+        path.write_text(doc)
         with pytest.raises(ParseError):
             load_model(path)
 
@@ -330,3 +323,181 @@ def test_non_utf8_model_names_its_path(tmp_path):
     path.write_bytes(b"\xff{}")
     with pytest.raises(ParseError, match=r"model\.json:1: not UTF-8 text: byte 0xff"):
         load_model(path)
+
+
+def _make_unwritable(change, net, layer):
+    """Change a loaded model in place into one load_model would refuse."""
+    if change == "NaN network weight":
+        net.layers[0].weights[0, 0] = np.nan
+    elif change == "infinite network bias":
+        net.layers[-1].bias[0] = -np.inf
+    elif change == "NaN conversion weight":
+        layer.weights.flat[0] = np.nan
+    elif change == "infinite conversion weight":
+        layer.weights.flat[0] = np.inf
+    elif change == "unknown activation":
+        net.layers[0].activation = "tanh"
+    elif change == "layers that do not chain":
+        net.layers[-1] = Layer(np.ones((1, 5)), np.zeros(1), ACT_IDENTITY)
+    elif change == "frozen not a boolean":
+        net.frozen = 1
+    elif change == "too few target genes":
+        net.layers.insert(0, Layer(np.ones((4, 5)), np.zeros(4), ACT_IDENTITY))
+    else:
+        raise AssertionError(change)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("change", [
+    "NaN network weight", "infinite network bias", "NaN conversion weight",
+    "infinite conversion weight", "unknown activation", "layers that do not chain",
+    "frozen not a boolean", "too few target genes",
+])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, mode, change):
+    path, text, net, layer = _saved_model(tmp_path, mode)
+    _make_unwritable(change, net, layer)
+    with pytest.raises(ValueError):
+        model_document(net, layer)
+    # rendered before the file is opened: a refused save leaves it as it was
+    with pytest.raises(ValueError):
+        save_model(net, layer, path)
+    assert path.read_text() == text
+
+
+def _outcome(load, path):
+    """What a loader gives for a document: the conversion layer's gene IDs,
+    edge arrays and weight bits, or the exception's type and message."""
+    try:
+        layer = load(path)
+    except ValueError as exc:  # ParseError is one
+        return type(exc), str(exc)
+    if layer is None:
+        return None
+    mask = layer.mask
+    return (
+        layer.mode,
+        mask.target_gene_ids,
+        mask.source_gene_ids,
+        mask.edge_rows.tobytes(),
+        mask.edge_cols.tobytes(),
+        layer.weights.shape,
+        layer.weights.tobytes(),
+    )
+
+
+def _random_documents(seed):
+    """A seeded random model's canonical text and three other forms of it:
+    indented, without the digest, and with a weight edited under the old
+    digest."""
+    rng = np.random.default_rng(seed)
+    n_t, n_s = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    # density 0 gives graphs without edges; sparse ones leave targets
+    # without orthologs
+    mask = random_mask(rng, n_t, n_s, [0.0, 0.2, 0.5][seed // 3 % 3])
+    if seed % 4 == 1:
+        # a gene ID that holds the network key: the key no longer occurs once
+        ids = list(mask.target_gene_ids)
+        ids[0] = 't"network":'
+        mask = type(mask)(ids, mask.source_gene_ids, zip(mask.edge_rows, mask.edge_cols))
+    net = random_network(rng, [n_t, int(rng.integers(1, 4)), 1], frozen=bool(seed % 2))
+    layer = {
+        0: None,
+        1: MaskedLinearLayer(mask, "hard", rng.normal(0, 1, mask.n_edges)),
+        2: MaskedLinearLayer(mask, "soft", rng.normal(0, 1, (n_t, n_s))),
+    }[seed % 3]
+    text = model_document(net, layer)
+    doc = json.loads(text)
+    digest = doc["network_sha256"]
+    doc["network"]["layers"][0]["weights"][0] += 1.0
+    return {
+        "canonical": text,
+        "indented": json.dumps(json.loads(text), indent=2) + "\n",
+        "without the key": text.replace(',"network_sha256":"' + digest + '"', ""),
+        "stale digest": json.dumps(doc, separators=(",", ":")) + "\n",
+    }
+
+
+def _rehashed(doc, path):
+    """A malformed document in the canonical layout, with a digest that
+    matches its network text: None unless load_model takes the network."""
+    try:
+        parsed = json.loads(doc)
+        network = json.dumps(parsed["network"], separators=(",", ":"))
+        path.write_text('{"network":' + network + ',"conversion":null}')
+        load_model(path)
+    except (ValueError, KeyError, ParseError):
+        return None
+    return (
+        '{"network":' + network + ',"network_sha256":"' + _sha256(network) + '","conversion":'
+        + json.dumps(parsed["conversion"], separators=(",", ":")) + "}\n"
+    )
+
+
+def test_load_conversion_matches_load_model(tmp_path, monkeypatch):
+    documents, fast = {}, []
+    for seed in range(24):
+        for form, text in _random_documents(seed).items():
+            documents[f"seed {seed} {form}"] = text
+        if seed % 4 != 1:
+            fast.append(f"seed {seed} canonical")
+    for k, doc in enumerate(MALFORMED):
+        documents[f"malformed {k}"] = doc
+        rehashed = _rehashed(doc, tmp_path / "network.json")
+        if rehashed is not None:
+            documents[f"malformed {k} rehashed"] = rehashed
+            fast.append(f"malformed {k} rehashed")
+    canonical = documents["seed 4 canonical"]  # hard mode, not frozen
+    digest = json.loads(canonical)["network_sha256"]
+    network = _network_part(canonical)
+    conversion = canonical[canonical.index(',"conversion":') :]
+    parsed = json.loads(network)
+    reordered = json.dumps({"layers": parsed["layers"], "frozen": parsed["frozen"]},
+                           separators=(",", ":"))
+    assert parsed["frozen"] is False
+    first_weight = repr(parsed["layers"][0]["weights"][0])
+    nan_network = network.replace(first_weight, "NaN", 1)
+
+    def hashed(network):
+        return '{"network":' + network + ',"network_sha256":"' + _sha256(network) + '"' + conversion
+
+    documents.update({
+        # the tail is not valid JSON, or holds other keys
+        "truncated": canonical[:-3],
+        "extra key": canonical[:-2] + ',"extra":1}\n',
+        "no conversion": canonical[: canonical.index(',"conversion":')] + "}\n",
+        # json keeps the last network, which load_model refuses
+        "network in the tail": canonical[:-2] + ',"network" :{"frozen":true,"layers":[]}}\n',
+        # a network text, hashed, whose head is not this writer's
+        "keys reordered": hashed(reordered),
+        "frozen not a boolean": hashed(network.replace('{"frozen":false,', '{"frozen":0,', 1)),
+        # earlier writers put NaN and Infinity into the text they hashed
+        "NaN under its digest": hashed(nan_network),
+        "Infinity under its digest": hashed(network.replace(first_weight, "-Infinity", 1)),
+        "other digest": canonical.replace(digest, "0" * 64),
+        # networks load_model refuses, under the digest of the text before the edit
+        "NaN under a stale digest": canonical.replace(network, nan_network),
+        "activation under a stale digest": canonical.replace(
+            network, network.replace('"activation":"identity"', '"activation":"tanh"')
+        ),
+        "digest not a string": canonical.replace(f'"{digest}"', "1"),
+    })
+    path = tmp_path / "model.json"
+    expected = {}
+    for name, doc in documents.items():
+        path.write_text(doc)
+        expected[name] = _outcome(lambda p: load_model(p)[1], path)
+        assert _outcome(load_conversion, path) == expected[name], name
+    # the fast path meets hard and soft layers, graphs without edges, and
+    # conversion layers load_model refuses
+    kinds = {e[0] if type(e[0]) is str else e[0].__name__ for e in map(expected.get, fast) if e}
+    assert kinds == {"hard", "soft", "ParseError"}
+    assert any(e and e[0] == "hard" and not e[3] for e in map(expected.get, fast))
+
+    # a document in this writer's layout never reaches the full load
+    def refuse(path):
+        raise AssertionError("load_model called")
+
+    monkeypatch.setattr(modelio, "load_model", refuse)
+    for name in fast:
+        path.write_text(documents[name])
+        assert _outcome(load_conversion, path) == expected[name], name

@@ -36,7 +36,7 @@ from .dataio import (
     write_expression_tsv,
 )
 from .interpret import export_weight_table, support_summary, top_contributors
-from .modelio import load_conversion, load_model, model_document, save_model
+from .modelio import load_model, model_document, save_model
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "generate_synthetic",
     "graph_to_tsv",
     "initialize_conversion_layer",
-    "load_conversion",
     "load_model",
     "model_document",
     "read_expression_tsv",

@@ -326,7 +326,7 @@ def _cmd_predict(args):
 
 
 def _cmd_inspect_weights(args):
-    conversion = modelio.load_conversion(args.model)
+    conversion = modelio.load_model(args.model)[1]
     if conversion is None:
         raise ValueError(f"model in {args.model} has no conversion layer to inspect")
     if args.target_gene is None:

@@ -35,7 +35,7 @@ from .netcore import (
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
-from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
+from .tsv import first_true, float_repr, parse_floats, parse_numbers, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +117,7 @@ def read_expression_tsv(path) -> ExpressionDataset:
     for k, record in enumerate(table.records):
         sample_id, _, text = record.partition("\t")
         if gene_ids:
-            row, stop = parse_numbers(text.split("\t"))
+            row, stop = parse_floats(text)
             if stop is not None:
                 table.fail(k, "non-numeric expression value")
             if not np.isfinite(row).all():
@@ -140,7 +140,7 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
     table = read_table(path, LABEL_HEADER)
     texts = table.column(1)
     if kind == KIND_REGRESSION:
-        values, stop = parse_numbers(texts)
+        values, stop = table.floats(1)
         table.raise_first(
             (stop, lambda k: f"non-numeric label {texts[k]!r}"),
             (first_true(~np.isfinite(values)), lambda k: "non-finite label"),

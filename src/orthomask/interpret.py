@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import first_true, float_repr, parse_numbers, read_table, write_table
+from .tsv import first_true, float_repr, read_table, write_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 
@@ -82,7 +82,7 @@ def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, 
 def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
     table = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
     texts, flags = table.column(2), table.column(3)
-    weights, stop = parse_numbers(texts)
+    weights, stop = table.floats(2)
     table.raise_first(
         (stop, lambda k: f"non-numeric weight {texts[k]!r}"),
         (first_true(~np.isfinite(weights)), lambda k: f"non-finite weight {texts[k]!r}"),

@@ -7,36 +7,43 @@ in, same bytes out. Documents are written as compact one-line JSON, the
 layout the json module's C encoder produces; any JSON layout of the same
 fields loads.
 
+:func:`load_model` parses with orjson first. When orjson refuses the text
+(NaN or Infinity, which earlier versions wrote, a lone surrogate,
+``1e400``), or the checks refuse what it parsed, the json module parses it
+again and the same checks run, so every refusal keeps the json module's
+exception and message. (orjson reads an integer beyond 64 bits as a float,
+which would change the message for a bad ``rows`` or edge index.) Both
+parsers round every number correctly, so an accepted document loads to
+the same bits either way. One document loads that the json module alone
+could not parse: one nested too deep for its recursion limit, in a field
+the checks do not read. Every command, ``inspect-weights`` included,
+loads the whole document.
+
 Every document also holds ``network_sha256``, between ``network`` and
 ``conversion``: the hex SHA-256 of the UTF-8 bytes of the network's
 compact JSON text, which is the text between ``{"network":`` and
 ``,"network_sha256":"``. Every save writes it. A network text that hashes
 to the digest, holds no NaN or Infinity (which saving refuses, with
 ValueError, and earlier versions wrote) and has each of those two keys
-once, the first at the start, is taken as this writer's own. Two paths
-use that. :func:`model_document` copies a loaded network's text instead
-of formatting every weight again, when the network is still bit for bit
+once, the first at the start, is taken as this writer's own.
+:func:`model_document` then copies a loaded network's text instead of
+formatting every weight again, when the network is still bit for bit
 what :func:`load_model` parsed; otherwise, as for documents without the
 key (all written before it existed), the network is formatted, which
-gives the same bytes. :func:`load_conversion`, which ``inspect-weights``
-calls, skips parsing the network: it parses only the document from
-``network_sha256`` on and reads the network's input width from the
-canonical head ``{"frozen":…,"layers":[{"rows":R,"cols":C,``. Every other
-document takes the full load, with its errors and messages. A document
-hand-edited and hashed again falls outside both promises: its network
-text is copied as it stands, and ``inspect-weights`` does not check it.
+gives the same bytes. A document hand-edited and hashed again falls
+outside that promise: its network text is copied as it stands.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import weakref
 from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .netcore import (
@@ -54,10 +61,6 @@ from .tsv import read_text
 _COMPACT = (",", ":")
 _NETWORK_KEY = '"network":'
 _DIGEST_KEY = ',"network_sha256":"'
-# the start of this writer's network text, up to the first layer's width
-_HEAD = re.compile(
-    r'\{"frozen":(?:true|false),"layers":\[\{"rows":(?:0|[1-9][0-9]*),"cols":(0|[1-9][0-9]*),'
-)
 
 
 class _Loaded(NamedTuple):
@@ -230,10 +233,21 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """Parse a model document back into network and conversion layer."""
     text = read_text(path)
     try:
+        return _model(orjson.loads(text), text, path)
+    except (ValueError, RecursionError):
+        # orjson's JSONDecodeError and ParseError are ValueErrors; a refused
+        # document is parsed again by the json module, so that the refusal
+        # keeps the exception and message it always had
+        pass
+    try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from None
+    return _model(doc, text, path)
 
+
+def _model(doc, text: str, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
+    """The network and conversion layer of a parsed document, checked."""
     with _malformed(path):
         net_doc = doc["network"]
         layers = []
@@ -257,29 +271,6 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         net = FeedforwardNetwork(layers, frozen=frozen)
         _LOADED[net] = _Loaded(text, doc.get("network_sha256"), frozen, layers)
         return net, _conversion(doc["conversion"], net.input_dim, path)
-
-
-def load_conversion(path) -> MaskedLinearLayer | None:
-    """The conversion layer of a model document, as :func:`load_model`
-    returns it, without parsing the network when the document's network
-    text is this writer's own (see the module docstring)."""
-    text = read_text(path)
-    network = _network_part(text)
-    head = None if network is None else _HEAD.match(network)
-    if head is not None:
-        try:
-            # the document from network_sha256 on, as an object of its own
-            tail = json.loads("{" + text[len(_NETWORK_KEY) + len(network) + 2 :])
-        except json.JSONDecodeError:
-            tail = None
-        if (
-            type(tail) is dict
-            and tail.keys() == {"network_sha256", "conversion"}
-            and _own_network(network, tail["network_sha256"])
-        ):
-            with _malformed(path):
-                return _conversion(tail["conversion"], int(head[1]), path)
-    return load_model(path)[1]
 
 
 def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:

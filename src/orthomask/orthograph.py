@@ -21,7 +21,6 @@ from .tsv import (
     first_repeat,
     first_true,
     float_repr,
-    parse_numbers,
     read_table,
     write_table,
 )
@@ -255,7 +254,7 @@ def read_score_table(path) -> ScoreTable:
     """Parse a score TSV (header ``query<TAB>subject<TAB>score``)."""
     table = read_table(path, SCORE_HEADER, key_fields=2)
     texts = table.column(2)
-    scores, stop = parse_numbers(texts)
+    scores, stop = table.floats(2)
     table.raise_first(
         (stop, lambda k: f"non-numeric score {texts[k]!r}"),
         (

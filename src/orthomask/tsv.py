@@ -21,7 +21,11 @@ as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
 ``-2.5``, ``1e-3``, ``inf``, ``nan``. Unlike ``float()``, the reader refuses
 a ``_`` digit separator and leading or trailing whitespace, so ``1_0`` and
 `` 0.5`` are not numbers. :func:`parse_numbers` parses a column with one
-numpy call.
+numpy call, and is the reference. A float64 row or column is read first by
+:func:`parse_floats`, as one JSON array with orjson, when its fields are
+JSON numbers; any other row, and every refusal, goes to
+:func:`parse_numbers`. Both readers round correctly, so both give the same
+bits and the same first bad field.
 
 Floats are written by :func:`float_repr`, so a file's bytes depend only on
 its values.
@@ -35,11 +39,14 @@ from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 
 # the whitespace an ASCII field can hold: a tab ends the field, LF and CR the line
 _ASCII_SPACES = (" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# the characters of a JSON number, and the tab that ends a field
+_JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
 
 
 class Factorized(NamedTuple):
@@ -84,6 +91,11 @@ class Table:
         if self._fields is None:
             self._fields = "\t".join(self.records).split("\t") if self.records else []
         return self._fields[k :: len(self.names)]
+
+    def floats(self, k: int) -> tuple[np.ndarray, int | None]:
+        """Column ``k`` as float64 values, and its first field that is not
+        a number (see :func:`parse_floats`)."""
+        return parse_floats("\t".join(self.column(k))) if self.records else parse_numbers([])
 
     def factor(self, k: int) -> Factorized:
         """Column ``k`` factorized, computed once."""
@@ -213,6 +225,31 @@ def parse_numbers(texts: list[str], dtype=np.float64):
         if not _is_number(text, dtype):
             return np.array(texts[:k], dtype=dtype), k
     return np.array(texts, dtype=dtype), None
+
+
+def parse_floats(text: str) -> tuple[np.ndarray, int | None]:
+    """What ``parse_numbers(text.split("\\t"))`` returns, bit for bit, for
+    a row or column of float64 fields joined by tabs.
+
+    A line whose fields hold only ``0-9 . e E + -`` is read as one JSON
+    array by orjson, which rounds as ``float()`` does. JSON's numbers are a
+    subset of ``float()``'s, so a field JSON refuses (``+1``, ``.5``,
+    ``007``, an empty field, ``1e400``) sends the line to
+    :func:`parse_numbers`. So does a zero read from a line with a field
+    ending in ``-0``: JSON reads the integer ``-0`` as +0.0, ``float()`` as
+    -0.0.
+    """
+    if text and text.isascii() and not text.encode().translate(None, _JSON_NUMBER_BYTES):
+        try:
+            values = orjson.loads("[" + text.replace("\t", ",") + "]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            row = np.fromiter(values, np.float64, len(values))
+            # only a row holding a zero can hold the field -0
+            if row.all() or not (text.endswith("-0") or "-0\t" in text):
+                return row, None
+    return parse_numbers(text.split("\t"))
 
 
 def _is_number(text: str, dtype) -> bool:

@@ -517,9 +517,9 @@ class TestInspectWeights:
             return full_load(path)
 
         monkeypatch.setattr(modelio, "load_model", counted)
-        # default separators take the full load; the compact layout keeps
-        # the network text and its digest, so inspect-weights skips it
-        for name, separators, loads in (("spaced", None, 1), ("compact", (",", ":"), 0)):
+        # every command, inspect-weights included, loads the whole document,
+        # whatever its layout
+        for name, separators in (("spaced", None), ("compact", (",", ":"))):
             bad = tmp_path / f"{name}.json"
             bad.write_text(json.dumps(doc, separators=separators))
             capsys.readouterr()
@@ -534,7 +534,7 @@ class TestInspectWeights:
                     f"orthomask: error: {bad}: conversion layer has {last} target genes "
                     f"but the network's first layer reads {last + 1}\n"
                 )
-                assert len(full_loads) == (loads if argv[0] == "inspect-weights" else 1)
+                assert full_loads == [str(bad)]
 
     @pytest.mark.parametrize("digest", ["stale", "rehashed"])
     def test_non_finite_network_weight(self, bundle_dir, tmp_path, capsys, digest):
@@ -555,6 +555,29 @@ class TestInspectWeights:
         assert capsys.readouterr().err == (
             f"orthomask: error: {bad}: non-finite value in layer 0 weights\n"
         )
+
+    def test_rehashed_network_load_model_refuses(self, bundle_dir, tmp_path, capsys):
+        # a network changed in place and saved under a digest of its own
+        # text, as an earlier writer could: refused as eval refuses it
+        model = tmp_path / "m.json"
+        assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
+        doc = json.loads(model.read_text())
+        doc["network"]["layers"][0]["activation"] = "tanh"
+        network = json.dumps(doc["network"], separators=(",", ":"))
+        doc["network_sha256"] = hashlib.sha256(network.encode()).hexdigest()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        assert bad.read_text().startswith('{"network":' + network + ',"network_sha256":"')
+        expr, labels = str(bundle_dir / "test_expr.tsv"), str(bundle_dir / "test_labels.tsv")
+        capsys.readouterr()
+        for argv in (
+            ["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")],
+            ["eval", "--model", str(bad), "--expr", expr, "--labels", labels],
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"orthomask: error: {bad}: layer 0: unknown activation 'tanh'\n"
+            )
 
     def test_model_without_conversion_rejected(self, bundle_dir, tmp_path):
         rc = run(

@@ -2,11 +2,12 @@ import hashlib
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from orthomask.errors import ParseError
 from orthomask import modelio
-from orthomask.modelio import load_conversion, load_model, model_document, save_model
+from orthomask.modelio import load_model, model_document, save_model
 from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 
 from _helpers import random_mask, random_network
@@ -364,17 +365,21 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, mode, change):
     assert path.read_text() == text
 
 
-def _outcome(load, path):
-    """What a loader gives for a document: the conversion layer's gene IDs,
-    edge arrays and weight bits, or the exception's type and message."""
+def _outcome(path):
+    """What load_model gives for a document: the bits of the network and of
+    the conversion layer, or the exception's type and message."""
     try:
-        layer = load(path)
-    except ValueError as exc:  # ParseError is one
+        net, layer = load_model(path)
+    except (ValueError, RecursionError) as exc:  # ParseError is a ValueError
         return type(exc), str(exc)
+    network = [
+        (lay.activation, lay.weights.shape, lay.weights.tobytes(), lay.bias.tobytes())
+        for lay in net.layers
+    ]
     if layer is None:
-        return None
+        return net.frozen, network, None
     mask = layer.mask
-    return (
+    return net.frozen, network, (
         layer.mode,
         mask.target_gene_ids,
         mask.source_gene_ids,
@@ -433,19 +438,27 @@ def _rehashed(doc, path):
     )
 
 
-def test_load_conversion_matches_load_model(tmp_path, monkeypatch):
-    documents, fast = {}, []
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def _edited(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
+    """load_model, orjson first, against the same loader with orjson
+    refusing every text, so that the json module parses each document."""
+    documents = {}
     for seed in range(24):
         for form, text in _random_documents(seed).items():
             documents[f"seed {seed} {form}"] = text
-        if seed % 4 != 1:
-            fast.append(f"seed {seed} canonical")
     for k, doc in enumerate(MALFORMED):
         documents[f"malformed {k}"] = doc
         rehashed = _rehashed(doc, tmp_path / "network.json")
         if rehashed is not None:
             documents[f"malformed {k} rehashed"] = rehashed
-            fast.append(f"malformed {k} rehashed")
     canonical = documents["seed 4 canonical"]  # hard mode, not frozen
     digest = json.loads(canonical)["network_sha256"]
     network = _network_part(canonical)
@@ -456,48 +469,94 @@ def test_load_conversion_matches_load_model(tmp_path, monkeypatch):
     assert parsed["frozen"] is False
     first_weight = repr(parsed["layers"][0]["weights"][0])
     nan_network = network.replace(first_weight, "NaN", 1)
+    first_edge = json.loads(conversion[len(',"conversion":') : -2])["edges"][0]
+    edge = json.dumps(first_edge, separators=(",", ":"))
+    rows = f'"rows":{parsed["layers"][0]["rows"]},'
+    cols = f'"cols":{parsed["layers"][0]["cols"]},'
+    deep = "[" * 5000 + "]" * 5000
 
     def hashed(network):
         return '{"network":' + network + ',"network_sha256":"' + _sha256(network) + '"' + conversion
 
     documents.update({
-        # the tail is not valid JSON, or holds other keys
         "truncated": canonical[:-3],
         "extra key": canonical[:-2] + ',"extra":1}\n',
         "no conversion": canonical[: canonical.index(',"conversion":')] + "}\n",
-        # json keeps the last network, which load_model refuses
+        # json and orjson both keep the last of a duplicated key
         "network in the tail": canonical[:-2] + ',"network" :{"frozen":true,"layers":[]}}\n',
-        # a network text, hashed, whose head is not this writer's
+        "duplicated mode": _edited(canonical, '"mode":"hard"', '"mode":"soft","mode":"hard"'),
+        "duplicated soft mode": _edited(canonical, '"mode":"hard"', '"mode":"hard","mode":"soft"'),
         "keys reordered": hashed(reordered),
         "frozen not a boolean": hashed(network.replace('{"frozen":false,', '{"frozen":0,', 1)),
         # earlier writers put NaN and Infinity into the text they hashed
         "NaN under its digest": hashed(nan_network),
         "Infinity under its digest": hashed(network.replace(first_weight, "-Infinity", 1)),
         "other digest": canonical.replace(digest, "0" * 64),
-        # networks load_model refuses, under the digest of the text before the edit
         "NaN under a stale digest": canonical.replace(network, nan_network),
         "activation under a stale digest": canonical.replace(
             network, network.replace('"activation":"identity"', '"activation":"tanh"')
         ),
+        "activation under its digest": hashed(
+            network.replace('"activation":"identity"', '"activation":"tanh"')
+        ),
         "digest not a string": canonical.replace(f'"{digest}"', "1"),
+        # orjson reads integers beyond 64 bits as floats, json as ints
+        "rows 2**64": _edited(canonical, rows, f'"rows":{2**64},'),
+        "rows -2**63-1": _edited(canonical, rows, f'"rows":{-2**63 - 1},'),
+        "cols 2**64": _edited(canonical, cols, f'"cols":{2**64},'),
+        "edge index 2**64": _edited(canonical, edge, f"[{2**64}," + edge[1:]),
+        "edge index -2**63-1": _edited(canonical, edge, f"[{edge[1:].split(',')[0]},{-2**63 - 1},"
+                                       + edge[1:].split(",", 2)[2]),
+        "weight of 25 digits": _edited(canonical, first_weight, "1234567890123456789012345"),
+        "weight of -2**63-1": _edited(canonical, first_weight, str(-2**63 - 1)),
+        "edge weight of 25 digits": _edited(canonical, edge, edge[:-1].rsplit(",", 1)[0]
+                                            + ",-9999999999999999999999999]"),
+        "weight 1e400": _edited(canonical, first_weight, "1e400"),
+        "weight -1e-400": _edited(canonical, first_weight, "-1e-400"),
+        "weight NaN": _edited(canonical, first_weight, "NaN"),
+        "weight -Infinity": _edited(canonical, first_weight, "-Infinity"),
+        "weight 400 digits": _edited(canonical, first_weight, "1" + "0" * 400),
+        "lone surrogate": _edited(canonical, '"target_gene_ids":["', '"target_gene_ids":["\\ud800'),
+        "surrogate pair": _edited(canonical, '"target_gene_ids":["', '"target_gene_ids":["\\ud83d\\ude00'),
+        "deep weight": _edited(canonical, first_weight, deep),
+        "byte order mark": "\ufeff" + canonical,
     })
     path = tmp_path / "model.json"
-    expected = {}
-    for name, doc in documents.items():
-        path.write_text(doc)
-        expected[name] = _outcome(lambda p: load_model(p)[1], path)
-        assert _outcome(load_conversion, path) == expected[name], name
-    # the fast path meets hard and soft layers, graphs without edges, and
-    # conversion layers load_model refuses
-    kinds = {e[0] if type(e[0]) is str else e[0].__name__ for e in map(expected.get, fast) if e}
-    assert kinds == {"hard", "soft", "ParseError"}
-    assert any(e and e[0] == "hard" and not e[3] for e in map(expected.get, fast))
 
-    # a document in this writer's layout never reaches the full load
-    def refuse(path):
-        raise AssertionError("load_model called")
+    def outcomes():
+        found = {}
+        for name, doc in documents.items():
+            path.write_text(doc, encoding="utf-8")
+            found[name] = _outcome(path)
+        return found
 
-    monkeypatch.setattr(modelio, "load_model", refuse)
-    for name in fast:
+    loaded = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(orjson, "loads", _refuse)
+        reference = outcomes()
+    for name in documents:
+        assert loaded[name] == reference[name], name
+    # the corpus loads networks with hard and soft layers and without one,
+    # and meets every kind of refusal
+    kinds = {o[0].__name__ if type(o[0]) is type else o[2] and o[2][0] for o in loaded.values()}
+    assert kinds == {None, "hard", "soft", "ParseError", "RecursionError"}
+    assert loaded["weight of 25 digits"][1][0][2] != loaded["seed 4 canonical"][1][0][2]
+
+    # accepted documents are parsed by orjson alone
+    json_texts = []
+    monkeypatch.setattr(modelio.json, "loads", json_texts.append)
+    for name in ("seed 4 canonical", "seed 5 indented", "weight of 25 digits", "surrogate pair"):
         path.write_text(documents[name])
-        assert _outcome(load_conversion, path) == expected[name], name
+        assert _outcome(path) == loaded[name]
+    assert json_texts == []
+
+
+def test_deep_nesting_outside_the_checked_fields_loads(tmp_path, monkeypatch):
+    # too deep for the json module's recursion limit, but in a key the
+    # checks do not read: orjson parses it, and the document loads
+    path, text, *_ = _saved_model(tmp_path, "hard")
+    expected = _outcome(path)
+    path.write_text(text[:-2] + ',"extra":' + "[" * 5000 + "]" * 5000 + "}\n")
+    assert _outcome(path) == expected
+    monkeypatch.setattr(orjson, "loads", _refuse)
+    assert _outcome(path)[0] is RecursionError

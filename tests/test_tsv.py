@@ -1,6 +1,9 @@
+import decimal
+import math
 import re
 
 import numpy as np
+import orjson
 import pytest
 from _helpers import read_table_per_line
 
@@ -20,6 +23,7 @@ from orthomask.orthograph import (
     tsv_to_graph,
     write_gene_list,
 )
+from orthomask import tsv
 from orthomask.tsv import parse_numbers, read_table, write_table
 
 
@@ -267,3 +271,112 @@ def test_non_utf8_table_names_its_line(tmp_path):
     path.write_bytes(b"\xffgene_id\ng1\n")
     with pytest.raises(ParseError, match=r"genes\.tsv:1: "):
         read_gene_list(path)
+
+
+def _decimal_fields(rng):
+    """Seeded decimals that a reader rounding wrongly would misread: 17-25
+    significant digits, subnormals, exact and near halfway points between
+    neighbouring doubles, and integers of 20-40 digits."""
+    context = decimal.Context(prec=1200)
+    fields = []
+    for _ in range(300):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(17, 26)))))
+        sign = str(rng.choice(["", "-"]))
+        exponent = int(rng.integers(-345, 310))
+        fields.append(f"{sign}{digits[0]}.{digits[1:]}e{exponent}")
+        # finite doubles, one in eight subnormal
+        bits = int(rng.integers(0, 2**52)) if rng.uniform() < 0.125 else int(rng.integers(0, 0x7FEFFFFFFFFFFFFF))
+        x = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+        fields.append(repr(float(x)))
+        middle = context.divide(
+            context.add(decimal.Decimal(float(x)), decimal.Decimal(float(np.nextafter(x, np.inf)))), 2
+        )
+        fields.append(f"{sign}{middle:e}")
+        fields.append(f"{sign}{middle:.{int(rng.integers(16, 25))}e}")
+        width = int(rng.integers(20, 41))
+        fields.append(sign + str(int(rng.integers(1, 10))) + "".join(map(str, rng.integers(0, 10, width - 1))))
+    return fields
+
+
+# fields float() reads but JSON does not, or reads otherwise, and fields
+# neither reads as one number
+ODD_FIELDS = ["-0", "-0.0", "-0e0", "0", "-1e-400", "1e400", "-1e400", "1E5", ".5", "5.", "+1",
+              "007", "-00", "1e5", "inf", "-nan", "1_0", " 1", "1 ", "1,2", "true", "[1]", "",
+              "1e", "--1", "١"]
+
+
+def test_parse_floats_matches_parse_numbers(monkeypatch):
+    """The orjson reader gives parse_numbers' bits and first bad field, and
+    leaves to it only the lines JSON cannot read as float() does."""
+    rng = np.random.default_rng(44)
+    decimals = _decimal_fields(rng)
+    fallbacks = []
+    monkeypatch.setattr(tsv, "parse_numbers", lambda texts: fallbacks.append(texts) or parse_numbers(texts))
+    stops = set()
+    for k in range(2000):
+        pool = decimals if k % 2 else decimals + ODD_FIELDS
+        fields = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 9)))]
+        values, stop = tsv.parse_floats("\t".join(fields))
+        expected, expected_stop = parse_numbers(fields)
+        assert (values.tobytes(), stop) == (expected.tobytes(), expected_stop), fields
+        stops.add(stop)
+        if pool is decimals and all(map(math.isfinite, map(float, fields))):
+            assert not fallbacks, fields
+        fallbacks.clear()
+    assert {None, 0} < stops
+    for field in ODD_FIELDS:
+        values, stop = tsv.parse_floats(field)
+        expected, expected_stop = parse_numbers([field])
+        assert (values.tobytes(), stop) == (expected.tobytes(), expected_stop), field
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+NUMERIC_FILES = [
+    # (reader returning the values' bits, header, record for a field)
+    (lambda p: read_score_table(p).scores.tobytes(), "query\tsubject\tscore", "q{k}\ts\t{field}"),
+    (lambda p: read_labels_tsv(p, "regression")[1].tobytes(), "sample_id\tlabel", "s{k}\t{field}"),
+    (lambda p: read_expression_tsv(p).samples.tobytes(), "sample_id\tg1\tg2", "s{k}\t1.5\t{field}"),
+    (lambda p: read_weight_table(p)[0][2], "target_gene\tsource_gene\tweight\ton_support",
+     "t{k}\ts\t{field}\ttrue"),
+]
+
+
+@pytest.mark.parametrize("read, header, record", NUMERIC_FILES)
+def test_numeric_files_read_as_parse_numbers_reads_them(tmp_path, monkeypatch, read, header, record):
+    """A score, label, expression or weight file gives the same bits with
+    orjson as with parse_numbers alone, or the same ``path:line:`` message."""
+    rng = np.random.default_rng(45)
+    fields = _decimal_fields(rng)[:200] + ODD_FIELDS
+    path = tmp_path / "numbers.tsv"
+    texts = []
+    for field in fields:
+        # the field on line 4, after a blank line, between good records
+        lines = [header, record.format(k=0, field="0.25"), "", record.format(k=1, field=field),
+                 record.format(k=2, field="2.5e-3")]
+        texts.append("\n".join(lines) + "\n")
+
+    def outcomes():
+        found = []
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            found.append(_outcome(read, path))
+        return found
+
+    loaded = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(orjson, "loads", _refuse_json)
+        expected = outcomes()
+    assert loaded == expected
+    messages = [o for o in loaded if type(o) is str]
+    assert messages and all(m.startswith(f"{path}:4: ") for m in messages)
+    assert len(messages) < len(loaded)
+
+
+def _refuse_json(text):
+    raise orjson.JSONDecodeError("refused", text, 0)

@@ -1,11 +1,11 @@
 """Model document (JSON) serialization.
 
 One document holds the feedforward network and, optionally, the
-conversion layer. Floats round-trip value-exactly (shortest-repr
-encoding via the json module) and documents are byte-stable: same model
-in, same bytes out. Documents are written as compact one-line JSON, the
-layout the json module's C encoder produces; any JSON layout of the same
-fields loads.
+conversion layer. Documents are written by orjson as compact one-line
+JSON with UTF-8 text and shortest round-trip floats, so floats load back
+bit for bit and the same model gives the same bytes. Any JSON layout of
+the same fields loads, and so do documents of earlier versions: their
+``network_sha256`` key is ignored.
 
 :func:`load_model` parses with orjson first. When orjson refuses the text
 (NaN or Infinity, which earlier versions wrote, a lone surrogate,
@@ -16,31 +16,15 @@ which would change the message for a bad ``rows`` or edge index.) Both
 parsers round every number correctly, so an accepted document loads to
 the same bits either way. One document loads that the json module alone
 could not parse: one nested too deep for its recursion limit, in a field
-the checks do not read. Every command, ``inspect-weights`` included,
+the checks do not read. Nested that deep in a field they read, it is
+refused as invalid JSON. Every command, ``inspect-weights`` included,
 loads the whole document.
-
-Every document also holds ``network_sha256``, between ``network`` and
-``conversion``: the hex SHA-256 of the UTF-8 bytes of the network's
-compact JSON text, which is the text between ``{"network":`` and
-``,"network_sha256":"``. Every save writes it. A network text that hashes
-to the digest, holds no NaN or Infinity (which saving refuses, with
-ValueError, and earlier versions wrote) and has each of those two keys
-once, the first at the start, is taken as this writer's own.
-:func:`model_document` then copies a loaded network's text instead of
-formatting every weight again, when the network is still bit for bit
-what :func:`load_model` parsed; otherwise, as for documents without the
-key (all written before it existed), the network is formatted, which
-gives the same bytes. A document hand-edited and hashed again falls
-outside that promise: its network text is copied as it stands.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import weakref
 from contextlib import contextmanager
-from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -58,88 +42,15 @@ from .netcore import (
 from .orthograph import BiadjacencyMatrix
 from .tsv import read_text
 
-_COMPACT = (",", ":")
-_NETWORK_KEY = '"network":'
-_DIGEST_KEY = ',"network_sha256":"'
 
-
-class _Loaded(NamedTuple):
-    """A document's text and the network fields parsed from it."""
-
-    text: str
-    digest: object  # the document's network_sha256 value, if any
-    frozen: bool
-    layers: list[Layer]  # not the network's own, which may change in place
-
-
-# each network load_model returned, until it is garbage
-_LOADED: weakref.WeakKeyDictionary[FeedforwardNetwork, _Loaded] = weakref.WeakKeyDictionary()
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    # bits, not values: 0.0 == -0.0, but they format differently
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _unchanged(net: FeedforwardNetwork, loaded: _Loaded) -> bool:
-    """Whether the network is still bit for bit what was loaded."""
-    return (
-        net.frozen is loaded.frozen
-        and len(net.layers) == len(loaded.layers)
-        and all(
-            lay.activation == old.activation
-            and _same_bits(lay.weights, old.weights)
-            and _same_bits(lay.bias, old.bias)
-            for lay, old in zip(net.layers, loaded.layers)
-        )
-    )
-
-
-def _network_part(text: str) -> str | None:
-    """The text between a document's ``{"network":`` and its
-    ``,"network_sha256":"``, or None unless each occurs once, the first
-    at the start."""
-    if (
-        text.startswith("{" + _NETWORK_KEY)
-        and text.count(_NETWORK_KEY) == 1
-        and text.count(_DIGEST_KEY) == 1
-    ):
-        return text[len(_NETWORK_KEY) + 1 : text.index(_DIGEST_KEY)]
-    return None
-
-
-def _own_network(network: str | None, digest) -> bool:
-    """Whether a document's network text (see :func:`_network_part`) is
-    this writer's own: it hashes to the document's digest and holds no
-    NaN or Infinity, which this writer refuses and earlier ones wrote."""
-    return (
-        network is not None
-        and "NaN" not in network
-        and "Infinity" not in network
-        and _sha256(network) == digest
-    )
-
-
-def _network_json(net: FeedforwardNetwork) -> tuple[str, str]:
-    """The network's compact JSON text and its digest: copied from the
-    document it was loaded from when that text provably is what formatting
-    gives, else formatted."""
-    loaded = _LOADED.get(net)
-    if loaded is not None and _unchanged(net, loaded):
-        copied = _network_part(loaded.text)
-        if _own_network(copied, loaded.digest):
-            return copied, loaded.digest
+def _network_fields(net: FeedforwardNetwork) -> dict:
     # a network changed in place is checked again as its constructor
     # checks it (finite values, shapes, activations, layers that chain),
     # so that no document load_model refuses is written
     if type(net.frozen) is not bool:
         raise ValueError(f"frozen must be True or False, got {net.frozen!r}")
-    FeedforwardNetwork(net.layers)
-    network = {
+    checked = FeedforwardNetwork(net.layers)
+    return {
         "frozen": net.frozen,
         "layers": [
             {
@@ -149,12 +60,9 @@ def _network_json(net: FeedforwardNetwork) -> tuple[str, str]:
                 "bias": lay.bias.tolist(),
                 "activation": lay.activation,
             }
-            for lay in net.layers
+            for lay in checked.layers
         ],
     }
-    # no indent: json runs its C encoder only when indent is None
-    text = json.dumps(network, separators=_COMPACT)
-    return text, _sha256(text)
 
 
 def _conversion_fields(conversion: MaskedLinearLayer) -> dict:
@@ -179,20 +87,21 @@ def _conversion_fields(conversion: MaskedLinearLayer) -> dict:
 def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None = None) -> str:
     """Render the model as canonical JSON text; raise ValueError for a
     model :func:`load_model` would refuse, such as a non-finite weight."""
-    network, digest = _network_json(net)
-    conv = None
+    doc = {"network": _network_fields(net), "conversion": None}
     if conversion is not None:
         if conversion.n_targets != net.input_dim:
             raise ValueError(
                 f"conversion layer has {conversion.n_targets} target genes "
                 f"but the network's first layer reads {net.input_dim}"
             )
-        conv = _conversion_fields(conversion)
-    # the text json.dumps gives for the whole document, key order included
-    return (
-        f'{{{_NETWORK_KEY}{network}{_DIGEST_KEY}{digest}",'
-        f'"conversion":{json.dumps(conv, separators=_COMPACT, allow_nan=False)}}}\n'
-    )
+        # checked again as its constructor checks it: a weight array of the
+        # wrong shape would lose edges, and orjson writes NaN as null
+        checked = MaskedLinearLayer(conversion.mask, conversion.mode, conversion.weights)
+        doc["conversion"] = _conversion_fields(checked)
+    try:
+        return orjson.dumps(doc).decode() + "\n"
+    except orjson.JSONEncodeError as exc:  # a TypeError, e.g. for a lone surrogate
+        raise ValueError(f"model cannot be written as JSON: {exc}") from None
 
 
 def save_model(net, conversion, path) -> None:
@@ -233,7 +142,7 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """Parse a model document back into network and conversion layer."""
     text = read_text(path)
     try:
-        return _model(orjson.loads(text), text, path)
+        return _model(orjson.loads(text), path)
     except (ValueError, RecursionError):
         # orjson's JSONDecodeError and ParseError are ValueErrors; a refused
         # document is parsed again by the json module, so that the refusal
@@ -241,12 +150,12 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
         pass
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from None
-    return _model(doc, text, path)
+    return _model(doc, path)
 
 
-def _model(doc, text: str, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
+def _model(doc, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """The network and conversion layer of a parsed document, checked."""
     with _malformed(path):
         net_doc = doc["network"]
@@ -269,7 +178,6 @@ def _model(doc, text: str, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer 
         if type(frozen) is not bool:
             raise ParseError(f"frozen must be true or false, got {json.dumps(frozen)}", path)
         net = FeedforwardNetwork(layers, frozen=frozen)
-        _LOADED[net] = _Loaded(text, doc.get("network_sha256"), frozen, layers)
         return net, _conversion(doc["conversion"], net.input_dim, path)
 
 

@@ -7,6 +7,8 @@ checks use central finite differences, the table oracle reads a file
 line by line, and the weight-table oracle loops over the dense matrix.
 """
 
+import hashlib
+import json
 from operator import itemgetter
 
 import numpy as np
@@ -41,6 +43,22 @@ def rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return np.abs(analytic - numeric) / denom
+
+
+def earlier_layout(doc, hashed):
+    """A parsed model document in the layout earlier versions wrote: the
+    json module's compact text (``repr`` floats such as ``1e-05``, ``\\u``
+    escapes) with ``network_sha256``, the SHA-256 of the compact text of the
+    network ``hashed``, between the network and the conversion layer."""
+
+    def compact(value):
+        return json.dumps(value, separators=(",", ":"))
+
+    digest = hashlib.sha256(compact(hashed).encode()).hexdigest()
+    return (
+        '{"network":' + compact(doc["network"]) + ',"network_sha256":"' + digest
+        + '","conversion":' + compact(doc["conversion"]) + "}\n"
+    )
 
 
 def random_mask(rng, n_t, n_s, density=0.4, force_edge=False):

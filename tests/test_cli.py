@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +14,8 @@ from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model
 from orthomask.orthograph import ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
+
+from _helpers import earlier_layout
 
 
 def run(argv):
@@ -295,6 +296,23 @@ class TestTrainConversionAndEval:
         assert conv.mode == "soft"
         assert conv.weights.shape == (8, 12)
 
+    def test_model_in_the_earlier_layout(self, bundle_dir, tmp_path):
+        # a base model with the digest earlier versions wrote trains to the
+        # same bytes: the key is ignored, and the model is written anew
+        base = bundle_dir / "base_model.json"
+        doc = json.loads(base.read_text())
+        earlier = tmp_path / "earlier.json"
+        earlier.write_text(earlier_layout(doc, doc["network"]))
+        outputs = []
+        for model in (base, earlier):
+            out = tmp_path / f"{model.stem}_trained.json"
+            argv = conversion_args(bundle_dir, out, tmp_path / "r.tsv")
+            argv[argv.index("--model") + 1] = str(model)
+            assert run(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"network_sha256" not in outputs[0]
+
     def test_unfrozen_model_rejected(self, bundle_dir, tmp_path):
         from orthomask.modelio import save_model
 
@@ -538,17 +556,16 @@ class TestInspectWeights:
 
     @pytest.mark.parametrize("digest", ["stale", "rehashed"])
     def test_non_finite_network_weight(self, bundle_dir, tmp_path, capsys, digest):
-        # a NaN weight under the old digest, or under one of the NaN text as
-        # earlier writers made it: both are refused as load_model refuses them
+        # a NaN weight in the earlier layout, under the old digest or under
+        # one of the NaN text as earlier writers made it: both are refused
+        # as load_model refuses them
         model = tmp_path / "m.json"
         assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
         doc = json.loads(model.read_text())
+        network = json.loads(model.read_text())["network"]
         doc["network"]["layers"][0]["weights"][0] = float("nan")
-        if digest == "rehashed":
-            network = json.dumps(doc["network"], separators=(",", ":"))
-            doc["network_sha256"] = hashlib.sha256(network.encode()).hexdigest()
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc, separators=(",", ":")))
+        bad.write_text(earlier_layout(doc, network if digest == "stale" else doc["network"]))
         assert '"weights":[NaN,' in bad.read_text()
         capsys.readouterr()
         assert run(["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")]) == 2
@@ -563,11 +580,8 @@ class TestInspectWeights:
         assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
         doc = json.loads(model.read_text())
         doc["network"]["layers"][0]["activation"] = "tanh"
-        network = json.dumps(doc["network"], separators=(",", ":"))
-        doc["network_sha256"] = hashlib.sha256(network.encode()).hexdigest()
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-        assert bad.read_text().startswith('{"network":' + network + ',"network_sha256":"')
+        bad.write_text(earlier_layout(doc, doc["network"]))
         expr, labels = str(bundle_dir / "test_expr.tsv"), str(bundle_dir / "test_labels.tsv")
         capsys.readouterr()
         for argv in (
@@ -577,6 +591,27 @@ class TestInspectWeights:
             assert run(argv) == 2
             assert capsys.readouterr().err == (
                 f"orthomask: error: {bad}: layer 0: unknown activation 'tanh'\n"
+            )
+
+    def test_weights_nested_too_deep(self, bundle_dir, tmp_path, capsys):
+        # nested past the json module's recursion limit in a field the
+        # checks read: a parse error naming the file, not a traceback
+        model = tmp_path / "m.json"
+        assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
+        text = model.read_text()
+        start = text.index('"weights":[') + len('"weights":')
+        end = text.index("]", start) + 1
+        bad = tmp_path / "deep.json"
+        bad.write_text(text[:start] + "[" * 5000 + "]" * 5000 + text[end:])
+        expr, labels = str(bundle_dir / "test_expr.tsv"), str(bundle_dir / "test_labels.tsv")
+        capsys.readouterr()
+        for argv in (
+            ["inspect-weights", "--model", str(bad), "--out", str(tmp_path / "w.tsv")],
+            ["eval", "--model", str(bad), "--expr", expr, "--labels", labels],
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                f"orthomask: error: {bad}: invalid JSON: maximum recursion depth exceeded"
             )
 
     def test_model_without_conversion_rejected(self, bundle_dir, tmp_path):

@@ -26,7 +26,7 @@ from .netcore import (
     MaskedLinearLayer,
     model_forward,
 )
-from .tsv import float_repr, write_table
+from .tsv import float_column, float_texts, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -318,7 +318,7 @@ def _cmd_predict(args):
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
     if net.output_dim == 1:
-        cells = map(float_repr, pred[:, 0].tolist())
+        cells = float_column(pred[:, 0])
     else:
         cells = map(str, pred.argmax(axis=1).tolist())
     write_table(args.out, ("sample_id", "prediction"), zip(dataset.sample_ids, cells))
@@ -341,7 +341,7 @@ def _cmd_eval(args):
     net, conversion = modelio.load_model(args.model)
     dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
     value = training.evaluate(net, conversion, dataset)
-    print(float_repr(value))
+    print(float_texts([value])[0])
     return EXIT_OK
 
 

@@ -35,7 +35,15 @@ from .netcore import (
 )
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
-from .tsv import first_true, float_repr, parse_floats, parse_numbers, read_table, write_table
+from .tsv import (
+    first_true,
+    float_column,
+    float_texts,
+    parse_floats,
+    parse_numbers,
+    read_table,
+    write_table,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +137,7 @@ def read_expression_tsv(path) -> ExpressionDataset:
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
     rows = zip(dataset.sample_ids, dataset.samples)
-    records = ((sid, *map(float_repr, row.tolist())) for sid, row in rows)
+    records = ((sid, *float_texts(row)) for sid, row in rows)
     write_table(path, ("sample_id", *dataset.gene_ids), records)
 
 
@@ -163,9 +171,9 @@ def write_labels_tsv(sample_ids, labels, path) -> None:
         flat = labels if labels.ndim == 2 else labels[:, None]
         if flat.shape[1] != 1:
             raise ValueError("label TSV supports exactly one label column")
-        cells = [float_repr(v) for v in flat[:, 0]]
-    if len(sample_ids) != len(cells):
-        raise ValueError(f"{len(sample_ids)} sample IDs for {len(cells)} labels")
+        cells = float_column(flat[:, 0])
+    if len(sample_ids) != len(labels):
+        raise ValueError(f"{len(sample_ids)} sample IDs for {len(labels)} labels")
     write_table(path, LABEL_HEADER, zip(sample_ids, cells))
 
 

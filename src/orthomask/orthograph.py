@@ -20,7 +20,7 @@ from .tsv import (
     factorize,
     first_repeat,
     first_true,
-    float_repr,
+    float_column,
     read_table,
     write_table,
 )
@@ -267,7 +267,7 @@ def read_score_table(path) -> ScoreTable:
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    scores = map(float_repr, table.scores.tolist())
+    scores = float_column(table.scores)
     write_table(path, SCORE_HEADER, zip(table.queries.decoded(), table.subjects.decoded(), scores))
 
 

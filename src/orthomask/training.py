@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .netcore import (
     model_forward,
 )
 from .orthograph import BiadjacencyMatrix
-from .tsv import float_repr, write_table
+from .tsv import float_column, write_table
 
 OPT_SGD = "sgd"
 OPT_ADAM = "adam"
@@ -100,9 +101,9 @@ class TrainReport:
 
 def write_report_tsv(report: TrainReport, path) -> None:
     """Per-step losses plus a final-eval footer; bytes depend only on the run."""
-    records = [(str(step), float_repr(value)) for step, value in enumerate(report.losses, start=1)]
-    records.append(("# final_eval", float_repr(report.final_eval)))
-    write_table(path, ("step", "loss"), records)
+    cells = float_column([*report.losses, report.final_eval])
+    steps = chain(map(str, range(1, len(report.losses) + 1)), ("# final_eval",))
+    write_table(path, ("step", "loss"), zip(steps, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,15 @@ JSON numbers; any other row, and every refusal, goes to
 :func:`parse_numbers`. Both readers round correctly, so both give the same
 bits and the same first bad field.
 
-Floats are written by :func:`float_repr`, so a file's bytes depend only on
-its values.
+Floats are written as :func:`float_texts` spells them: each value's
+``repr``, the shortest decimal that reads back to the same double, so a
+file's bytes depend only on its values. orjson formats a whole row or
+column in one call, and ``repr`` spells each value orjson is not trusted
+with.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -47,6 +49,9 @@ from .errors import ParseError
 _ASCII_SPACES = (" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # the characters of a JSON number, and the tab that ends a field
 _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
+# values per float_texts call when a writer formats a long column: a
+# chunk's strings add little to a writer's peak memory
+FLOAT_CHUNK = 1 << 12
 
 
 class Factorized(NamedTuple):
@@ -265,27 +270,65 @@ def _is_number(text: str, dtype) -> bool:
 def write_table(path, header, records) -> None:
     """Write the header's column names, then each record's fields, joined by tabs.
 
-    A name or field holding a tab, LF or CR would read back as other
-    fields or lines, a line of one empty field would read back as a
-    skipped blank line, and a record must have one field per column; each
-    raises ValueError.
+    A record must have one field per column, a name or field holding a
+    tab, LF or CR would read back as other fields or lines, and a line of
+    one empty field would read back as a skipped blank line; each raises
+    ValueError.
     """
-    tabs = len(header) - 1
+    width = len(header)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for fields in chain((header,), records):
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
             line = "\t".join(fields)
-            if not line or line.count("\t") != tabs or "\n" in line or "\r" in line:
+            if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
                 for cell in fields:
                     if "\t" in cell or "\n" in cell or "\r" in cell:
                         raise ValueError(f"field {cell!r} contains a tab or line break")
-                if len(fields) != tabs + 1:
-                    raise ValueError(f"expected {tabs + 1} fields, got {len(fields)}")
                 raise ValueError("an empty field alone on a line would be read as a blank line")
             fh.write(line + "\n")
 
 
-def float_repr(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot format non-finite value {x}")
-    return repr(float(x))
+def _finite_floats(values) -> np.ndarray:
+    """``values`` as a contiguous float64 array; a non-finite value raises
+    ValueError, naming the first."""
+    array = np.ascontiguousarray(values, np.float64)
+    bad = first_true(~np.isfinite(array))
+    if bad is not None:
+        raise ValueError(f"cannot format non-finite value {array[bad]}")
+    return array
+
+
+def float_texts(values) -> list[str]:
+    """The ``repr`` of each value of a row or column, as a float64.
+
+    orjson formats the whole array in one call. In [1e-4, 1e16) it spells
+    every double as ``repr`` does: the shortest decimal that reads back to
+    the same double, with a ``.`` and no exponent. A nonzero value outside
+    that range, where ``repr`` writes an exponent, and any cell orjson
+    spells with an ``e`` or without a ``.`` take ``repr`` itself, so the
+    text does not depend on orjson's version.
+    """
+    array = _finite_floats(values)
+    magnitude = np.abs(array)
+    by_repr = (magnitude >= 1e16) | ((magnitude < 1e-4) & (array != 0.0))
+    # orjson formats 0.0 in place of those values, so that one scan of the
+    # whole text checks only the cells whose orjson spelling is kept
+    shown = np.where(by_repr, 0.0, array) if by_repr.any() else array
+    text = orjson.dumps(shown, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    texts = text.split(",") if text else []
+    if "e" in text or text.count(".") != len(texts):
+        by_repr |= np.fromiter(("e" in t or "." not in t for t in texts), bool, len(texts))
+    at = np.flatnonzero(by_repr)
+    for k, x in zip(at.tolist(), array[at].tolist()):
+        texts[k] = repr(x)
+    return texts
+
+
+def float_column(values):
+    """An iterator over :func:`float_texts` of a long column, formatted
+    ``FLOAT_CHUNK`` values at a time, so only one chunk's strings are held.
+    A non-finite value raises at the call, before any text is made."""
+    array = _finite_floats(values)
+    chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
+    return chain.from_iterable(map(float_texts, chunks))

@@ -1,29 +1,34 @@
 import decimal
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
 from _helpers import read_table_per_line
 
+from orthomask import cli, dataio, interpret, tsv
 from orthomask.dataio import (
     ExpressionDataset,
     read_expression_tsv,
     read_labels_tsv,
     write_expression_tsv,
+    write_labels_tsv,
 )
 from orthomask.errors import ParseError
 from orthomask.interpret import read_weight_table
 from orthomask.orthograph import (
     BiadjacencyMatrix,
+    ScoreTable,
     graph_to_tsv,
     read_gene_list,
     read_score_table,
     tsv_to_graph,
     write_gene_list,
+    write_score_table,
 )
-from orthomask import tsv
+from orthomask.training import TrainReport, write_report_tsv
 from orthomask.tsv import parse_numbers, read_table, write_table
 
 
@@ -116,6 +121,10 @@ def test_writers_reject_tab_and_line_breaks(tmp_path, name, char):
 def test_writer_rejects_wrong_width(tmp_path):
     with pytest.raises(ValueError, match="expected 2 fields, got 1"):
         write_table(tmp_path / "table.tsv", ("a", "b"), [("x", "y"), ("z",)])
+    # a record one field short whose field holds a tab has the header's
+    # number of tabs, but would read back as other fields
+    with pytest.raises(ValueError, match="expected 3 fields, got 2"):
+        write_table(tmp_path / "table.tsv", ("a", "b", "c"), [("x\ty", "z")])
 
 
 def test_writer_rejects_empty_line(tmp_path):
@@ -380,3 +389,113 @@ def test_numeric_files_read_as_parse_numbers_reads_them(tmp_path, monkeypatch, r
 
 def _refuse_json(text):
     raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def _float_cases(rng):
+    """Arrays of every kind of finite double, and of the values where
+    repr's spelling switches between plain and exponent form."""
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64)
+    edges = []
+    for x in (1e-4, -1e-4, 1e16, -1e16):
+        down = up = x
+        for _ in range(4):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.copysign(np.inf, x))
+            edges += [down, up]
+        edges.append(x)
+    sign = rng.choice([-1.0, 1.0], 5000)
+    subnormal = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    big = np.finfo(np.float64).max
+    return [
+        bits[np.isfinite(bits)],
+        rng.normal(size=5000),
+        sign * 10.0 ** rng.uniform(-9, -3, 5000),
+        np.array(edges),
+        np.array([0.0, -0.0, 5e-324, -5e-324, big, -big, np.finfo(np.float64).tiny]),
+        np.concatenate([subnormal, -subnormal]),
+        np.array([2.0**53 + k for k in range(-6, 7)] + [-(2.0**53) - k for k in range(-6, 7)]),
+        np.array([1e15, 123456789.0, 9999999999999998.0, 0.5, 100.0]),
+        rng.normal(size=(300, 3))[:, 0],
+        np.zeros(0),
+        [0.25, -3.0, 1e-7, 1e22, 7],
+    ]
+
+
+def test_float_texts_matches_repr(monkeypatch):
+    """orjson's spelling, with repr where it differs, is repr's."""
+    monkeypatch.setattr(tsv, "FLOAT_CHUNK", 7)
+    for values in _float_cases(np.random.default_rng(46)):
+        expected = [repr(float(x)) for x in np.asarray(values).tolist()]
+        texts = tsv.float_texts(values)
+        wrong = [(t, e) for t, e in zip(texts, expected) if t != e]
+        assert texts == expected, f"orjson {orjson.__version__}: {wrong[:5]}"
+        assert list(tsv.float_column(values)) == expected
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
+            tsv.float_texts([1.0, bad, math.nan])
+        with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
+            tsv.float_column(np.array([1e-9, bad]))
+
+
+def _repr_texts(values):
+    """The reference formatter: repr of each value, one at a time."""
+    texts = []
+    for x in np.asarray(values, np.float64).tolist():
+        if not math.isfinite(x):
+            raise ValueError(f"cannot format non-finite value {x}")
+        texts.append(repr(x))
+    return texts
+
+
+def _write_every_float_file(out):
+    """Call each float writer, and each CLI command that writes floats,
+    into ``out``."""
+    rng = np.random.default_rng(47)
+    odd = np.array([1e-5, -0.0, 1e16, 5e-324, 123.25, -2.0**53 - 2, 0.1])
+    samples = np.vstack([odd, rng.normal(size=(5, 7)) * 10.0 ** rng.uniform(-6, 17, (5, 7))])
+    genes = [f"g{k}" for k in range(7)]
+    write_expression_tsv(ExpressionDataset("sp", genes, list("abcdef"), samples), out / "expr.tsv")
+    scores = [(f"q{k}", f"s{k % 3}", float(abs(x))) for k, x in enumerate(samples.ravel())]
+    write_score_table(ScoreTable("q", "s", scores), out / "scores.tsv")
+    write_labels_tsv(list("abcdefg"), odd, out / "labels.tsv")
+    write_report_tsv(TrainReport(odd.tolist(), 1e-300), out / "report.tsv")
+
+    bundle, model = out / "bundle", out / "model.json"
+    commands = [
+        ["synth", "--n-s", "9", "--n-t", "6", "--density", "0.3", "--samples", "20",
+         "--noise", "0.1", "--hidden", "3", "--seed", "4", "--out-dir", bundle],
+        ["train-conversion", "--model", bundle / "base_model.json", "--graph", bundle / "graph.tsv",
+         "--target-genes", bundle / "target_genes.tsv", "--source-genes", bundle / "source_genes.tsv",
+         "--expr", bundle / "train_expr.tsv", "--labels", bundle / "train_labels.tsv",
+         "--mode", "soft", "--lr", "0.01", "--steps", "12", "--seed", "2",
+         "--out", model, "--report", out / "conversion.tsv"],
+        ["predict", "--model", model, "--expr", bundle / "test_expr.tsv", "--out", out / "pred.tsv"],
+        ["eval", "--model", model, "--expr", bundle / "test_expr.tsv",
+         "--labels", bundle / "test_labels.tsv"],
+        ["inspect-weights", "--model", model, "--out", out / "weights.tsv"],
+        ["inspect-weights", "--model", model, "--target-gene", "T0000", "--top", "4",
+         "--out", out / "top.tsv"],
+    ]
+    for argv in commands:
+        assert cli.main(list(map(str, argv))) == 0, argv
+
+
+def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
+    """Every float writer gives the bytes of a repr-per-value formatter,
+    with columns formatted a few values at a time."""
+
+    def written(out):
+        out.mkdir()
+        _write_every_float_file(out)
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return files, capsys.readouterr().out.replace(str(out), "OUT")
+
+    with monkeypatch.context() as m:
+        m.setattr(tsv, "FLOAT_CHUNK", 4)
+        m.setattr(interpret, "FLOAT_CHUNK", 4)
+        found = written(tmp_path / "found")
+    with monkeypatch.context() as m:
+        for module in (tsv, dataio, interpret, cli):
+            m.setattr(module, "float_texts", _repr_texts)
+        expected = written(tmp_path / "expected")
+    assert found == expected
+    assert len(found[0]) > 10 and "e-05" in found[0][Path("expr.tsv")].decode()

@@ -26,7 +26,7 @@ from .netcore import (
     MaskedLinearLayer,
     model_forward,
 )
-from .tsv import float_column, float_texts, write_table
+from .tsv import float_column, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -341,7 +341,7 @@ def _cmd_eval(args):
     net, conversion = modelio.load_model(args.model)
     dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
     value = training.evaluate(net, conversion, dataset)
-    print(float_texts([value])[0])
+    print(repr(value))
     return EXIT_OK
 
 

@@ -38,7 +38,6 @@ from .training import evaluate
 from .tsv import (
     first_true,
     float_column,
-    float_texts,
     parse_floats,
     parse_numbers,
     read_table,
@@ -137,7 +136,7 @@ def read_expression_tsv(path) -> ExpressionDataset:
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
     rows = zip(dataset.sample_ids, dataset.samples)
-    records = ((sid, *float_texts(row)) for sid, row in rows)
+    records = ((sid, *float_column(row)) for sid, row in rows)
     write_table(path, ("sample_id", *dataset.gene_ids), records)
 
 

@@ -15,13 +15,13 @@ divided by the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import FLOAT_CHUNK, first_true, float_texts, read_table, write_table
+from .tsv import first_true, float_column, read_table, write_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 
@@ -63,19 +63,15 @@ def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]
     return sorted(_table_rows(layer), key=lambda row: (row[0], row[1]))
 
 
-def write_weight_rows(rows, path) -> None:
-    """Write ``(target_gene, source_gene, weight, on_support)`` rows as a
-    weight table TSV, in the order given."""
-
-    def records():
-        # the weights of FLOAT_CHUNK rows at a time are formatted together
-        rest = iter(rows)
-        while block := list(islice(rest, FLOAT_CHUNK)):
-            weights = float_texts([row[2] for row in block])
-            for (t_gene, s_gene, _, on_support), weight in zip(block, weights):
-                yield t_gene, s_gene, weight, "true" if on_support else "false"
-
-    write_table(path, WEIGHT_TABLE_HEADER, records())
+def write_weight_rows(rows: list[tuple[str, str, float, bool]], path) -> None:
+    """Write a list of ``(target_gene, source_gene, weight, on_support)``
+    rows as a weight table TSV, in the order given."""
+    weights = float_column(np.fromiter(map(itemgetter(2), rows), np.float64, len(rows)))
+    records = (
+        (t_gene, s_gene, weight, "true" if on_support else "false")
+        for (t_gene, s_gene, _, on_support), weight in zip(rows, weights)
+    )
+    write_table(path, WEIGHT_TABLE_HEADER, records)
 
 
 def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, float, bool]]:

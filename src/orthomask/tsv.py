@@ -20,22 +20,24 @@ A numeric field (a score, expression value, label or weight) is a decimal
 as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
 ``-2.5``, ``1e-3``, ``inf``, ``nan``. Unlike ``float()``, the reader refuses
 a ``_`` digit separator and leading or trailing whitespace, so ``1_0`` and
-`` 0.5`` are not numbers. :func:`parse_numbers` parses a column with one
-numpy call, and is the reference. A float64 row or column is read first by
+`` 0.5`` are not numbers. :func:`parse_numbers` checks field by field and
+is the reference. A float64 row or column is read first by
 :func:`parse_floats`, as one JSON array with orjson, when its fields are
 JSON numbers; any other row, and every refusal, goes to
 :func:`parse_numbers`. Both readers round correctly, so both give the same
 bits and the same first bad field.
 
-Floats are written as :func:`float_texts` spells them: each value's
-``repr``, the shortest decimal that reads back to the same double, so a
-file's bytes depend only on its values. orjson formats a whole row or
-column in one call, and ``repr`` spells each value orjson is not trusted
-with.
+Every writer formats its floats through :func:`float_column`: each value
+is spelled as its ``repr``, the shortest decimal that reads back to the
+same double, so a file's bytes depend only on its values. orjson formats
+``FLOAT_CHUNK`` values per call, and ``repr`` spells each value orjson is
+not trusted with.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -45,11 +47,9 @@ import orjson
 
 from .errors import ParseError
 
-# the whitespace an ASCII field can hold: a tab ends the field, LF and CR the line
-_ASCII_SPACES = (" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # the characters of a JSON number, and the tab that ends a field
 _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
-# values per float_texts call when a writer formats a long column: a
+# values per float_texts call when float_column formats a row or column: a
 # chunk's strings add little to a writer's peak memory
 FLOAT_CHUNK = 1 << 12
 
@@ -211,25 +211,16 @@ def first_repeat(*columns: Factorized) -> int | None:
 
 
 def parse_numbers(texts: list[str], dtype=np.float64):
-    """Parse numeric fields with one numpy call.
+    """Parse numeric fields, checking each in turn by the format's rule
+    (``float()``, or ``int()`` for an integer ``dtype``, refusing ``_`` and
+    surrounding whitespace): the reference reader of numbers.
 
     Returns the values of the longest prefix of ``texts`` that holds only
     numbers, as a ``dtype`` array, and the index of the first field that is
     not a number (None if every field is).
     """
-    joined = "\t".join(texts)
-    # numpy reads as float() does; only a field with "_", whitespace or a
-    # non-ASCII character can break the stricter rule, so only such fields
-    # send the column to the field-by-field scan
-    if joined.isascii() and "_" not in joined and not any(map(joined.__contains__, _ASCII_SPACES)):
-        try:
-            return np.array(texts, dtype=dtype), None
-        except (ValueError, OverflowError):
-            pass
-    for k, text in enumerate(texts):
-        if not _is_number(text, dtype):
-            return np.array(texts[:k], dtype=dtype), k
-    return np.array(texts, dtype=dtype), None
+    stop = next((k for k, text in enumerate(texts) if not _is_number(text, dtype)), None)
+    return np.array(texts[:stop], dtype=dtype), stop
 
 
 def parse_floats(text: str) -> tuple[np.ndarray, int | None]:
@@ -273,20 +264,28 @@ def write_table(path, header, records) -> None:
     A record must have one field per column, a name or field holding a
     tab, LF or CR would read back as other fields or lines, and a line of
     one empty field would read back as a skipped blank line; each raises
-    ValueError.
+    ValueError. When writing stops on any exception, a regular file at
+    ``path`` is removed, since its first lines would read back as a valid,
+    shorter table; a symlink, FIFO or device is left as it is.
     """
     width = len(header)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for fields in chain((header,), records):
-            if len(fields) != width:
-                raise ValueError(f"expected {width} fields, got {len(fields)}")
-            line = "\t".join(fields)
-            if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
-                for cell in fields:
-                    if "\t" in cell or "\n" in cell or "\r" in cell:
-                        raise ValueError(f"field {cell!r} contains a tab or line break")
-                raise ValueError("an empty field alone on a line would be read as a blank line")
-            fh.write(line + "\n")
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for fields in chain((header,), records):
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                line = "\t".join(fields)
+                if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
+                    for cell in fields:
+                        if "\t" in cell or "\n" in cell or "\r" in cell:
+                            raise ValueError(f"field {cell!r} contains a tab or line break")
+                    raise ValueError("an empty field alone on a line would be read as a blank line")
+                fh.write(line + "\n")
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def _finite_floats(values) -> np.ndarray:
@@ -326,9 +325,13 @@ def float_texts(values) -> list[str]:
 
 
 def float_column(values):
-    """An iterator over :func:`float_texts` of a long column, formatted
-    ``FLOAT_CHUNK`` values at a time, so only one chunk's strings are held.
-    A non-finite value raises at the call, before any text is made."""
-    array = _finite_floats(values)
+    """:func:`float_texts` of a row or column, formatted ``FLOAT_CHUNK``
+    values at a time, so only one chunk's strings are held: the list of one
+    call when one chunk holds them all, else an iterator. A non-finite
+    value raises at the call, before any text is made."""
+    array = np.ascontiguousarray(values, np.float64)
+    if array.size <= FLOAT_CHUNK:
+        return float_texts(array)
+    _finite_floats(array)
     chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
     return chain.from_iterable(map(float_texts, chunks))

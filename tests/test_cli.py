@@ -516,6 +516,21 @@ class TestInspectWeights:
         mags = [abs(r[2]) for r in rows]
         assert mags == sorted(mags, reverse=True)
 
+    def test_refused_gene_id_leaves_no_table(self, bundle_dir, tmp_path, capsys):
+        # a target gene ID holding a tab cannot be written: the rows before
+        # it would read back as a valid, shorter table, so none is left
+        model = tmp_path / "m.json"
+        assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
+        doc = json.loads(model.read_text())
+        doc["conversion"]["target_gene_ids"][-1] += "\tx"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "weights.tsv"
+        capsys.readouterr()
+        assert run(["inspect-weights", "--model", str(bad), "--out", str(out)]) == 2
+        assert "contains a tab or line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conversion_that_does_not_fit_the_network(self, bundle_dir, tmp_path, capsys,
                                                        monkeypatch):
         model = tmp_path / "m.json"

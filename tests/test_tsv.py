@@ -8,7 +8,7 @@ import orjson
 import pytest
 from _helpers import read_table_per_line
 
-from orthomask import cli, dataio, interpret, tsv
+from orthomask import cli, tsv
 from orthomask.dataio import (
     ExpressionDataset,
     read_expression_tsv,
@@ -114,17 +114,29 @@ WRITERS = {
 def test_writers_reject_tab_and_line_breaks(tmp_path, name, char):
     # such a field would read back as other fields or lines, or not at all
     bad = f"x{char}y"
+    path = tmp_path / f"{name}.tsv"
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        WRITERS[name](bad, tmp_path / f"{name}.tsv")
+        WRITERS[name](bad, path)
+    # the lines before the refused one would read back as a shorter table
+    assert not path.exists()
 
 
 def test_writer_rejects_wrong_width(tmp_path):
+    path = tmp_path / "table.tsv"
     with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-        write_table(tmp_path / "table.tsv", ("a", "b"), [("x", "y"), ("z",)])
+        write_table(path, ("a", "b"), [("x", "y"), ("z",)])
+    assert not path.exists()
     # a record one field short whose field holds a tab has the header's
     # number of tabs, but would read back as other fields
     with pytest.raises(ValueError, match="expected 3 fields, got 2"):
-        write_table(tmp_path / "table.tsv", ("a", "b", "c"), [("x\ty", "z")])
+        write_table(path, ("a", "b", "c"), [("x\ty", "z")])
+    assert not path.exists()
+    # a refused write through a symlink leaves the link in place
+    link = tmp_path / "link.tsv"
+    link.symlink_to(path)
+    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
+        write_table(link, ("a", "b"), [("x", "y"), ("z",)])
+    assert link.is_symlink()
 
 
 def test_writer_rejects_empty_line(tmp_path):
@@ -480,8 +492,9 @@ def _write_every_float_file(out):
 
 
 def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
-    """Every float writer gives the bytes of a repr-per-value formatter,
-    with columns formatted a few values at a time."""
+    """Every float writer, and eval's stdout, gives the bytes of a
+    repr-per-value formatter when only tsv's formatter is replaced, with
+    rows and columns formatted a few values at a time."""
 
     def written(out):
         out.mkdir()
@@ -491,11 +504,9 @@ def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
 
     with monkeypatch.context() as m:
         m.setattr(tsv, "FLOAT_CHUNK", 4)
-        m.setattr(interpret, "FLOAT_CHUNK", 4)
         found = written(tmp_path / "found")
     with monkeypatch.context() as m:
-        for module in (tsv, dataio, interpret, cli):
-            m.setattr(module, "float_texts", _repr_texts)
+        m.setattr(tsv, "float_texts", _repr_texts)
         expected = written(tmp_path / "expected")
     assert found == expected
     assert len(found[0]) > 10 and "e-05" in found[0][Path("expr.tsv")].decode()

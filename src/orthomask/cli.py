@@ -163,10 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_build_graph(args):
-    scores_tq = orthograph.read_score_table(args.scores_tq)
-    scores_qt = orthograph.read_score_table(args.scores_qt)
+    # the gene lists first: each score table's IDs are read against them
     targets = orthograph.read_gene_list(args.target_genes)
     sources = orthograph.read_gene_list(args.source_genes)
+    scores_tq = orthograph.read_score_table(args.scores_tq, targets, sources)
+    scores_qt = orthograph.read_score_table(args.scores_qt, sources, targets)
     cfg = orthograph.RbhConfig(threshold=args.threshold, tie_tolerance=args.tie_tol)
     graph = orthograph.build_rbh_graph(scores_tq, scores_qt, cfg, targets, sources)
     orthograph.graph_to_tsv(graph, args.out)

@@ -250,9 +250,15 @@ def build_rbh_graph(
 # file formats
 # ---------------------------------------------------------------------------
 
-def read_score_table(path) -> ScoreTable:
-    """Parse a score TSV (header ``query<TAB>subject<TAB>score``)."""
-    table = read_table(path, SCORE_HEADER, key_fields=2)
+def read_score_table(path, query_genes=(), subject_genes=()) -> ScoreTable:
+    """Parse a score TSV (header ``query<TAB>subject<TAB>score``).
+
+    The query and subject columns are factorized against ``query_genes``
+    and ``subject_genes`` (see :func:`tsv.factorize`), so an ID in its gene
+    list costs one dict lookup; without gene lists, the codes follow first
+    appearance. The entries read are the same either way.
+    """
+    table = read_table(path, SCORE_HEADER, key_fields=2, vocabularies=(query_genes, subject_genes))
     texts = table.column(2)
     scores, stop = table.floats(2)
     table.raise_first(
@@ -289,12 +295,11 @@ def graph_to_tsv(graph: BiadjacencyMatrix, path) -> None:
 
 def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:
     """Read an edge-list TSV against explicitly supplied gene universes."""
-    t_index = {g: i for i, g in enumerate(target_genes)}
-    s_index = {g: j for j, g in enumerate(source_genes)}
-    table = read_table(path, GRAPH_HEADER, key_fields=2)
-    t, s = _positions(table.factor(0), t_index), _positions(table.factor(1), s_index)
+    table = read_table(path, GRAPH_HEADER, key_fields=2, vocabularies=(target_genes, source_genes))
+    # a gene list's IDs are coded by position, and only unknown IDs after it
+    t, s = table.factor(0).codes, table.factor(1).codes
     table.raise_first(
-        (first_true(t < 0), lambda k: f"unknown target gene {table.column(0)[k]!r}"),
-        (first_true(s < 0), lambda k: f"unknown source gene {table.column(1)[k]!r}"),
+        (first_true(t >= len(target_genes)), lambda k: f"unknown target gene {table.column(0)[k]!r}"),
+        (first_true(s >= len(source_genes)), lambda k: f"unknown source gene {table.column(1)[k]!r}"),
     )
     return BiadjacencyMatrix(target_genes, source_genes, np.column_stack((t, s)))

@@ -12,9 +12,14 @@ ID, a flag) is checked by the reader of each format.
 No name or field holds a tab, LF or CR, and no line is empty (a one-column
 table has no empty field); the writer refuses either.
 
-A file is read in one pass: :func:`read_table` reads it whole and checks
-every line against the rules at once, column by column. The same arrays
-name the first bad line, so a good file and a bad one run the same code.
+A file is read whole, and :func:`read_table` checks every line at once:
+the file's tabs and LFs alone, taken out in C, must repeat the header's
+pattern once per line. Blank lines, which break that pattern in a table
+of two or more columns, are dropped first; then the first byte that
+differs names the first record of the wrong width. A column table's
+fields come from one split of the text, and each key column is
+factorized once, against the gene list it names when the reader has
+one, to find the first repeated key.
 
 A numeric field (a score, expression value, label or weight) is a decimal
 as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import os
 import stat
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -49,14 +54,19 @@ from .errors import ParseError
 
 # the characters of a JSON number, and the tab that ends a field
 _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
+# every byte but the tab and the LF, which end fields and records
+_NON_SEPARATORS = bytes(sorted(set(range(256)) - {9, 10}))
+# characters of a table's text scanned for separators at a time
+_SCAN_CHUNK = 1 << 20
 # values per float_texts call when float_column formats a row or column: a
 # chunk's strings add little to a writer's peak memory
 FLOAT_CHUNK = 1 << 12
 
 
 class Factorized(NamedTuple):
-    """A column as its distinct strings, in order of first appearance, and
-    each entry's int64 index into them."""
+    """A column as a tuple of distinct strings and each entry's int64
+    index into them. The strings are a seed vocabulary, which need not all
+    occur, then the column's other strings in order of first appearance."""
 
     names: tuple[str, ...]
     codes: np.ndarray
@@ -66,46 +76,73 @@ class Factorized(NamedTuple):
         return np.fromiter(self.names, object, len(self.names))[self.codes].tolist()
 
 
-def factorize(values) -> Factorized:
-    names = tuple(dict.fromkeys(values))
+def factorize(values, vocabulary=()) -> Factorized:
+    """``values`` (a list of strings) coded against ``vocabulary``, a
+    sequence of distinct strings: a known string's code is its position
+    there, found with one dict lookup, and an unseen string is coded after
+    it, in order of first appearance. Without a vocabulary, the codes
+    follow first appearance."""
+    names = tuple(vocabulary) or tuple(dict.fromkeys(values))
     index = dict(zip(names, range(len(names))))
-    return Factorized(names, np.fromiter(map(index.__getitem__, values), np.int64, len(values)))
+    codes = np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
+    unseen = np.flatnonzero(codes < 0)
+    if unseen.size:
+        rest = factorize(list(map(values.__getitem__, unseen.tolist())))
+        codes[unseen] = rest.codes + len(names)
+        names += rest.names
+    return Factorized(names, codes)
 
 
 class Table:
     """A table file's header names and records, as :func:`read_table` read them."""
 
-    def __init__(self, path, names: list[str], records: list[str], linenos: list[int] | None):
+    def __init__(self, path, names: list[str], text: str, size: int, linenos, vocabularies=()):
         self.path = path
         self.names = names
-        # the non-blank lines after the header, in file order
-        self.records = records
+        # the header line, then the non-blank lines after it, in file order
+        self._text = text
+        self._size = size
         self._linenos = linenos  # None: no blank line follows the header
+        self._vocabularies = vocabularies
         self._fields: list[str] | None = None
         self._factors: dict[int, Factorized] = {}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._size
 
     def line(self, k: int) -> int:
         """The 1-based line number of record ``k``."""
         return k + 2 if self._linenos is None else self._linenos[k]
 
+    @property
+    def records(self):
+        """Each record's line, one at a time: no list of lines is held."""
+        text = self._text
+        end = text.find("\n")
+        for _ in range(self._size):
+            start = end + 1
+            end = text.find("\n", start)
+            yield text[start : len(text) if end < 0 else end]
+
     def column(self, k: int) -> list[str]:
         """Field ``k`` of every record."""
         if self._fields is None:
-            self._fields = "\t".join(self.records).split("\t") if self.records else []
-        return self._fields[k :: len(self.names)]
+            # every field of the file, the header's names first: one split
+            self._fields = self._text.replace("\n", "\t").split("\t")
+        width = len(self.names)
+        return self._fields[width + k : width * (self._size + 1) : width]
 
     def floats(self, k: int) -> tuple[np.ndarray, int | None]:
         """Column ``k`` as float64 values, and its first field that is not
         a number (see :func:`parse_floats`)."""
-        return parse_floats("\t".join(self.column(k))) if self.records else parse_numbers([])
+        return parse_floats("\t".join(self.column(k))) if self._size else parse_numbers([])
 
     def factor(self, k: int) -> Factorized:
-        """Column ``k`` factorized, computed once."""
+        """Column ``k`` factorized against its seed vocabulary, if any,
+        computed once."""
         if k not in self._factors:
-            self._factors[k] = factorize(self.column(k))
+            vocabulary = self._vocabularies[k] if k < len(self._vocabularies) else ()
+            self._factors[k] = factorize(self.column(k), vocabulary)
         return self._factors[k]
 
     def fail(self, k: int, message: str):
@@ -153,16 +190,16 @@ def read_text(path) -> str:
         raise ParseError(message, path, head.count(b"\n") + 1) from None
 
 
-def read_table(path, header=None, key_fields=1) -> Table:
+def read_table(path, header=None, key_fields=1, vocabularies=()) -> Table:
     """Read a table file and check it against the format's rules.
 
     ``header``, when given, is the sequence of column names the file's
-    header must list.
+    header must list. ``vocabularies``, when given, holds the seed
+    vocabulary of each key column in turn (see :func:`factorize`).
     """
-    lines = read_text(path).split("\n")
-    if len(lines) > 1 and not lines[-1]:
-        lines.pop()  # the text after the last LF
-    first = lines[0]
+    text = read_text(path)
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
     expected = first if header is None else "\t".join(header)
     if first != expected:
         raise ParseError(f"expected header {expected!r}, got {first!r}", path, 1)
@@ -170,34 +207,65 @@ def read_table(path, header=None, key_fields=1) -> Table:
     if len(set(names)) != len(names):
         raise ParseError("duplicate column name in header", path, 1)
 
-    del lines[0]
+    # each line's tabs and its LF: a file whose records have the header's
+    # width repeats the header's pattern
+    row = b"\t" * (len(names) - 1) + b"\n"
+    seps = _separators(text)
+    pattern = row * seps.count(b"\n")
     linenos = None
-    if "" in lines:
-        linenos = [k for k, line in enumerate(lines, start=2) if line]
-        lines = list(filter(None, lines))
-    table = Table(path, names, lines, linenos)
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
-    misfit = first_true(tabs != len(names) - 1)
+    # a line with a tab is not blank, so a blank line can hide only where
+    # the pattern breaks, or in a one-column table
+    if (len(names) == 1 or seps != pattern) and "\n\n" in text:
+        # such files are rare: number the other lines one at a time, and
+        # drop the blank ones
+        lines = text.split("\n")
+        del text  # one copy of the file's text at a time
+        linenos = [k for k, line in enumerate(lines[1:], start=2) if line]
+        text = "\n".join([first, *filter(None, lines[1:])])
+        del lines
+        seps = _separators(text)
+        pattern = row * seps.count(b"\n")
+    size = seps.count(b"\n") - 1
+    misfit = got = None
+    if seps != pattern:
+        # the header fits, so the first byte that differs lies in the
+        # first record of the wrong width
+        n = min(len(seps), len(pattern))
+        at = first_true(np.frombuffer(seps, np.uint8, n) != np.frombuffer(pattern, np.uint8, n))
+        start = seps.rfind(b"\n", 0, at) + 1
+        misfit = seps.count(b"\n", 0, start) - 1
+        got = seps.index(b"\n", start) - start + 1
+    table = Table(path, names, text, size, linenos, vocabularies)
     # the records before the first of the wrong width are aligned, so the
     # first entries of a key column are theirs
-    aligned = len(lines) if misfit is None else misfit
-    if key_fields == 1:
+    aligned = size if misfit is None else misfit
+    if key_fields == 1 and len(names) > 1:
         # the text before a record's first tab, without splitting the rest
         # (an expression record holds one field per gene)
-        firsts = map(itemgetter(0), map(str.partition, lines[:aligned], repeat("\t")))
-        keys = [factorize(list(firsts))]
+        keys = [factorize([line.partition("\t")[0] for line in islice(table.records, aligned)])]
     else:
         keys = [Factorized(f.names, f.codes[:aligned]) for f in map(table.factor, range(key_fields))]
 
     def duplicate(k):
-        key = itemgetter(*range(key_fields))(lines[k].split("\t"))
-        return f"duplicate {'/'.join(names[:key_fields])} {key!r}"
+        fields = next(islice(table.records, k, None)).split("\t")
+        return f"duplicate {'/'.join(names[:key_fields])} {itemgetter(*range(key_fields))(fields)!r}"
 
     table.raise_first(
-        (misfit, lambda k: f"expected {len(names)} fields, got {tabs[k] + 1}"),
+        (misfit, lambda k: f"expected {len(names)} fields, got {got}"),
         (first_repeat(*keys), duplicate),
     )
     return table
+
+
+def _separators(text: str) -> bytes:
+    """The text's tabs and LFs, in order, taken out in C-level passes over
+    slices whose copies stay small beside the text; and an LF for a last
+    line that lacks one."""
+    seps = b"".join(
+        text[k : k + _SCAN_CHUNK].encode().translate(None, _NON_SEPARATORS)
+        for k in range(0, len(text), _SCAN_CHUNK)
+    )
+    return seps if text.endswith("\n") else seps + b"\n"
 
 
 def first_repeat(*columns: Factorized) -> int | None:
@@ -264,12 +332,15 @@ def write_table(path, header, records) -> None:
     A record must have one field per column, a name or field holding a
     tab, LF or CR would read back as other fields or lines, and a line of
     one empty field would read back as a skipped blank line; each raises
-    ValueError. When writing stops on any exception, a regular file at
-    ``path`` is removed, since its first lines would read back as a valid,
-    shorter table; a symlink, FIFO or device is left as it is.
+    ValueError. When writing stops on any exception, the regular file
+    ``path`` names, through any symlinks, is removed, since its first lines
+    would read back as a valid, shorter table; a link is left in place, and
+    a FIFO, a device or this process's stdout or stderr (``/dev/stdout``,
+    even when redirected to a file) is left as it is.
     """
     width = len(header)
     fh = open(path, "w", encoding="utf-8", newline="\n")
+    written = os.fstat(fh.fileno())
     try:
         with fh:
             for fields in chain((header,), records):
@@ -283,9 +354,20 @@ def write_table(path, header, records) -> None:
                     raise ValueError("an empty field alone on a line would be read as a blank line")
                 fh.write(line + "\n")
     except BaseException:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.remove(path)
+        if stat.S_ISREG(written.st_mode) and not _standard_stream(written):
+            os.remove(os.path.realpath(path))
         raise
+
+
+def _standard_stream(info: os.stat_result) -> bool:
+    """Whether ``info`` describes the file open as this process's stdout or stderr."""
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(info, os.fstat(fd)):
+                return True
+        except OSError:  # the descriptor is closed
+            pass
+    return False
 
 
 def _finite_floats(values) -> np.ndarray:

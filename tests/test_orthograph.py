@@ -5,6 +5,7 @@ import pytest
 
 from orthomask.errors import ParseError, UnknownGeneError
 from orthomask.orthograph import (
+    GRAPH_HEADER,
     BiadjacencyMatrix,
     RbhConfig,
     ScoreTable,
@@ -16,6 +17,7 @@ from orthomask.orthograph import (
     write_gene_list,
     write_score_table,
 )
+from orthomask.tsv import first_true, read_table
 
 from _helpers import kmer_similarity, random_mask, random_score_instance, rbh_brute_force
 
@@ -518,3 +520,107 @@ class TestScoreTableTsv:
         path.write_text("query\tsubject\tscore\nq1\ts1\t-1.0\n")
         with pytest.raises(ParseError):
             read_score_table(path)
+
+
+# ---------------------------------------------------------------------------
+# seeded readers against unseeded reads
+# ---------------------------------------------------------------------------
+
+TARGETS = ["t1", "t2", "ät", "漢"]
+SOURCES = ["s1", "s2", "sß"]
+# distinct IDs in no gene list: two of them beside one partner must not
+# read as one repeated pair
+STRANGERS = ["x1", "x2", "üx", "t9"]
+SCORES = ["0.5", "1", "0.25", "2e-3", "0.75"]
+
+
+def _pair_file_text(rng, header, queries, subjects, scored):
+    """A score table or graph file: known and unknown IDs, repeated pairs,
+    blank lines, records of the wrong width, and LF, CRLF or lone-CR line
+    ends, sometimes mixed and sometimes without a last one."""
+    lines, records = [header], []
+    for _ in range(int(rng.integers(0, 12))):
+        draw = rng.uniform()
+        if draw < 0.1:
+            lines.append("")
+            continue
+        if draw < 0.18 and records:
+            fields = list(records[int(rng.integers(0, len(records)))])
+        else:
+            fields = [
+                str(rng.choice(ids if rng.uniform() < 0.8 else STRANGERS))
+                for ids in (queries, subjects)
+            ]
+            if scored:
+                fields.append(str(rng.choice(SCORES if rng.uniform() < 0.97 else ["-1", "x"])))
+        if rng.uniform() < 0.04:
+            fields = fields[:-1] if rng.uniform() < 0.5 else fields + ["0.5"]
+        records.append(fields)
+        lines.append("\t".join(fields))
+    ends = [str(rng.choice(["\n", "\r\n", "\r"]))] * len(lines)
+    if rng.uniform() < 0.2:
+        ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if rng.uniform() < 0.2 else text
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the text of the error it raises."""
+    try:
+        return read()
+    except ParseError as err:
+        return f"ParseError at line {err.line}: {err}"
+    except UnknownGeneError as err:
+        return f"UnknownGeneError: {err}"
+
+
+def _graph_unseeded(path, target_genes, source_genes):
+    """tsv_to_graph with unseeded codes, each ID looked up in a dict of the
+    gene list's positions."""
+    t_index = {g: i for i, g in enumerate(target_genes)}
+    s_index = {g: j for j, g in enumerate(source_genes)}
+    table = read_table(path, GRAPH_HEADER, key_fields=2)
+    t = np.array([t_index.get(gene, -1) for gene in table.column(0)], np.int64)
+    s = np.array([s_index.get(gene, -1) for gene in table.column(1)], np.int64)
+    table.raise_first(
+        (first_true(t < 0), lambda k: f"unknown target gene {table.column(0)[k]!r}"),
+        (first_true(s < 0), lambda k: f"unknown source gene {table.column(1)[k]!r}"),
+    )
+    return BiadjacencyMatrix(target_genes, source_genes, np.column_stack((t, s)).reshape(-1, 2))
+
+
+def test_seeded_readers_match_unseeded_reads(tmp_path):
+    """Score tables read against the gene lists give the entries, the RBH
+    graph and the first error of an unseeded read, and a graph file gives
+    the graph or the first error of a plain dict lookup per ID."""
+    rng = np.random.default_rng(53)
+    tq, qt, graph = tmp_path / "tq.tsv", tmp_path / "qt.tsv", tmp_path / "graph.tsv"
+    outcomes = set()
+    for _ in range(500):
+        tq.write_bytes(_pair_file_text(rng, "query\tsubject\tscore", TARGETS, SOURCES, True).encode())
+        qt.write_bytes(_pair_file_text(rng, "query\tsubject\tscore", SOURCES, TARGETS, True).encode())
+        seeded = _outcome(lambda: (read_score_table(tq, TARGETS, SOURCES),
+                                   read_score_table(qt, SOURCES, TARGETS)))
+        plain = _outcome(lambda: (read_score_table(tq), read_score_table(qt)))
+        if isinstance(plain, str) or isinstance(seeded, str):
+            assert seeded == plain
+            outcomes.add(plain.split(": ")[2].split(" ")[0])
+        else:
+            for table, plain_table, genes in zip(seeded, plain, ((TARGETS, SOURCES), (SOURCES, TARGETS))):
+                assert table.entries == plain_table.entries
+                # a gene list's IDs are coded by their positions
+                assert table.queries.names[: len(genes[0])] == tuple(genes[0])
+                assert table.subjects.names[: len(genes[1])] == tuple(genes[1])
+            cfg = RbhConfig(0.3, 0.1)
+            built = _outcome(lambda: build_rbh_graph(*seeded, cfg, TARGETS, SOURCES))
+            assert built == _outcome(lambda: build_rbh_graph(*plain, cfg, TARGETS, SOURCES))
+            outcomes.add(built.split(":")[0] if isinstance(built, str) else "ok")
+
+        graph.write_bytes(_pair_file_text(rng, "target_gene\tsource_gene", TARGETS, SOURCES, False).encode())
+        read = _outcome(lambda: tsv_to_graph(graph, TARGETS, SOURCES))
+        assert read == _outcome(lambda: _graph_unseeded(graph, TARGETS, SOURCES))
+        outcomes.add("graph " + (read.split(": ")[2].split(" ")[0] if isinstance(read, str) else "ok"))
+    assert outcomes == {
+        "ok", "UnknownGeneError", "expected", "duplicate", "non-numeric", "score",
+        "graph ok", "graph expected", "graph duplicate", "graph unknown",
+    }

@@ -1,6 +1,8 @@
 import decimal
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +133,37 @@ def test_writer_rejects_wrong_width(tmp_path):
     with pytest.raises(ValueError, match="expected 3 fields, got 2"):
         write_table(path, ("a", "b", "c"), [("x\ty", "z")])
     assert not path.exists()
-    # a refused write through a symlink leaves the link in place
+    # a refused write through a symlink removes the regular file it names
+    # and leaves the link in place
     link = tmp_path / "link.tsv"
     link.symlink_to(path)
+    path.write_text("a\tb\nold\trecord\n")
     with pytest.raises(ValueError, match="expected 2 fields, got 1"):
         write_table(link, ("a", "b"), [("x", "y"), ("z",)])
-    assert link.is_symlink()
+    assert link.is_symlink() and not path.exists()
+
+
+def test_refused_write_leaves_streams_alone(tmp_path, capfd):
+    # a link to a FIFO: the FIFO stays, with the lines written before the
+    # refused record
+    fifo, link = tmp_path / "fifo", tmp_path / "link.tsv"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match="expected 2 fields, got 1"):
+            write_table(link, ("a", "b"), [("x", "y"), ("z",)])
+        assert stat.S_ISFIFO(os.stat(link).st_mode)
+        assert os.read(reader, 100) == b"a\tb\nx\ty\n"
+    finally:
+        os.close(reader)
+    # /dev/stdout, here a regular file that capfd opened, is not removed
+    stdout = os.fstat(1)
+    assert stat.S_ISREG(stdout.st_mode)
+    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
+        write_table("/dev/stdout", ("a", "b"), [("x", "y"), ("z",)])
+    assert os.fstat(1).st_nlink == stdout.st_nlink
+    assert capfd.readouterr().out == "a\tb\nx\ty\n"
 
 
 def test_writer_rejects_empty_line(tmp_path):
@@ -491,10 +518,27 @@ def _write_every_float_file(out):
         assert cli.main(list(map(str, argv))) == 0, argv
 
 
+# a float's repr: digits with a "." or an exponent
+FLOAT_CELL = re.compile(r"-?\d+(\.\d+(e[-+]\d+)?|e[-+]\d+)")
+
+
+def _float_cells(files):
+    """The float cells of the TSV files below their headers."""
+    return [
+        cell
+        for name, data in files.items()
+        if name.suffix == ".tsv"
+        for line in data.decode().split("\n")[1:]
+        for cell in line.split("\t")
+        if FLOAT_CELL.fullmatch(cell)
+    ]
+
+
 def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
     """Every float writer, and eval's stdout, gives the bytes of a
     repr-per-value formatter when only tsv's formatter is replaced, with
-    rows and columns formatted a few values at a time."""
+    rows and columns formatted a few values at a time; and that formatter
+    sees every float cell written, so no writer formats its own."""
 
     def written(out):
         out.mkdir()
@@ -505,8 +549,17 @@ def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(tsv, "FLOAT_CHUNK", 4)
         found = written(tmp_path / "found")
+    formatted = []
+
+    def counted(values):
+        texts = _repr_texts(values)
+        formatted.extend(texts)
+        return texts
+
     with monkeypatch.context() as m:
-        m.setattr(tsv, "float_texts", _repr_texts)
+        m.setattr(tsv, "float_texts", counted)
         expected = written(tmp_path / "expected")
     assert found == expected
     assert len(found[0]) > 10 and "e-05" in found[0][Path("expr.tsv")].decode()
+    cells = _float_cells(expected[0])
+    assert len(cells) > 300 and sorted(formatted) == sorted(cells)

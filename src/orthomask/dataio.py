@@ -36,6 +36,7 @@ from .netcore import (
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
 from .tsv import (
+    factorize,
     first_true,
     float_column,
     parse_floats,
@@ -179,12 +180,12 @@ def write_labels_tsv(sample_ids, labels, path) -> None:
 def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionDataset:
     """Join a phenotype file onto a dataset by sample ID."""
     label_ids, values = read_labels_tsv(path, kind)
-    position = {sid: k for k, sid in enumerate(label_ids)}
-    missing = [sid for sid in dataset.sample_ids if sid not in position]
-    if missing:
-        raise ValueError(f"no label for sample {missing[0]!r} in {path}")
+    rows = factorize(dataset.sample_ids, label_ids).codes
+    missing = first_true(rows >= len(label_ids))
+    if missing is not None:
+        raise ValueError(f"no label for sample {dataset.sample_ids[missing]!r} in {path}")
     # one row per sample; a (n, 1) or (n,) array keeps its shape
-    ordered = values[[position[sid] for sid in dataset.sample_ids]]
+    ordered = values[rows]
     return ExpressionDataset(
         dataset.species, dataset.gene_ids, dataset.sample_ids, dataset.samples, ordered
     )
@@ -197,11 +198,10 @@ def align_to_genes(dataset: ExpressionDataset, required_gene_ids) -> tuple[Expre
     required genes raise UnknownGeneError.
     """
     required = list(required_gene_ids)
-    position = {g: k for k, g in enumerate(dataset.gene_ids)}
-    for gene in required:
-        if gene not in position:
-            raise UnknownGeneError(f"dataset is missing required gene {gene!r}")
-    take = [position[g] for g in required]
+    take = factorize(required, dataset.gene_ids).codes
+    missing = first_true(take >= dataset.n_genes)
+    if missing is not None:
+        raise UnknownGeneError(f"dataset is missing required gene {required[missing]!r}")
     dropped = dataset.n_genes - len(required)
     if dropped:
         logger.warning("dropping %d gene(s) not in the required list", dropped)

@@ -106,10 +106,11 @@ def contributor_rows(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    t_ids = layer.mask.target_gene_ids
-    if target_gene_id not in t_ids:
-        raise UnknownGeneError(f"unknown target gene {target_gene_id!r}")
-    rows = _table_rows(layer, t_ids.index(target_gene_id))
+    try:
+        row = layer.mask.target_gene_ids.index(target_gene_id)
+    except ValueError:
+        raise UnknownGeneError(f"unknown target gene {target_gene_id!r}") from None
+    rows = _table_rows(layer, row)
     return sorted(rows, key=lambda row: (-abs(row[2]), row[1]))[:k]
 
 

@@ -7,18 +7,10 @@ bit for bit and the same model gives the same bytes. Any JSON layout of
 the same fields loads, and so do documents of earlier versions: their
 ``network_sha256`` key is ignored.
 
-:func:`load_model` parses with orjson first. When orjson refuses the text
-(NaN or Infinity, which earlier versions wrote, a lone surrogate,
-``1e400``), or the checks refuse what it parsed, the json module parses it
-again and the same checks run, so every refusal keeps the json module's
-exception and message. (orjson reads an integer beyond 64 bits as a float,
-which would change the message for a bad ``rows`` or edge index.) Both
-parsers round every number correctly, so an accepted document loads to
-the same bits either way. One document loads that the json module alone
-could not parse: one nested too deep for its recursion limit, in a field
-the checks do not read. Nested that deep in a field they read, it is
-refused as invalid JSON. Every command, ``inspect-weights`` included,
-loads the whole document.
+orjson is the reader: :func:`load_model` parses each document once and
+checks what it parsed. Text orjson refuses (NaN or Infinity, which
+earlier versions wrote, ``1e400``, a lone surrogate) is invalid JSON.
+Every command, ``inspect-weights`` included, loads the whole document.
 """
 
 from __future__ import annotations
@@ -138,25 +130,24 @@ def _malformed(path):
         raise ParseError(f"malformed model document: {exc}", path) from None
 
 
+def _shown(value, form=json.dumps) -> str:
+    """``form(value)`` for a message. A value nested deeper than orjson
+    writes (255 levels) is named by its type: json.dumps and repr would
+    recurse through it past Python's limit."""
+    try:
+        orjson.dumps(value)
+    except orjson.JSONEncodeError:
+        return f"a {type(value).__name__} nested too deep to show"
+    return form(value)
+
+
 def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
     """Parse a model document back into network and conversion layer."""
     text = read_text(path)
     try:
-        return _model(orjson.loads(text), path)
-    except (ValueError, RecursionError):
-        # orjson's JSONDecodeError and ParseError are ValueErrors; a refused
-        # document is parsed again by the json module, so that the refusal
-        # keeps the exception and message it always had
-        pass
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from None
-    return _model(doc, path)
-
-
-def _model(doc, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
-    """The network and conversion layer of a parsed document, checked."""
     with _malformed(path):
         net_doc = doc["network"]
         layers = []
@@ -172,11 +163,11 @@ def _model(doc, path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
                 )
             activation = lay["activation"]
             if activation not in ACTIVATIONS:
-                raise ParseError(f"layer {k}: unknown activation {activation!r}", path)
+                raise ParseError(f"layer {k}: unknown activation {_shown(activation, repr)}", path)
             layers.append(Layer(weights.reshape(rows, cols), bias, activation))
         frozen = net_doc["frozen"]
         if type(frozen) is not bool:
-            raise ParseError(f"frozen must be true or false, got {json.dumps(frozen)}", path)
+            raise ParseError(f"frozen must be true or false, got {_shown(frozen)}", path)
         net = FeedforwardNetwork(layers, frozen=frozen)
         return net, _conversion(doc["conversion"], net.input_dim, path)
 
@@ -188,7 +179,7 @@ def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:
         return None
     mode = conv_doc["mode"]
     if mode not in MODES:
-        raise ParseError(f"unknown conversion mode {mode!r}", path)
+        raise ParseError(f"unknown conversion mode {_shown(mode, repr)}", path)
     targets = _json_list(conv_doc["target_gene_ids"], {str}, "target_gene_ids", path)
     if len(targets) != n_inputs:
         raise ParseError(
@@ -212,7 +203,7 @@ def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:
     # exact type: int() would load 1.9 or true as a different edge
     if not set(map(type, fields[0])) | set(map(type, fields[1])) <= {int}:
         bad = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
-        raise ParseError(f"non-integer edge index in {json.dumps(bad)}", path)
+        raise ParseError(f"non-integer edge index in {_shown(bad)}", path)
     rows = np.array(fields[0], dtype=np.int64)
     cols = np.array(fields[1], dtype=np.int64)
     mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))

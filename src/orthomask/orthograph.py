@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import UnknownGeneError, real_field
 from .tsv import (
-    Factorized,
     factorize,
     first_repeat,
     first_true,
@@ -185,21 +183,15 @@ class BiadjacencyMatrix:
         )
 
 
-def _positions(column: Factorized, index: dict) -> np.ndarray:
-    """Each entry's position in a gene list (``index`` maps ID to position),
-    or -1; one lookup per distinct ID."""
-    names = column.names
-    return np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))[column.codes]
-
-
-def _indexed(table: ScoreTable, q_index, s_index, q_side: str, s_side: str):
-    """Each record's query and subject index in the gene lists; the first
-    record naming an unknown gene raises, its query checked before its
-    subject."""
-    q, s = _positions(table.queries, q_index), _positions(table.subjects, s_index)
-    k = first_true((q < 0) | (s < 0))
+def _indexed(table: ScoreTable, q_codes, s_codes, n_q: int, n_s: int, q_side: str, s_side: str):
+    """Each record's query and subject index in the gene lists, given each
+    distinct name's code against its list (``n_q`` and ``n_s`` long: a code
+    past the end is an unknown gene); the first record naming an unknown
+    gene raises, its query checked before its subject."""
+    q, s = q_codes[table.queries.codes], s_codes[table.subjects.codes]
+    k = first_true((q >= n_q) | (s >= n_s))
     if k is not None:
-        if q[k] < 0:
+        if q[k] >= n_q:
             query = table.queries.names[table.queries.codes[k]]
             raise UnknownGeneError(f"query gene {query!r} not in {q_side} gene list")
         subject = table.subjects.names[table.subjects.codes[k]]
@@ -231,19 +223,22 @@ def build_rbh_graph(
     """
     target_genes = list(target_genes)
     source_genes = list(source_genes)
-    t_index = {g: i for i, g in enumerate(target_genes)}
-    s_index = {g: j for j, g in enumerate(source_genes)}
-    t_fwd, s_fwd = _indexed(scores_tq, t_index, s_index, "target", "source")
-    s_rev, t_rev = _indexed(scores_qt, s_index, t_index, "source", "target")
-    fwd = _best_hit_mask(t_fwd, scores_tq.scores, len(target_genes), cfg)
-    rev = _best_hit_mask(s_rev, scores_qt.scores, len(source_genes), cfg)
-    # an edge is a pair key t*n_s + s that is a best hit both ways; the
+    n_t, n_s = len(target_genes), len(source_genes)
+    # one lookup per distinct name of a side, over both tables at once
+    n_tq, n_sq = len(scores_tq.queries.names), len(scores_qt.queries.names)
+    t_codes = factorize([*scores_tq.queries.names, *scores_qt.subjects.names], target_genes).codes
+    s_codes = factorize([*scores_qt.queries.names, *scores_tq.subjects.names], source_genes).codes
+    t_fwd, s_fwd = _indexed(scores_tq, t_codes[:n_tq], s_codes[n_sq:], n_t, n_s, "target", "source")
+    s_rev, t_rev = _indexed(scores_qt, s_codes[:n_sq], t_codes[n_tq:], n_s, n_t, "source", "target")
+    fwd = _best_hit_mask(t_fwd, scores_tq.scores, n_t, cfg)
+    rev = _best_hit_mask(s_rev, scores_qt.scores, n_s, cfg)
+    # an edge is a pair key t*width + s that is a best hit both ways; the
     # keys of one side are distinct, as a table holds no pair twice
-    n_s = max(len(source_genes), 1)
+    width = max(n_s, 1)
     keys = np.intersect1d(
-        t_fwd[fwd] * n_s + s_fwd[fwd], t_rev[rev] * n_s + s_rev[rev], assume_unique=True
+        t_fwd[fwd] * width + s_fwd[fwd], t_rev[rev] * width + s_rev[rev], assume_unique=True
     )
-    return BiadjacencyMatrix(target_genes, source_genes, np.column_stack(np.divmod(keys, n_s)))
+    return BiadjacencyMatrix(target_genes, source_genes, np.column_stack(np.divmod(keys, width)))
 
 
 # ---------------------------------------------------------------------------

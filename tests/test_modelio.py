@@ -6,7 +6,6 @@ import orjson
 import pytest
 
 from orthomask.errors import ParseError
-from orthomask import modelio
 from orthomask.modelio import load_model, model_document, save_model
 from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 
@@ -349,7 +348,7 @@ def test_writer_refuses_models_it_cannot_write(tmp_path, mode, change):
     path, text, net, layer = _saved_model(tmp_path, mode)
     if change == "lone surrogate":
         # documents are UTF-8 text, which cannot hold a lone surrogate; the
-        # earlier writer escaped it as \\ud800, which loading still takes
+        # earlier writer escaped it as \\ud800, which loading refuses
         mask = layer.mask
         ids = ["\ud800" + gene for gene in mask.target_gene_ids]
         mask = type(mask)(ids, mask.source_gene_ids, zip(mask.edge_rows, mask.edge_cols))
@@ -448,8 +447,12 @@ def _rehashed(doc):
         return None
 
 
-def _refuse(text):
-    raise orjson.JSONDecodeError("refused", text, 0)
+def _json_module_loads(text):
+    """The json module's parse, its refusals raised as orjson raises them."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise orjson.JSONDecodeError(str(exc), text, 0) from None
 
 
 def _edited(text, old, new):
@@ -458,8 +461,9 @@ def _edited(text, old, new):
 
 
 def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
-    """load_model, orjson first, against the same loader with orjson
-    refusing every text, so that the json module parses each document."""
+    """load_model against a reference that runs the same checks on what the
+    json module parses: every document the reference accepts loads to the
+    same bits, and every document it refuses raises ParseError."""
     documents, resaved = {}, {}
     for seed in range(24):
         for form, (text, again) in _random_documents(seed).items():
@@ -549,13 +553,24 @@ def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
 
     loaded = outcomes()
     with monkeypatch.context() as m:
-        m.setattr(orjson, "loads", _refuse)
+        m.setattr(orjson, "loads", _json_module_loads)
         reference = outcomes()
     for name in documents:
-        assert loaded[name] == reference[name], name
-        # the earlier writer's digest changes no outcome
+        if type(reference[name][0]) is type:
+            assert loaded[name][0] is ParseError, name
+        elif name == "lone surrogate":
+            # UTF-8 has no lone surrogates: orjson refuses the earlier
+            # writer's \\ud800, which the json module reads
+            assert loaded[name][0] is ParseError, name
+        else:
+            assert loaded[name] == reference[name], name
+        # the earlier writer's digest changes no outcome, but for where in
+        # the text invalid JSON is
         if name.endswith(" rehashed") and name.startswith("malformed"):
-            assert loaded[name] == loaded[name[: -len(" rehashed")]], name
+            plain, rehashed = loaded[name[: -len(" rehashed")]], loaded[name]
+            if plain[0] is ParseError and ": invalid JSON: " in plain[1]:
+                plain, rehashed = plain[0], rehashed[0]
+            assert rehashed == plain, name
     # the corpus loads networks with hard and soft layers and without one,
     # and meets every kind of refusal
     kinds = {o[0].__name__ if type(o[0]) is type else o[2] and o[2][0] for o in loaded.values()}
@@ -571,38 +586,25 @@ def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
         if type(loaded[name][0]) is type:
             continue
         path.write_text(doc, encoding="utf-8")
-        model = load_model(path)
-        if name == "lone surrogate":
-            # UTF-8 has no lone surrogates: the earlier writer's \\ud800
-            # loads, but orjson refuses to write it
-            with pytest.raises(ValueError):
-                model_document(*model)
-            continue
-        text = model_document(*model)
+        text = model_document(*load_model(path))
         assert text == resaved.get(name, text), name
         path.write_text(text, encoding="utf-8")
         assert _outcome(path) == loaded[name], name
         assert model_document(*load_model(path)) == text, name
 
-    # accepted documents are parsed by orjson alone
-    json_texts = []
-    monkeypatch.setattr(modelio.json, "loads", json_texts.append)
-    for name in ("seed 4 canonical", "seed 5 earlier indented", "weight of 25 digits",
-                 "surrogate pair"):
-        path.write_text(documents[name])
-        assert _outcome(path) == loaded[name]
-    assert json_texts == []
+    # each document is parsed once, by orjson: the json module's parser is
+    # never called, for accepted and refused documents alike
+    def forbidden(*args, **kwargs):
+        raise AssertionError("load_model called json.loads")
+
+    monkeypatch.setattr(json, "loads", forbidden)
+    assert outcomes() == loaded
 
 
-def test_deep_nesting_outside_the_checked_fields_loads(tmp_path, monkeypatch):
-    # too deep for the json module's recursion limit, but in a key the
-    # checks do not read: orjson parses it, and the document loads; the
-    # json module alone refuses it as invalid JSON
+def test_deep_nesting_outside_the_checked_fields_loads(tmp_path):
+    # nested past Python's recursion limit, in a key the checks do not
+    # read: orjson parses it, and the document loads
     path, text, *_ = _saved_model(tmp_path, "hard")
     expected = _outcome(path)
     path.write_text(text[:-2] + ',"extra":' + "[" * 5000 + "]" * 5000 + "}\n")
     assert _outcome(path) == expected
-    monkeypatch.setattr(orjson, "loads", _refuse)
-    refused, message = _outcome(path)
-    assert refused is ParseError
-    assert message.startswith(f"{path}: invalid JSON: maximum recursion depth exceeded")

@@ -1,12 +1,16 @@
-"""The README's library example runs as written, and the package exports
-every name it lists."""
+"""The README's library example runs as written, its command lines parse,
+and the package exports every name it lists."""
 
+import importlib
 import re
+import shlex
 from pathlib import Path
 
 import orthomask
+from orthomask import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_use_example_runs(capsys):
@@ -20,3 +24,25 @@ def test_library_use_example_runs(capsys):
 
     missing = [name for name in orthomask.__all__ if not hasattr(orthomask, name)]
     assert not missing
+
+
+def test_pipeline_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command-line pipeline"):]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("orthomask ")
+    ]
+    assert len(commands) == 8
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+
+
+def test_console_script_resolves():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^orthomask = "([\w.]+):(\w+)"$', pyproject, re.M)
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main

@@ -7,6 +7,7 @@ rename under ``src/`` would silently drop that layer's timings.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from orthomask import cli
@@ -16,6 +17,20 @@ TRACER = Path(__file__).resolve().parents[1] / "orthobench" / "tracer.py"
 # gone from the package; the benchmark still lists them
 STALE = ["kernels.csr_backward_batch", "netcore.backward_conversion_batch"]
 
+# the parameters each counter reads by name (the tracer matches positional
+# arguments to the wrapped function's parameter names)
+COUNTED_ARGUMENTS = {
+    "kernels.csr_matvec_batch": {"indptr", "data", "xs"},
+    "netcore.forward_conversion_batch": {"layer", "xs"},
+    "orthograph.read_score_table": {"path"},
+    "dataio.read_expression_tsv": {"path"},
+    "modelio.save_model": {"path"},
+    "training.train_conversion": {"cfg"},
+    "training.train_base": {"cfg"},
+}
+# counters that read only the result
+COUNTED_RESULTS = {"interpret.export_weight_table"}
+
 
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("orthobench_tracer", TRACER)
@@ -24,16 +39,31 @@ def _tracer_module():
     return tracer
 
 
+def _resolve(module, attr):
+    obj = importlib.import_module(f"orthomask.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    return obj if callable(obj) else None
+
+
 def test_wrapped_names_resolve():
     tracer = _tracer_module()
-    missing = []
-    for module, attr, _, _ in tracer.WRAPPED:
-        obj = importlib.import_module(f"orthomask.{module}")
-        for part in attr.split("."):
-            obj = getattr(obj, part, None)
-        if not callable(obj):
-            missing.append(f"{module}.{attr}")
+    missing = [f"{m}.{a}" for m, a, _, _ in tracer.WRAPPED if _resolve(m, a) is None]
     assert sorted(missing) == STALE
+
+
+def test_counted_arguments_keep_their_names():
+    # a renamed parameter would make a counter fail with KeyError, after
+    # the traced call has already run
+    tracer = _tracer_module()
+    counted = {}
+    for module, attr, _, counter in tracer.WRAPPED:
+        fn = _resolve(module, attr)
+        if counter is not None and fn is not None:
+            counted[f"{module}.{attr}"] = set(inspect.signature(fn).parameters)
+    assert set(counted) == set(COUNTED_ARGUMENTS) | COUNTED_RESULTS
+    for name, needed in COUNTED_ARGUMENTS.items():
+        assert needed <= counted[name], name
 
 
 def test_tracer_times_and_counts_score_table_reads(tmp_path):

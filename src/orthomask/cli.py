@@ -23,7 +23,6 @@ from .netcore import (
     MODE_SOFT,
     FeedforwardNetwork,
     Layer,
-    MaskedLinearLayer,
     model_forward,
 )
 from .tsv import float_column, write_table
@@ -133,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="per-step loss TSV to write")
     p.add_argument("--batch-size", type=_positive_int, default=training.FULL_BATCH)
     p.add_argument("--optimizer", choices=list(training.OPTIMIZERS), default=training.OPT_ADAM)
-    p.add_argument("--init", choices=list(training.INITS), default=training.INIT_ROW_UNIFORM)
     p.set_defaults(func=_cmd_train_conversion)
 
     p = sub.add_parser("predict", help="write per-sample predictions")
@@ -266,20 +264,6 @@ def _cmd_train_base(args):
     return EXIT_OK
 
 
-def _resolve_start_layer(existing, graph, mode, init, seed):
-    """Warm-start from a saved conversion layer when compatible, else
-    initialize fresh on the graph."""
-    if existing is None:
-        return training.initialize_conversion_layer(graph, mode, init, np.random.default_rng(seed))
-    if existing.mask != graph:
-        raise ValueError("saved conversion layer does not match the supplied graph")
-    if existing.mode == mode:
-        return existing
-    if existing.mode == MODE_HARD and mode == MODE_SOFT:
-        return MaskedLinearLayer(graph, MODE_SOFT, existing.to_dense())
-    raise ValueError("cannot warm-start a hard layer from a soft one")
-
-
 def _cmd_train_conversion(args):
     net, existing = modelio.load_model(args.model)
     if not net.frozen:
@@ -295,7 +279,7 @@ def _cmd_train_conversion(args):
 
     data = _model_inputs(net, graph.source_gene_ids, args.expr, args.labels)
 
-    layer = _resolve_start_layer(existing, graph, args.mode, args.init, args.seed)
+    layer = training.initialize_conversion_layer(graph, args.mode, existing)
     cfg = training.TrainConfig(
         learning_rate=args.lr,
         steps=args.steps,

@@ -7,8 +7,8 @@ off-orthology weights toward zero (strength ``alpha``) and optionally
 shrink on-orthology weights (strength ``beta``).
 
 Everything is deterministic given the config seed: one PCG64 generator
-(``numpy.random.default_rng``) drives initialization and batch shuffling,
-and gradient reductions run in fixed sample order.
+(``numpy.random.default_rng``) drives batch shuffling, and gradient
+reductions run in fixed sample order.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from .tsv import float_column, write_table
 OPT_SGD = "sgd"
 OPT_ADAM = "adam"
 OPTIMIZERS = (OPT_SGD, OPT_ADAM)
-
-INIT_ROW_UNIFORM = "row_uniform"
-INIT_SCALED_RANDOM = "scaled_random"
-INITS = (INIT_ROW_UNIFORM, INIT_SCALED_RANDOM)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -143,28 +139,28 @@ def regularization_grad(weights, mask: BiadjacencyMatrix, alpha: float, beta: fl
 # ---------------------------------------------------------------------------
 
 def initialize_conversion_layer(
-    mask: BiadjacencyMatrix, mode: str, init: str, rng: np.random.Generator
+    mask: BiadjacencyMatrix, mode: str, warm: MaskedLinearLayer | None = None
 ) -> MaskedLinearLayer:
-    """Fresh conversion weights on the mask support.
+    """The layer a conversion run starts from.
 
-    row_uniform sets each on-support weight of row i to 1/deg(i), so the
+    Without ``warm`` each on-support weight of row i is 1/deg(i), so the
     layer starts as an ortholog-averaging map (exact identity for
-    one-to-one orthology). scaled_random draws uniformly in +-1/sqrt(deg(i)).
-    Soft mode starts with off-support entries at exactly zero.
+    one-to-one orthology); soft mode starts with off-support entries at
+    exactly zero. With ``warm`` (a saved layer on the same mask) the run
+    continues from it: same mode as is, hard into soft densified; a soft
+    layer cannot restart hard.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if init not in INITS:
-        raise ValueError(f"init must be one of {INITS}, got {init!r}")
-    degrees = mask.row_degrees().astype(np.float64)
-    edge_deg = degrees[mask.edge_rows]
-    if init == INIT_ROW_UNIFORM:
-        support = 1.0 / edge_deg
-    else:
-        draws = rng.uniform(-1.0, 1.0, mask.n_edges)
-        support = draws / np.sqrt(edge_deg)
-    layer = MaskedLinearLayer(mask, MODE_HARD, support)
-    return layer if mode == MODE_HARD else MaskedLinearLayer(mask, MODE_SOFT, layer.to_dense())
+    if warm is None:
+        warm = MaskedLinearLayer(mask, MODE_HARD, 1.0 / mask.row_degrees()[mask.edge_rows])
+    elif warm.mask != mask:
+        raise ValueError("saved conversion layer does not match the supplied graph")
+    if warm.mode == mode:
+        return warm
+    if mode == MODE_SOFT:
+        return MaskedLinearLayer(mask, MODE_SOFT, warm.to_dense())
+    raise ValueError("cannot warm-start a hard layer from a soft one")
 
 
 class _Sgd:

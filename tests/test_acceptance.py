@@ -77,10 +77,6 @@ def bundle():
     return generate_synthetic(BUNDLE_SPEC)
 
 
-def default_hard_layer(graph, cfg):
-    return initialize_conversion_layer(graph, "hard", "row_uniform", np.random.default_rng(cfg.seed))
-
-
 def test_criterion_1_gradient_correctness():
     with criterion("C1 training-step gradient, penalty included, vs finite differences"):
         rng = np.random.default_rng(1001)
@@ -144,7 +140,7 @@ def test_criterion_2_rbh_oracle_equivalence():
 
 def run_hard_training(bundle, steps):
     cfg = TrainConfig(steps=steps)
-    layer = default_hard_layer(bundle.graph, cfg)
+    layer = initialize_conversion_layer(bundle.graph, "hard")
     trained, report = train_conversion(layer, bundle.frozen_net, bundle.train, cfg)
     return trained, report
 
@@ -208,9 +204,7 @@ def test_criterion_6_soft_constraint_shrinks_off_support(bundle):
         summaries = {}
         for alpha in (10.0, 0.0):
             cfg = TrainConfig(alpha=alpha, beta=0.0)
-            layer = initialize_conversion_layer(
-                bundle.graph, "soft", "row_uniform", np.random.default_rng(cfg.seed)
-            )
+            layer = initialize_conversion_layer(bundle.graph, "soft")
             trained, _ = train_conversion(layer, bundle.frozen_net, bundle.train, cfg)
             summaries[alpha] = support_summary(trained)
         assert summaries[10.0].off_mean_abs < summaries[0.0].off_mean_abs

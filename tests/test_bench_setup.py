@@ -45,9 +45,9 @@ def test_every_workload_sets_up(workloads, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["hard_genome", "soft_dense"])
-def test_train_conversion_copies_the_base_network(workloads, tmp_path, name, capsys):
-    # the frozen network's text goes to the trained model unchanged, so
-    # the benchmark's train-conversion times the copy, not the formatting
+def test_train_conversion_keeps_the_base_network_bytes(workloads, tmp_path, name, capsys):
+    # the trained document's network part has the base model's bytes, and
+    # rendering the loaded trained model again gives the same text
     shape = workloads.tiny(workloads.WORKLOADS[name])
     paths, _ = workloads.setup(shape, 7, str(tmp_path / "inputs"))
     genes = ["--target-genes", paths["target_genes.tsv"], "--source-genes", paths["source_genes.tsv"]]

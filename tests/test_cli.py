@@ -13,6 +13,7 @@ from orthomask.errors import ParseError
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model
+from orthomask.netcore import model_forward
 from orthomask.orthograph import ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
 
@@ -262,6 +263,20 @@ class TestTrainBase:
         net, _ = load_model(out)
         assert net.output_dim == 2
 
+    def test_classification_needs_two_classes(self, tmp_path, capsys):
+        (tmp_path / "expr.tsv").write_text("sample_id\tg1\na\t1.0\nb\t0.0\n")
+        (tmp_path / "labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t0\n")
+        capsys.readouterr()
+        assert run(
+            [
+                "train-base", "--expr", str(tmp_path / "expr.tsv"),
+                "--labels", str(tmp_path / "labels.tsv"),
+                "--hidden", "2", "--loss", "ce", "--lr", "0.1",
+                "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
+            ]
+        ) == 2
+        assert "classification needs at least 2 classes in the labels" in capsys.readouterr().err
+
 
 class TestTrainConversionAndEval:
     def test_pipeline_and_determinism(self, bundle_dir, tmp_path, capsys):
@@ -331,6 +346,66 @@ class TestTrainConversionAndEval:
         argv[argv.index("--lr") + 1] = "1e200"
         with np.errstate(over="ignore", invalid="ignore"):
             assert run(argv) == 3
+
+
+class TestWarmStart:
+    """train-conversion on a model that holds a conversion layer starts from
+    that layer, or exits 2 when the graph or the mode rules it out."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, bundle_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("warm")
+        models = {"hard": out / "hard.json", "soft": out / "soft.json"}
+        assert run(conversion_args(bundle_dir, models["hard"], out / "hard.tsv")) == 0
+        argv = conversion_args(bundle_dir, models["soft"], out / "soft.tsv")
+        argv[argv.index("--model") + 1] = str(models["hard"])
+        argv[argv.index("--mode") + 1] = "soft"
+        assert run(argv) == 0
+        return models
+
+    @staticmethod
+    def from_model(bundle, model, mode, tmp_path):
+        argv = conversion_args(bundle, tmp_path / "m.json", tmp_path / "r.tsv")
+        argv[argv.index("--model") + 1] = str(model)
+        argv[argv.index("--mode") + 1] = mode
+        return argv
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_same_mode_continues_from_the_saved_layer(self, bundle_dir, trained, tmp_path, mode):
+        expr = read_expression_tsv(bundle_dir / "train_expr.tsv")
+        zeros = tmp_path / "zeros.tsv"
+        write_expression_tsv(
+            ExpressionDataset(expr.species, expr.gene_ids, expr.sample_ids,
+                              np.zeros_like(expr.samples)),
+            zeros,
+        )
+        # zero inputs and no penalty give a zero gradient: the weights stay
+        # where the run started
+        argv = self.from_model(bundle_dir, trained[mode], mode, tmp_path)
+        argv += ["--alpha", "0", "--beta", "0"]
+        argv[argv.index("--steps") + 1] = "20"
+        argv[argv.index("--expr") + 1] = str(zeros)
+        assert run(argv) == 0
+        saved = load_model(trained[mode])[1]
+        conv = load_model(tmp_path / "m.json")[1]
+        assert np.array_equal(conv.weights, saved.weights)
+        fresh = initialize_conversion_layer(conv.mask, mode)
+        assert not np.array_equal(conv.weights, fresh.weights)
+
+    def test_graph_with_an_edge_fewer_rejected(self, bundle_dir, trained, tmp_path, capsys):
+        graph = tmp_path / "graph.tsv"
+        lines = (bundle_dir / "graph.tsv").read_text().splitlines(keepends=True)
+        graph.write_text("".join(lines[:-1]))
+        argv = self.from_model(bundle_dir, trained["hard"], "hard", tmp_path)
+        argv[argv.index("--graph") + 1] = str(graph)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "saved conversion layer does not match the supplied graph" in capsys.readouterr().err
+
+    def test_hard_from_soft_rejected(self, bundle_dir, trained, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(self.from_model(bundle_dir, trained["soft"], "hard", tmp_path)) == 2
+        assert "cannot warm-start a hard layer from a soft one" in capsys.readouterr().err
 
 
 class TestClassLabelOutOfRange:
@@ -457,8 +532,7 @@ class TestDegenerateInputs:
         # carry no penalty gradient at beta = 0
         assert_constant_losses(report, 20)
         _, conv = load_model(model)
-        rng = np.random.default_rng(0)
-        initial = initialize_conversion_layer(conv.mask, mode, "row_uniform", rng)
+        initial = initialize_conversion_layer(conv.mask, mode)
         assert np.array_equal(conv.weights, initial.weights)
 
 
@@ -479,6 +553,18 @@ class TestPredict:
         assert [ln.split("\t")[0] for ln in lines[1:]] == list(expr.sample_ids)
         values = [float(ln.split("\t")[1]) for ln in lines[1:]]
         assert all(np.isfinite(values))
+
+    def test_classifier_writes_class_indices(self, clf_files):
+        assert run(clf_conversion_args(clf_files, clf_files / "base_labels.tsv")) == 0
+        model, out = clf_files / "m.json", clf_files / "pred.tsv"
+        assert run(["predict", "--model", str(model), "--expr", str(clf_files / "expr.tsv"),
+                    "--out", str(out)]) == 0
+        net, conv = load_model(model)
+        expr = read_expression_tsv(clf_files / "expr.tsv")
+        classes = model_forward(net, conv, expr.samples).argmax(axis=1)
+        assert out.read_text().splitlines() == [
+            "sample_id\tprediction", f"a\t{classes[0]}", f"b\t{classes[1]}"
+        ]
 
     def test_repeat_is_byte_identical(self, bundle_dir, tmp_path):
         model = tmp_path / "m.json"

@@ -86,7 +86,7 @@ class TestTrainingBatching:
         )
         from orthomask.training import initialize_conversion_layer
 
-        layer = initialize_conversion_layer(mask, "hard", "row_uniform", rng)
+        layer = initialize_conversion_layer(mask, "hard")
         cfg = TrainConfig(steps=12, batch_size=3, seed=5)
         trained, report = train_conversion(layer, net, data, cfg)
         assert len(report.losses) == 12

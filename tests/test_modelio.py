@@ -131,6 +131,8 @@ def _malformed_documents():
         # one target gene per input of the first layer, which reads two
         '{"mode": "hard", "target_gene_ids": ["t1"], "source_gene_ids": ["s1", "s2"],'
         ' "edges": [[0, 0, 1.0]]}',
+        # a soft layer one weight short of its 2 x 2 matrix
+        '{"mode": "soft", ' + genes + ', "edges": [[0, 1]], "weights": [0.0, 1.0, 0.0]}',
     ):
         docs.append(network + ' "conversion": ' + conversion + "}")
     return docs

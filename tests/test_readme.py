@@ -1,6 +1,7 @@
-"""The README's library example runs as written, its command lines parse,
-and the package exports every name it lists."""
+"""The README's library example runs as written, its command lines parse
+and name only real flags, and the package exports every name it lists."""
 
+import argparse
 import importlib
 import re
 import shlex
@@ -39,6 +40,25 @@ def test_pipeline_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def test_pipeline_section_names_only_real_flags():
+    # prose included: a flag the parser no longer has must leave the README too
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Command-line pipeline\n(.*?)^## ", text, re.S | re.M).group(1)
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    known = {
+        flag
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+    }
+    assert named
+    assert sorted(named - known) == []
 
 
 def test_console_script_resolves():

@@ -264,7 +264,7 @@ class TestTrainConversion:
     def test_frozen_net_untouched_and_mask_respected(self):
         rng = np.random.default_rng(5)
         mask = random_mask(rng, 4, 6, 0.4, force_edge=True)
-        layer = initialize_conversion_layer(mask, "hard", "row_uniform", rng)
+        layer = initialize_conversion_layer(mask, "hard")
         from _helpers import random_network
 
         net = random_network(rng, [4, 3, 1], frozen=True)
@@ -321,7 +321,8 @@ class TestTrainConversion:
             rng.normal(0, 1, (12, 5)),
             rng.normal(0, 1, (12, 1)),
         )
-        layer = initialize_conversion_layer(mask, "hard", "scaled_random", np.random.default_rng(9))
+        draws = np.random.default_rng(9).uniform(-1.0, 1.0, mask.n_edges)
+        layer = MaskedLinearLayer(mask, "hard", draws)
         cfg = TrainConfig(steps=30, batch_size=5, seed=42)
         a, ra = train_conversion(layer, net, data, cfg)
         b, rb = train_conversion(layer, net, data, cfg)
@@ -380,41 +381,46 @@ class TestTrainConversion:
 class TestInitialization:
     def test_row_uniform_averages(self):
         mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(0, 0), (0, 2), (1, 1)])
-        layer = initialize_conversion_layer(mask, "hard", "row_uniform", np.random.default_rng(0))
+        layer = initialize_conversion_layer(mask, "hard")
         assert layer.weights.tolist() == [0.5, 0.5, 1.0]
 
     def test_row_uniform_identity_for_one_to_one(self):
         mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2"], [(0, 0), (1, 1)])
-        layer = initialize_conversion_layer(mask, "hard", "row_uniform", np.random.default_rng(0))
+        layer = initialize_conversion_layer(mask, "hard")
         xs = np.array([[3.0, -2.0]])
         from orthomask.netcore import forward_conversion_batch
 
         assert np.array_equal(forward_conversion_batch(layer, xs), xs)
 
-    def test_scaled_random_bounded_by_degree(self):
-        rng = np.random.default_rng(10)
-        mask = random_mask(rng, 6, 8, 0.5, force_edge=True)
-        layer = initialize_conversion_layer(mask, "hard", "scaled_random", rng)
-        degrees = mask.row_degrees()[mask.edge_rows]
-        assert np.all(np.abs(layer.weights) <= 1.0 / np.sqrt(degrees))
-
     def test_soft_init_zero_off_support(self):
         rng = np.random.default_rng(11)
         mask = random_mask(rng, 4, 5, 0.4, force_edge=True)
-        layer = initialize_conversion_layer(mask, "soft", "row_uniform", rng)
+        layer = initialize_conversion_layer(mask, "soft")
         off = np.ones((4, 5), dtype=bool)
         off[mask.edge_rows, mask.edge_cols] = False
         assert not layer.weights[off].any()
 
-    @pytest.mark.parametrize(
-        "mode, init, message",
-        [("loose", "row_uniform", "mode must be one of"), ("hard", "xavier", "init must be one of")],
-        ids=["mode", "init"],
-    )
-    def test_rejects_unknown_mode_and_init(self, mode, init, message):
-        mask = BiadjacencyMatrix(["t1"], ["s1"], [(0, 0)])
-        with pytest.raises(ValueError, match=message):
-            initialize_conversion_layer(mask, mode, init, np.random.default_rng(0))
+    def test_warm_start(self):
+        mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(0, 0), (0, 2), (1, 1)])
+        hard = MaskedLinearLayer(mask, "hard", [0.3, -0.2, 0.7])
+        assert initialize_conversion_layer(mask, "hard", hard) is hard
+        soft = initialize_conversion_layer(mask, "soft", hard)
+        assert soft.mode == "soft"
+        assert np.array_equal(soft.weights, hard.to_dense())
+        assert initialize_conversion_layer(mask, "soft", soft) is soft
+
+    def test_refusals(self):
+        mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
+        other = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 1)])
+        for mode, warm, message in [
+            ("loose", None, "mode must be one of"),
+            ("hard", initialize_conversion_layer(other, "hard"),
+             "saved conversion layer does not match the supplied graph"),
+            ("hard", initialize_conversion_layer(mask, "soft"),
+             "cannot warm-start a hard layer from a soft one"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                initialize_conversion_layer(mask, mode, warm)
 
 
 class TestAdam:

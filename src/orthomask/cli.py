@@ -231,10 +231,9 @@ def _cmd_train_base(args):
     if args.loss == "mse":
         out_dim = data.labels.shape[1]
     else:
-        n_classes = int(data.labels.max()) + 1
-        if n_classes < 2:
+        if np.unique(data.labels).size < 2:
             raise ValueError("classification needs at least 2 classes in the labels")
-        out_dim = n_classes
+        out_dim = int(data.labels.max()) + 1
 
     rng = np.random.default_rng(args.seed)
     net = FeedforwardNetwork(

@@ -15,15 +15,17 @@ divided by the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import first_true, float_column, read_table, write_table
+from .tsv import FLOAT_CHUNK, check_fields, first_true, float_column, open_table, read_table, write_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
+# the last cell of a row, by its on-support flag (0 or 1)
+_FLAG_CELLS = np.array(["\tfalse\n", "\ttrue\n"], dtype=object)
 
 
 @dataclass
@@ -34,39 +36,10 @@ class SupportSummary:
     off_count: int
 
 
-def _weight_columns(layer: MaskedLinearLayer, row: int | None = None):
-    """Target index, source index, weight and on-support flag of every
-    stored weight, or only of target index ``row``, in row-major order."""
-    mask = layer.mask
-    lo, hi = (0, mask.n_targets) if row is None else (row, row + 1)
-    span = slice(mask.indptr[lo], mask.indptr[hi])
-    rows, cols = mask.edge_rows[span], mask.edge_cols[span]
-    if layer.mode == MODE_HARD:
-        return rows, cols, layer.weights[span], np.ones(rows.size, dtype=bool)
-    weights = layer.weights[lo:hi]
-    on = np.zeros(weights.shape, dtype=bool)
-    on[rows - lo, cols] = True
-    targets, sources = np.indices(weights.shape)
-    return (targets + lo).ravel(), sources.ravel(), weights.ravel(), on.ravel()
-
-
-def _table_rows(layer: MaskedLinearLayer, row: int | None = None):
-    """Weight-table tuples of :func:`_weight_columns`, in its order."""
-    rows, cols, weights, on = _weight_columns(layer, row)
-    t_ids = np.array(layer.mask.target_gene_ids, dtype=object)
-    s_ids = np.array(layer.mask.source_gene_ids, dtype=object)
-    return zip(t_ids[rows].tolist(), s_ids[cols].tolist(), weights.tolist(), on.tolist())
-
-
-def weight_table(layer: MaskedLinearLayer) -> list[tuple[str, str, float, bool]]:
-    """All stored weights, sorted by (target_gene_id, source_gene_id)."""
-    return sorted(_table_rows(layer), key=lambda row: (row[0], row[1]))
-
-
 def write_weight_rows(rows: list[tuple[str, str, float, bool]], path) -> None:
     """Write a list of ``(target_gene, source_gene, weight, on_support)``
     rows as a weight table TSV, in the order given."""
-    weights = float_column(np.fromiter(map(itemgetter(2), rows), np.float64, len(rows)))
+    weights = float_column(np.fromiter((row[2] for row in rows), np.float64, len(rows)))
     records = (
         (t_gene, s_gene, weight, "true" if on_support else "false")
         for (t_gene, s_gene, _, on_support), weight in zip(rows, weights)
@@ -74,11 +47,54 @@ def write_weight_rows(rows: list[tuple[str, str, float, bool]], path) -> None:
     write_table(path, WEIGHT_TABLE_HEADER, records)
 
 
-def export_weight_table(layer: MaskedLinearLayer, path) -> list[tuple[str, str, float, bool]]:
-    """Write the weight table TSV; returns the rows written."""
-    rows = weight_table(layer)
-    write_weight_rows(rows, path)
-    return rows
+def _gene_order(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of ``ids`` in Python ``str`` order, and each ID's cell:
+    the ID and its tab. An ID holding a tab, LF or CR raises ValueError."""
+    check_fields(ids)
+    # not through a numpy str array, which drops an ID's trailing NULs
+    order = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
+    return order, np.fromiter((gene + "\t" for gene in ids), object, len(ids))
+
+
+def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.ndarray):
+    """Target index, source index, weight and on-support flag (0 or 1) of
+    the table's rows, in table order, ``FLOAT_CHUNK`` rows at a time (in
+    soft mode, whole target rows at a time, at least one)."""
+    mask = layer.mask
+    rows, cols, n_s = mask.edge_rows, mask.edge_cols, mask.n_sources
+    if layer.mode == MODE_HARD:
+        # each edge's key from the genes' ranks: the edges are distinct, so
+        # are their keys, and any sort gives one order
+        order = np.argsort(np.argsort(t_order)[rows] * n_s + np.argsort(s_order)[cols])
+        for k in range(0, order.size, FLOAT_CHUNK):
+            at = order[k : k + FLOAT_CHUNK]
+            yield rows[at], cols[at], layer.weights[at], np.ones(at.size, np.intp)
+        return
+    block = max(1, FLOAT_CHUNK // max(1, n_s))
+    for k in range(0, mask.n_targets, block):
+        targets = t_order[k : k + block]
+        on = np.zeros((targets.size, n_s), dtype=np.intp)
+        for row, i in enumerate(targets):
+            on[row, cols[mask.indptr[i] : mask.indptr[i + 1]]] = 1
+        weights = layer.weights[np.ix_(targets, s_order)].ravel()
+        yield np.repeat(targets, n_s), np.tile(s_order, targets.size), weights, on[:, s_order].ravel()
+
+
+def export_weight_table(layer: MaskedLinearLayer, path) -> range:
+    """Write the weight table TSV: every stored weight, sorted by
+    (target_gene_id, source_gene_id), one chunk of :func:`_table_chunks` per
+    write. Returns a range as long as the rows written. A gene ID holding a
+    tab, LF or CR raises ValueError before the file is opened."""
+    t_order, t_cells = _gene_order(layer.mask.target_gene_ids)
+    s_order, s_cells = _gene_order(layer.mask.source_gene_ids)
+    with open_table(path) as fh:
+        fh.write("\t".join(WEIGHT_TABLE_HEADER) + "\n")
+        for targets, sources, weights, on in _table_chunks(layer, t_order, s_order):
+            parts = [""] * (4 * weights.size)
+            parts[0::4], parts[1::4] = t_cells[targets].tolist(), s_cells[sources].tolist()
+            parts[2::4], parts[3::4] = float_column(weights), _FLAG_CELLS[on].tolist()
+            fh.write("".join(parts))
+    return range(layer.weights.size)
 
 
 def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
@@ -110,8 +126,15 @@ def contributor_rows(
         row = layer.mask.target_gene_ids.index(target_gene_id)
     except ValueError:
         raise UnknownGeneError(f"unknown target gene {target_gene_id!r}") from None
-    rows = _table_rows(layer, row)
-    return sorted(rows, key=lambda row: (-abs(row[2]), row[1]))[:k]
+    mask = layer.mask
+    span = slice(mask.indptr[row], mask.indptr[row + 1])
+    if layer.mode == MODE_HARD:
+        cols, weights, on = mask.edge_cols[span].tolist(), layer.weights[span], repeat(True)
+    else:
+        cols, weights = range(mask.n_sources), layer.weights[row]
+        on = np.isin(cols, mask.edge_cols[span]).tolist()
+    table = zip(repeat(target_gene_id), map(mask.source_gene_ids.__getitem__, cols), weights.tolist(), on)
+    return sorted(table, key=lambda row: (-abs(row[2]), row[1]))[:k]
 
 
 def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> list[tuple[str, float]]:
@@ -122,8 +145,10 @@ def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> l
 def support_summary(layer: MaskedLinearLayer) -> SupportSummary:
     """Mean |weight| on and off the orthology support (hard mode stores no
     off-support weights, so that side reports count 0 and mean 0)."""
-    _, _, weights, on = _weight_columns(layer)
-    on_abs, off_abs = np.abs(weights[on]), np.abs(weights[~on])
+    on = np.full(layer.weights.shape, layer.mode == MODE_HARD)
+    if layer.mode != MODE_HARD:
+        on[layer.mask.edge_rows, layer.mask.edge_cols] = True
+    on_abs, off_abs = np.abs(layer.weights[on]), np.abs(layer.weights[~on])
     return SupportSummary(
         on_mean_abs=float(on_abs.mean()) if on_abs.size else 0.0,
         off_mean_abs=float(off_abs.mean()) if off_abs.size else 0.0,

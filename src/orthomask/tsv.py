@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import stat
+from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -332,27 +333,42 @@ def write_table(path, header, records) -> None:
     A record must have one field per column, a name or field holding a
     tab, LF or CR would read back as other fields or lines, and a line of
     one empty field would read back as a skipped blank line; each raises
-    ValueError. When writing stops on any exception, the regular file
-    ``path`` names, through any symlinks, is removed, since its first lines
-    would read back as a valid, shorter table; a link is left in place, and
-    a FIFO, a device or this process's stdout or stderr (``/dev/stdout``,
-    even when redirected to a file) is left as it is.
+    ValueError. The file is opened by :func:`open_table`.
     """
     width = len(header)
+    with open_table(path) as fh:
+        for fields in chain((header,), records):
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            line = "\t".join(fields)
+            if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
+                check_fields(fields)
+                raise ValueError("an empty field alone on a line would be read as a blank line")
+            fh.write(line + "\n")
+
+
+def check_fields(fields) -> None:
+    """Raise ValueError naming the first field that holds a tab, LF or CR."""
+    for cell in fields:
+        if "\t" in cell or "\n" in cell or "\r" in cell:
+            raise ValueError(f"field {cell!r} contains a tab or line break")
+
+
+@contextmanager
+def open_table(path):
+    """``path`` opened for writing a table: UTF-8 text with LF line ends.
+
+    When the block stops on any exception, the regular file ``path``
+    names, through any symlinks, is removed, since its first lines would
+    read back as a valid, shorter table; a link is left in place, and a
+    FIFO, a device or this process's stdout or stderr (``/dev/stdout``,
+    even when redirected to a file) is left as it is.
+    """
     fh = open(path, "w", encoding="utf-8", newline="\n")
     written = os.fstat(fh.fileno())
     try:
         with fh:
-            for fields in chain((header,), records):
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                line = "\t".join(fields)
-                if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
-                    for cell in fields:
-                        if "\t" in cell or "\n" in cell or "\r" in cell:
-                            raise ValueError(f"field {cell!r} contains a tab or line break")
-                    raise ValueError("an empty field alone on a line would be read as a blank line")
-                fh.write(line + "\n")
+            yield fh
     except BaseException:
         if stat.S_ISREG(written.st_mode) and not _standard_stream(written):
             os.remove(os.path.realpath(path))

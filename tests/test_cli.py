@@ -265,17 +265,21 @@ class TestTrainBase:
 
     def test_classification_needs_two_classes(self, tmp_path, capsys):
         (tmp_path / "expr.tsv").write_text("sample_id\tg1\na\t1.0\nb\t0.0\n")
-        (tmp_path / "labels.tsv").write_text("sample_id\tlabel\na\t0\nb\t0\n")
-        capsys.readouterr()
-        assert run(
-            [
-                "train-base", "--expr", str(tmp_path / "expr.tsv"),
-                "--labels", str(tmp_path / "labels.tsv"),
-                "--hidden", "2", "--loss", "ce", "--lr", "0.1",
-                "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
-            ]
-        ) == 2
-        assert "classification needs at least 2 classes in the labels" in capsys.readouterr().err
+        # one class, whichever it is: the class count is not the largest
+        # label plus one
+        for label in ("0", "1", "2"):
+            (tmp_path / "labels.tsv").write_text(f"sample_id\tlabel\na\t{label}\nb\t{label}\n")
+            capsys.readouterr()
+            assert run(
+                [
+                    "train-base", "--expr", str(tmp_path / "expr.tsv"),
+                    "--labels", str(tmp_path / "labels.tsv"),
+                    "--hidden", "2", "--loss", "ce", "--lr", "0.1",
+                    "--steps", "2", "--seed", "1", "--out", str(tmp_path / "clf.json"),
+                ]
+            ) == 2
+            assert "classification needs at least 2 classes in the labels" in capsys.readouterr().err
+            assert not (tmp_path / "clf.json").exists()
 
 
 class TestTrainConversionAndEval:
@@ -604,19 +608,26 @@ class TestInspectWeights:
         assert mags == sorted(mags, reverse=True)
 
     def test_refused_gene_id_leaves_no_table(self, bundle_dir, tmp_path, capsys):
-        # a target gene ID holding a tab cannot be written: the rows before
-        # it would read back as a valid, shorter table, so none is left
+        # a gene ID holding a tab or line break cannot be written: the rows
+        # before it would read back as a valid, shorter table, so none is left
         model = tmp_path / "m.json"
         assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
-        doc = json.loads(model.read_text())
-        doc["conversion"]["target_gene_ids"][-1] += "\tx"
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "weights.tsv"
-        capsys.readouterr()
-        assert run(["inspect-weights", "--model", str(bad), "--out", str(out)]) == 2
-        assert "contains a tab or line break" in capsys.readouterr().err
-        assert not out.exists()
+        conv = json.loads(model.read_text())["conversion"]
+        # the last target, and the source of the first edge, appear in the table
+        for side, k, text in (
+            ("target_gene_ids", len(conv["target_gene_ids"]) - 1, "\tx"),
+            ("source_gene_ids", conv["edges"][0][1], "\nx"),
+            ("source_gene_ids", conv["edges"][0][1], "\rx"),
+        ):
+            doc = json.loads(model.read_text())
+            doc["conversion"][side][k] += text
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / "weights.tsv"
+            capsys.readouterr()
+            assert run(["inspect-weights", "--model", str(bad), "--out", str(out)]) == 2
+            assert "contains a tab or line break" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_conversion_that_does_not_fit_the_network(self, bundle_dir, tmp_path, capsys,
                                                        monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from orthomask.interpret import (
     read_weight_table,
     support_summary,
     top_contributors,
-    weight_table,
 )
 from orthomask.netcore import MaskedLinearLayer
 from orthomask.orthograph import BiadjacencyMatrix
@@ -74,24 +74,40 @@ class TestExportWeightTable:
     def test_soft_mode_reports_all_entries(self, tmp_path):
         mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0)])
         layer = MaskedLinearLayer(mask, "soft", [[1.0, -3.0]])
-        rows = export_weight_table(layer, tmp_path / "weights.tsv")
-        assert rows == [("t1", "s1", 1.0, True), ("t1", "s2", -3.0, False)]
+        path = tmp_path / "weights.tsv"
+        assert len(export_weight_table(layer, path)) == 2
+        assert read_weight_table(path) == [("t1", "s1", 1.0, True), ("t1", "s2", -3.0, False)]
 
     def test_round_trip_and_byte_stability(self, tmp_path):
         rng = np.random.default_rng(2)
         mask = random_mask(rng, 7, 9, 0.4, force_edge=True)
         layer = MaskedLinearLayer(mask, "hard", rng.normal(0, 1, mask.n_edges))
         path = tmp_path / "weights.tsv"
-        rows = export_weight_table(layer, path)
-        assert read_weight_table(path) == rows
+        assert len(export_weight_table(layer, path)) == mask.n_edges
+        assert read_weight_table(path) == weight_table_oracle(layer)
         export_weight_table(layer, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
     def test_sorted_by_gene_ids(self, tmp_path):
         mask = BiadjacencyMatrix(["tb", "ta"], ["s1"], [(0, 0), (1, 0)])
         layer = MaskedLinearLayer(mask, "hard", [1.0, 2.0])
-        rows = export_weight_table(layer, tmp_path / "weights.tsv")
-        assert [r[0] for r in rows] == ["ta", "tb"]
+        path = tmp_path / "weights.tsv"
+        export_weight_table(layer, path)
+        assert [r[0] for r in read_weight_table(path)] == ["ta", "tb"]
+
+    def test_memory_is_one_chunk(self, tmp_path):
+        # the writer holds one chunk of rows, not a tuple per soft weight:
+        # a 300x400 soft table once peaked at 24 MB of Python allocations
+        rng = np.random.default_rng(5)
+        mask = random_mask(rng, 300, 400, 0.01, force_edge=True)
+        layer = MaskedLinearLayer(mask, "soft", rng.normal(0, 1, (300, 400)))
+        tracemalloc.start()
+        try:
+            assert len(export_weight_table(layer, tmp_path / "weights.tsv")) == 300 * 400
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_reader_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -134,25 +150,30 @@ class TestSupportSummary:
 
 
 class TestViewConsistency:
-    def test_top_contributors_prefix_of_table(self):
+    def test_top_contributors_prefix_of_table(self, tmp_path):
         rng = np.random.default_rng(3)
         for mode in ("hard", "soft"):
             mask = random_mask(rng, 5, 6, 0.5, force_edge=True)
             shape = (mask.n_edges,) if mode == "hard" else (5, 6)
             layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
-            table = weight_table(layer)
+            export_weight_table(layer, tmp_path / "weights.tsv")
+            table = read_weight_table(tmp_path / "weights.tsv")
             for t_gene in mask.target_gene_ids:
                 gene_rows = [r for r in table if r[0] == t_gene]
                 gene_rows.sort(key=lambda r: (-abs(r[2]), r[1]))
                 expected = [(r[1], r[2]) for r in gene_rows[:3]]
                 assert top_contributors(layer, t_gene, 3) == expected
 
-    def test_views_match_dense_oracle(self):
+    def test_views_match_dense_oracle(self, tmp_path):
         # IDs are numbered in shuffled order, and past 10 genes they do not
-        # sort in number order either ("s10" < "s2"); half the layers draw
-        # weights from a few magnitudes of either sign, so |w| ties are
-        # common and the source-ID tie break decides
+        # sort in number order either ("s10" < "s2"); a third of the trials
+        # start IDs with non-ASCII letters, which sort by code point ("z" <
+        # "é"), and a third pair IDs that differ only by a trailing NUL
+        # ("s0" < "s0\x00"); half the layers draw weights from a few
+        # magnitudes of either sign, so |w| ties are common and the
+        # source-ID tie break decides
         rng = np.random.default_rng(4)
+        path = tmp_path / "weights.tsv"
         for trial in range(240):
             mode = ("hard", "soft")[trial % 2]
             n_t, n_s = (int(v) for v in rng.integers(1, 14, 2))
@@ -160,9 +181,14 @@ class TestViewConsistency:
             bern = rng.uniform(0.0, 1.0, (n_t, n_s)) < density
             if 0.0 < density < 1.0:
                 bern[rng.integers(0, n_t)] = False  # a target with no orthologs
+            name = (
+                lambda side, k: f"{side}{k}",
+                lambda side, k: f"{'zéaΩ'[k % 4]}{side}{k}",
+                lambda side, k: f"{side}{k // 2}" + "\x00" * (k % 2),
+            )[trial // 80]
             mask = BiadjacencyMatrix(
-                [f"t{k}" for k in rng.permutation(n_t)],
-                [f"s{k}" for k in rng.permutation(n_s)],
+                [name("t", k) for k in rng.permutation(n_t)],
+                [name("s", k) for k in rng.permutation(n_s)],
                 np.argwhere(bern),
             )
             shape = (mask.n_edges,) if mode == "hard" else (n_t, n_s)
@@ -173,7 +199,8 @@ class TestViewConsistency:
             layer = MaskedLinearLayer(mask, mode, weights)
 
             table = weight_table_oracle(layer)
-            assert weight_table(layer) == table
+            assert len(export_weight_table(layer, path)) == len(table)
+            assert read_weight_table(path) == table
             for t_gene in mask.target_gene_ids:
                 ranked = [r for r in table if r[0] == t_gene]
                 ranked.sort(key=lambda r: (-abs(r[2]), r[1]))

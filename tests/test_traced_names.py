@@ -8,9 +8,15 @@ rename under ``src/`` would silently drop that layer's timings.
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from orthomask import cli
+from orthomask.interpret import export_weight_table, read_weight_table
+from orthomask.netcore import MaskedLinearLayer
+from orthomask.orthograph import BiadjacencyMatrix
 
 TRACER = Path(__file__).resolve().parents[1] / "orthobench" / "tracer.py"
 
@@ -64,6 +70,21 @@ def test_counted_arguments_keep_their_names():
     assert set(counted) == set(COUNTED_ARGUMENTS) | COUNTED_RESULTS
     for name, needed in COUNTED_ARGUMENTS.items():
         assert needed <= counted[name], name
+
+
+def test_row_counter_reads_the_rows_written(tmp_path):
+    # the counter takes len() of export_weight_table's result, whatever
+    # Python runs the benchmark
+    rows = _tracer_module()._rows
+    mask = BiadjacencyMatrix(["t2", "t1"], ["s1", "s2", "s3"], [(0, 1), (1, 0), (1, 2)])
+    for layer in (
+        MaskedLinearLayer(mask, "hard", [0.5, -1.0, 2.0]),
+        MaskedLinearLayer(mask, "soft", np.arange(6.0).reshape(2, 3)),
+    ):
+        path = tmp_path / f"{layer.mode}.tsv"
+        counts = defaultdict(int)
+        rows(counts, {"layer": layer, "path": path}, export_weight_table(layer, path))
+        assert counts["interpret.export_weight_table.rows"] == len(read_weight_table(path))
 
 
 def test_tracer_times_and_counts_score_table_reads(tmp_path):

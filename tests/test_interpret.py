@@ -95,6 +95,16 @@ class TestExportWeightTable:
         export_weight_table(layer, path)
         assert [r[0] for r in read_weight_table(path)] == ["ta", "tb"]
 
+    def test_refused_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate passes the ID check but cannot be encoded: the
+        # lines written before it would read back as a valid, shorter table
+        mask = BiadjacencyMatrix(["t1", "t2"], ["s1", "\ud800"], [(0, 0), (1, 1)])
+        layer = MaskedLinearLayer(mask, "hard", [1.0, 2.0])
+        path = tmp_path / "weights.tsv"
+        with pytest.raises(UnicodeEncodeError):
+            export_weight_table(layer, path)
+        assert not path.exists()
+
     def test_memory_is_one_chunk(self, tmp_path):
         # the writer holds one chunk of rows, not a tuple per soft weight:
         # a 300x400 soft table once peaked at 24 MB of Python allocations

@@ -49,89 +49,59 @@ def _positive_int(text):
     return value
 
 
-def _uint64(text):
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {value}")
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
-    return value
-
-
-def _nonneg_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
-def _unit_interval(text):
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orthomask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    # the flags both trainers take; _train_config turns them into a TrainConfig
+    trainer = argparse.ArgumentParser(add_help=False)
+    trainer.add_argument("--expr", required=True)
+    trainer.add_argument("--labels", required=True)
+    trainer.add_argument("--lr", required=True, type=float)
+    trainer.add_argument("--steps", required=True, type=int)
+    trainer.add_argument("--seed", required=True, type=int)
+    trainer.add_argument("--batch-size", type=int, default=training.FULL_BATCH)
+    trainer.add_argument("--optimizer", choices=list(training.OPTIMIZERS), default=training.OPT_ADAM)
 
     p = sub.add_parser("build-graph", help="reciprocal-best-hit graph from score tables")
     p.add_argument("--scores-tq", required=True, help="target-query score TSV")
     p.add_argument("--scores-qt", required=True, help="source-query score TSV")
     p.add_argument("--target-genes", required=True, help="target gene universe file")
     p.add_argument("--source-genes", required=True, help="source gene universe file")
-    p.add_argument("--threshold", required=True, type=_nonneg_float)
-    p.add_argument("--tie-tol", type=_nonneg_float, default=0.0)
+    p.add_argument("--threshold", required=True, type=float)
+    p.add_argument("--tie-tol", type=float, default=0.0)
     p.add_argument("--out", required=True, help="edge-list TSV to write")
     p.set_defaults(func=_cmd_build_graph)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic transfer problem")
-    p.add_argument("--n-s", required=True, type=_positive_int, help="source gene count")
-    p.add_argument("--n-t", required=True, type=_positive_int, help="target gene count")
-    p.add_argument("--density", required=True, type=_unit_interval)
-    p.add_argument("--samples", required=True, type=_positive_int)
-    p.add_argument("--noise", required=True, type=_nonneg_float)
-    p.add_argument("--hidden", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=_uint64)
+    p.add_argument("--n-s", required=True, type=int, help="source gene count")
+    p.add_argument("--n-t", required=True, type=int, help="target gene count")
+    p.add_argument("--density", required=True, type=float)
+    p.add_argument("--samples", required=True, type=int)
+    p.add_argument("--noise", required=True, type=float)
+    p.add_argument("--hidden", required=True, type=int)
+    p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train-base", help="train the phenotype predictor on its own species")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("train-base", parents=[trainer],
+                       help="train the phenotype predictor on its own species")
     p.add_argument("--hidden", required=True, type=_positive_int)
     p.add_argument("--loss", required=True, choices=["mse", "ce"])
-    p.add_argument("--lr", required=True, type=_positive_float)
-    p.add_argument("--steps", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=_uint64)
     p.add_argument("--out", required=True, help="model JSON to write (saved frozen)")
-    p.add_argument("--batch-size", type=_positive_int, default=training.FULL_BATCH)
-    p.add_argument("--optimizer", choices=list(training.OPTIMIZERS), default=training.OPT_ADAM)
     p.set_defaults(func=_cmd_train_base)
 
-    p = sub.add_parser("train-conversion", help="fit the conversion layer against a frozen model")
+    p = sub.add_parser("train-conversion", parents=[trainer],
+                       help="fit the conversion layer against a frozen model")
     p.add_argument("--model", required=True)
     p.add_argument("--graph", required=True, help="edge-list TSV")
     p.add_argument("--target-genes", required=True, help="target gene universe file")
     p.add_argument("--source-genes", required=True, help="source gene universe file")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--labels", required=True)
     p.add_argument("--mode", required=True, choices=[MODE_HARD, MODE_SOFT])
-    p.add_argument("--alpha", type=_nonneg_float, default=1.0)
-    p.add_argument("--beta", type=_nonneg_float, default=0.0)
-    p.add_argument("--lr", required=True, type=_positive_float)
-    p.add_argument("--steps", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=_uint64)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True, help="per-step loss TSV to write")
-    p.add_argument("--batch-size", type=_positive_int, default=training.FULL_BATCH)
-    p.add_argument("--optimizer", choices=list(training.OPTIMIZERS), default=training.OPT_ADAM)
     p.set_defaults(func=_cmd_train_conversion)
 
     p = sub.add_parser("predict", help="write per-sample predictions")
@@ -160,13 +130,34 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _config(cls, **fields):
+    """``cls(**fields)``, a refused value raised as a usage error; each command calls it first."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+def _train_config(args, **fields):
+    """The TrainConfig of the shared training flags and one trainer's own ``fields``."""
+    return _config(
+        training.TrainConfig,
+        learning_rate=args.lr,
+        steps=args.steps,
+        batch_size=args.batch_size,
+        optimizer=args.optimizer,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def _cmd_build_graph(args):
+    cfg = _config(orthograph.RbhConfig, threshold=args.threshold, tie_tolerance=args.tie_tol)
     # the gene lists first: each score table's IDs are read against them
     targets = orthograph.read_gene_list(args.target_genes)
     sources = orthograph.read_gene_list(args.source_genes)
     scores_tq = orthograph.read_score_table(args.scores_tq, targets, sources)
     scores_qt = orthograph.read_score_table(args.scores_qt, sources, targets)
-    cfg = orthograph.RbhConfig(threshold=args.threshold, tie_tolerance=args.tie_tol)
     graph = orthograph.build_rbh_graph(scores_tq, scores_qt, cfg, targets, sources)
     orthograph.graph_to_tsv(graph, args.out)
     print(f"wrote {graph.n_edges} edges to {args.out}")
@@ -174,7 +165,8 @@ def _cmd_build_graph(args):
 
 
 def _cmd_synth(args):
-    spec = dataio.SyntheticSpec(
+    spec = _config(
+        dataio.SyntheticSpec,
         n_sources=args.n_s,
         n_targets=args.n_t,
         orthology_density=args.density,
@@ -223,6 +215,7 @@ def _source_genes(conversion):
 
 
 def _cmd_train_base(args):
+    cfg = _train_config(args)
     kind = dataio.KIND_REGRESSION if args.loss == "mse" else dataio.KIND_CLASSIFICATION
     data = dataio.attach_labels(dataio.read_expression_tsv(args.expr), args.labels, kind)
     if data.n_samples == 0:
@@ -250,13 +243,6 @@ def _cmd_train_base(args):
             ),
         ]
     )
-    cfg = training.TrainConfig(
-        learning_rate=args.lr,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        optimizer=args.optimizer,
-        seed=args.seed,
-    )
     trained, report = training.train_base(net, data, cfg)
     modelio.save_model(trained.copy(frozen=True), None, args.out)
     print(f"final training loss {report.losses[-1]!r}; eval {report.final_eval!r}")
@@ -264,6 +250,7 @@ def _cmd_train_base(args):
 
 
 def _cmd_train_conversion(args):
+    cfg = _train_config(args, alpha=args.alpha, beta=args.beta)
     net, existing = modelio.load_model(args.model)
     if not net.frozen:
         raise InvalidStateError(f"model in {args.model} is not frozen")
@@ -279,15 +266,6 @@ def _cmd_train_conversion(args):
     data = _model_inputs(net, graph.source_gene_ids, args.expr, args.labels)
 
     layer = training.initialize_conversion_layer(graph, args.mode, existing)
-    cfg = training.TrainConfig(
-        learning_rate=args.lr,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        alpha=args.alpha,
-        beta=args.beta,
-        optimizer=args.optimizer,
-        seed=args.seed,
-    )
     trained, report = training.train_conversion(layer, net, data, cfg)
     modelio.save_model(net, trained, args.out)
     training.write_report_tsv(report, args.report)
@@ -333,12 +311,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except NumericalError as exc:
         print(f"orthomask: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

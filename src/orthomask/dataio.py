@@ -234,18 +234,16 @@ class SyntheticSpec:
             setattr(self, name, integer_field(name, getattr(self, name)))
         for name in ("orthology_density", "noise_sigma"):
             setattr(self, name, real_field(name, getattr(self, name)))
-        if self.n_sources < 1 or self.n_targets < 1:
-            raise ValueError("gene counts must be positive")
+        # two samples at least: one on each side of the train/test split
+        for name, least in (("n_sources", 1), ("n_targets", 1), ("num_samples", 2), ("hidden_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 < self.orthology_density <= 1.0:
             raise ValueError(f"orthology_density must be in (0, 1], got {self.orthology_density}")
-        if self.num_samples < 2:
-            raise ValueError("need at least 2 samples for a train/test split")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be positive")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 @dataclass

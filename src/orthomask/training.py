@@ -74,11 +74,10 @@ class TrainConfig:
         for name in ("learning_rate", "alpha", "beta"):
             setattr(self, name, real_field(name, getattr(self, name)))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -224,7 +223,11 @@ def _batch_loss(pred, labels):
     return loss_mse_batch(pred, labels)
 
 
-def _check_labels(data, output_dim: int):
+def _check_data(data, n_genes: int, reader: str, output_dim: int):
+    """Refuse data that ``reader`` (``n_genes`` inputs, ``output_dim`` outputs
+    behind it) cannot fit or score: wrong gene count, bad labels, no samples."""
+    if data.n_genes != n_genes:
+        raise ValueError(f"dataset has {data.n_genes} genes but {reader} expects {n_genes}")
     labels = data.labels
     if labels is None:
         raise ValueError("dataset has no labels")
@@ -235,6 +238,8 @@ def _check_labels(data, output_dim: int):
             raise ValueError(f"class index out of range for {output_dim} logits")
     elif labels.ndim != 2 or labels.shape[1] != output_dim:
         raise ValueError(f"labels of shape {labels.shape} do not match output dim {output_dim}")
+    if data.n_samples == 0:
+        raise ValueError("dataset is empty")
 
 
 def _fit(params, step, data, cfg: TrainConfig) -> TrainReport:
@@ -266,13 +271,7 @@ def train_base(
     """
     if net.frozen:
         raise InvalidStateError("cannot train a frozen network")
-    if data.n_genes != net.input_dim:
-        raise ValueError(
-            f"dataset has {data.n_genes} genes but network expects {net.input_dim}"
-        )
-    _check_labels(data, net.output_dim)
-    if data.n_samples == 0:
-        raise ValueError("dataset is empty")
+    _check_data(data, net.input_dim, "network", net.output_dim)
 
     trained = net.copy()
 
@@ -336,18 +335,12 @@ def train_conversion(
     """
     if not frozen_net.frozen:
         raise InvalidStateError("conversion training requires a frozen network")
-    if data.n_genes != layer.n_sources:
-        raise ValueError(
-            f"dataset has {data.n_genes} genes but conversion layer expects {layer.n_sources}"
-        )
     if frozen_net.input_dim != layer.n_targets:
         raise ValueError(
             f"network input dim {frozen_net.input_dim} does not match "
             f"conversion output dim {layer.n_targets}"
         )
-    _check_labels(data, frozen_net.output_dim)
-    if data.n_samples == 0:
-        raise ValueError("dataset is empty")
+    _check_data(data, layer.n_sources, "conversion layer", frozen_net.output_dim)
 
     trained = layer.copy()
     folded = frozen_net.copy()
@@ -368,9 +361,10 @@ def evaluate(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, data) -> 
     cross-entropy, real labels score MSE. ``layer=None`` feeds expression
     straight into the network.
     """
-    if data.n_samples == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    _check_labels(data, net.output_dim)
+    if layer is None:
+        _check_data(data, net.input_dim, "network", net.output_dim)
+    else:
+        _check_data(data, layer.n_sources, "conversion layer", net.output_dim)
     value, _ = _batch_loss(model_forward(net, layer, data.samples), data.labels)
     if not math.isfinite(value):
         raise NumericalError("non-finite evaluation loss")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ from orthomask import cli, modelio
 from orthomask.errors import ParseError
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
-from orthomask.modelio import load_model
-from orthomask.netcore import model_forward
+from orthomask.modelio import load_model, save_model
+from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, model_forward
 from orthomask.orthograph import ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
 
@@ -121,6 +122,113 @@ class TestUsageErrors:
         argv = conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv")
         argv[argv.index("--lr") + 1] = "0"
         assert run(argv) == 1
+
+
+def _refused_cases():
+    trainers = ["train-base", "train-conversion"]
+    shared = [("--lr", "0", "learning_rate"), ("--lr", "nan", "learning_rate"),
+              ("--steps", "0", "steps"), ("--batch-size", "0", "batch_size"),
+              ("--seed", "-1", "seed"), ("--seed", str(2**64), "seed")]
+    return [
+        *((command, *case) for command in trainers for case in shared),
+        ("train-conversion", "--alpha", "-1", "alpha"),
+        ("train-conversion", "--beta", "inf", "beta"),
+        ("build-graph", "--threshold", "-1", "threshold"),
+        ("build-graph", "--tie-tol", "nan", "tie_tolerance"),
+        ("synth", "--n-s", "0", "n_sources"),
+        ("synth", "--n-t", "0", "n_targets"),
+        ("synth", "--density", "0", "orthology_density"),
+        ("synth", "--density", "1.5", "orthology_density"),
+        ("synth", "--samples", "1", "num_samples"),
+        ("synth", "--noise", "-0.1", "noise_sigma"),
+        ("synth", "--hidden", "0", "hidden_dim"),
+    ]
+
+
+class TestRefusedSettings:
+    """A value outside a setting's range is a usage error (exit 1) that names
+    the config field. The inputs named here do not exist, so a refusal that
+    waited for them would exit 2: the check runs before any file is read."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        absent = str(tmp_path / "absent.tsv")
+        return {
+            "train-base": [
+                "--expr", absent, "--labels", absent, "--hidden", "2", "--loss", "mse",
+                "--lr", "0.1", "--steps", "2", "--seed", "1", "--out", str(tmp_path / "m.json"),
+            ],
+            "train-conversion": [
+                "--model", absent, "--graph", absent, "--target-genes", absent,
+                "--source-genes", absent, "--expr", absent, "--labels", absent,
+                "--mode", "soft", "--lr", "0.1", "--steps", "2", "--seed", "1",
+                "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.tsv"),
+            ],
+            "build-graph": [
+                "--scores-tq", absent, "--scores-qt", absent, "--target-genes", absent,
+                "--source-genes", absent, "--threshold", "0.5", "--out", str(tmp_path / "g.tsv"),
+            ],
+            "synth": [
+                "--n-s", "5", "--n-t", "5", "--density", "0.5", "--samples", "10",
+                "--noise", "0.1", "--hidden", "2", "--seed", "1",
+                "--out-dir", str(tmp_path / "bundle"),
+            ],
+        }[command]
+
+    @pytest.mark.parametrize("command, flag, value, field", _refused_cases())
+    def test_exits_1_naming_the_setting(self, tmp_path, capsys, command, flag, value, field):
+        argv = [command, *self.argv(tmp_path, command), flag, value]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"orthomask: error: {field} must ")
+        assert value in captured.err.splitlines()[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_base_arguments_run_to_the_first_read(self, tmp_path, capsys):
+        # the arguments above are valid, so each command fails on a missing input
+        for command in ("train-base", "train-conversion", "build-graph"):
+            assert run([command, *self.argv(tmp_path, command)]) == 2
+            assert "absent.tsv" in capsys.readouterr().err
+
+
+class TestParserDeclarations:
+    """A range check lives in its config only; the trainers share their flags."""
+
+    SHARED = ["--expr", "--labels", "--lr", "--steps", "--seed", "--batch-size", "--optimizer"]
+
+    @pytest.fixture
+    def commands(self):
+        return next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+
+    def test_only_unconfigured_flags_check_their_range(self, commands):
+        custom = {
+            (name, action.option_strings[0]): action.type
+            for name, parser in commands.items()
+            for action in parser._actions
+            if action.type not in (None, int, float)
+        }
+        assert custom == {
+            ("train-base", "--hidden"): cli._positive_int,
+            ("inspect-weights", "--top"): cli._positive_int,
+        }
+
+    def test_trainers_share_one_flag_set_listed_first(self, commands):
+        def leading(name):
+            return [a for a in commands[name]._actions if a.dest != "help"][: len(self.SHARED)]
+
+        base, conversion = leading("train-base"), leading("train-conversion")
+        assert [a.option_strings[0] for a in base] == self.SHARED
+        assert all(a is b for a, b in zip(base, conversion))
+
+    def test_every_help_exits_0(self, commands, capsys):
+        for name in commands:
+            with pytest.raises(SystemExit) as exc:
+                run([name, "--help"])
+            assert exc.value.code == 0, name
+            assert capsys.readouterr().out.startswith(f"usage: orthomask {name} ")
 
 
 class TestBuildGraph:
@@ -478,6 +586,16 @@ class TestHeaderOnlyExpression:
         assert not (files / "m.json").exists()
         assert not (files / "r.tsv").exists()
 
+    def test_train_base(self, files, capsys):
+        rc = run(
+            ["train-base", "--expr", str(files / "empty_base_expr.tsv"),
+             "--labels", str(files / "empty_labels.tsv"), "--hidden", "2", "--loss", "mse",
+             "--lr", "0.1", "--steps", "2", "--seed", "1", "--out", str(files / "base.json")]
+        )
+        assert rc == 2
+        assert f"no samples in {files / 'empty_base_expr.tsv'}" in capsys.readouterr().err
+        assert not (files / "base.json").exists()
+
     def test_eval(self, files, capsys):
         rc = run(
             ["eval", "--model", str(files / "clf.json"),
@@ -488,6 +606,51 @@ class TestHeaderOnlyExpression:
         captured = capsys.readouterr()
         assert f"no samples in {files / 'empty_base_expr.tsv'}" in captured.err
         assert captured.out == ""
+
+
+class TestInputsThatDoNotFitTheModel:
+    """Expression columns or a graph that the model cannot read exit 2."""
+
+    def test_eval_without_conversion_on_the_wrong_width(self, bundle_dir, capsys):
+        # the base model reads 8 target genes; train_expr.tsv has 12 source genes
+        rc = run(
+            ["eval", "--model", str(bundle_dir / "base_model.json"),
+             "--expr", str(bundle_dir / "train_expr.tsv"),
+             "--labels", str(bundle_dir / "train_labels.tsv")]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"orthomask: error: {bundle_dir / 'train_expr.tsv'} has 12 genes but model expects 8 "
+            "(model has no conversion layer; columns are used in file order)"
+        )
+        assert captured.out == ""
+
+    def test_predict_with_a_source_gene_missing(self, clf_files, capsys):
+        assert run(clf_conversion_args(clf_files, clf_files / "base_labels.tsv")) == 0
+        expr = clf_files / "s1_only.tsv"
+        expr.write_text("sample_id\ts1\na\t1.0\n")
+        out = clf_files / "pred.tsv"
+        capsys.readouterr()
+        rc = run(["predict", "--model", str(clf_files / "m.json"), "--expr", str(expr),
+                  "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"orthomask: error: {expr}: ")
+        assert not out.exists()
+
+    def test_train_conversion_graph_wider_than_the_model(self, clf_files, capsys):
+        targets = clf_files / "t3.tsv"
+        targets.write_text("gene_id\nt1\nt2\nt3\n")
+        argv = clf_conversion_args(clf_files, clf_files / "base_labels.tsv")
+        argv[argv.index("--target-genes") + 1] = str(targets)
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"orthomask: error: model {clf_files / 'clf.json'} expects 2 target genes "
+            f"but graph {clf_files / 'graph.tsv'} has 3\n"
+        )
+        assert not (clf_files / "m.json").exists()
+        assert not (clf_files / "r.tsv").exists()
 
 
 class TestDegenerateInputs:
@@ -569,6 +732,17 @@ class TestPredict:
         assert out.read_text().splitlines() == [
             "sample_id\tprediction", f"a\t{classes[0]}", f"b\t{classes[1]}"
         ]
+
+    def test_overflowing_forward_is_a_numerical_failure(self, tmp_path, capsys):
+        # every weight and input is finite; 1e200 * 1e200 is not
+        model, expr, out = tmp_path / "m.json", tmp_path / "expr.tsv", tmp_path / "pred.tsv"
+        save_model(FeedforwardNetwork([Layer([[1e200]], [0.0], ACT_IDENTITY)]), None, model)
+        expr.write_text("sample_id\tg1\na\t1e200\n")
+        with np.errstate(over="ignore"):
+            rc = run(["predict", "--model", str(model), "--expr", str(expr), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "orthomask: numerical failure: non-finite prediction\n"
+        assert not out.exists()
 
     def test_repeat_is_byte_identical(self, bundle_dir, tmp_path):
         model = tmp_path / "m.json"

@@ -244,6 +244,21 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(5, 5, 0.5, 10, -0.1, 2, 0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 5, 0.5, 10, 0.0, 2, 0), "n_sources must be >= 1, got 0"),
+            ((5, 0, 0.5, 10, 0.0, 2, 0), "n_targets must be >= 1, got 0"),
+            ((5, 5, 0.5, 1, 0.0, 2, 0), "num_samples must be >= 2, got 1"),
+            ((5, 5, 0.5, 10, 0.0, 0, 0), "hidden_dim must be >= 1, got 0"),
+            ((5, 5, 0.5, 10, 0.0, 2, -1), "seed must fit in 64 unsigned bits, got -1"),
+            ((5, 5, 0.5, 10, 0.0, 2, 2**64), f"seed must fit in 64 unsigned bits, got {2**64}"),
+        ],
+    )
+    def test_range_messages_name_the_field(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticSpec(*args)
+
     def test_rejects_non_integer_counts(self):
         # used to be built and then fail inside generate_synthetic
         with pytest.raises(ValueError, match="^n_sources must be an integer, got 6.5$"):

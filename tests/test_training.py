@@ -160,6 +160,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_learning_rate_message(self, value):
+        message = f"^learning_rate must be finite and > 0, got {re.escape(str(value))}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(learning_rate=value)
+
     def test_rejects_bool_rate_and_alpha(self):
         with pytest.raises(ValueError, match="^learning_rate must be a real number, got True$"):
             TrainConfig(learning_rate=True, alpha=True)
@@ -260,6 +266,12 @@ class TestTrainConversion:
             train_conversion(
                 single_edge_layer(), identity_net(1.0), one_gene_dataset(1.0, 0.0), TrainConfig()
             )
+
+    def test_labels_wider_than_the_output(self):
+        data = ExpressionDataset("sp", ["g1"], ["s1"], [[1.0]], np.array([[1.0, 2.0]]))
+        net = identity_net(1.0, frozen=True)
+        with pytest.raises(ValueError, match=r"^labels of shape \(1, 2\) do not match output dim 1$"):
+            train_conversion(single_edge_layer(), net, data, TrainConfig())
 
     def test_frozen_net_untouched_and_mask_respected(self):
         rng = np.random.default_rng(5)
@@ -468,8 +480,21 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         net = identity_net(1.0, frozen=True)
         empty = ExpressionDataset("sp", ["g1"], [], np.zeros((0, 1)), np.zeros((0, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dataset is empty$"):
             evaluate(net, single_edge_layer(), empty)
+
+    @pytest.mark.parametrize(
+        "layer, reader", [(None, "network"), (single_edge_layer(), "conversion layer")]
+    )
+    def test_wrong_gene_count_named(self, layer, reader):
+        data = ExpressionDataset("sp", ["g1", "g2"], ["s1"], [[1.0, 2.0]], np.array([[1.0]]))
+        with pytest.raises(ValueError, match=f"^dataset has 2 genes but {reader} expects 1$"):
+            evaluate(identity_net(1.0, frozen=True), layer, data)
+
+    def test_labels_wider_than_the_output(self):
+        data = ExpressionDataset("sp", ["g1"], ["s1"], [[1.0]], np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"^labels of shape \(1, 2\) do not match output dim 1$"):
+            evaluate(identity_net(1.0, frozen=True), single_edge_layer(), data)
 
     def test_without_layer(self):
         net = identity_net(2.0, frozen=True)

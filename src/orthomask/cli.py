@@ -9,6 +9,7 @@ failure (non-finite loss). All randomness flows through explicit
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -270,6 +271,16 @@ def _cmd_train_conversion(args):
     modelio.save_model(net, trained, args.out)
     training.write_report_tsv(report, args.report)
     print(f"final training loss {report.losses[-1]!r}; eval {report.final_eval!r}")
+    # a model no better than a constant prediction has learnt nothing from
+    # the expression: soft training on uncentred expression gets there by
+    # switching off every hidden unit of the frozen network
+    constant = training.constant_loss(data.labels)
+    if not report.final_eval < constant:
+        print(
+            f"orthomask: warning: eval {report.final_eval!r} is not below {constant!r}, "
+            "the loss of the best constant prediction on these labels",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -308,8 +319,18 @@ def _cmd_eval(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    collector's state is put back as it was found. A command is a short
+    batch run that leaves few reference cycles, while the collector would
+    scan the many small lists of a model document again and again as they
+    are built and parsed.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
@@ -322,6 +343,9 @@ def main(argv=None) -> int:
     except (ParseError, UnknownGeneError, InvalidStateError, ValueError, OSError) as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

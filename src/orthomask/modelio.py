@@ -209,8 +209,11 @@ def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:
     mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))
     if mode == MODE_HARD:
         weights = _finite_floats(list(fields[2]), "conversion weights", path)
-        # reorder weights into the mask's canonical (row-major) edge order
-        return MaskedLinearLayer(mask, MODE_HARD, weights[np.lexsort((cols, rows))])
+        # the mask keeps its edges in canonical (row-major) order, which
+        # documents written by save_model already have
+        if not (np.array_equal(rows, mask.edge_rows) and np.array_equal(cols, mask.edge_cols)):
+            weights = weights[np.lexsort((cols, rows))]
+        return MaskedLinearLayer(mask, MODE_HARD, weights)
     weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
     if weights.shape != (mask.n_targets * mask.n_sources,):
         raise ParseError(

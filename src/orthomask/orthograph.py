@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import UnknownGeneError, real_field
 from .tsv import (
+    Factorized,
     factorize,
     first_repeat,
     first_true,
@@ -134,10 +135,19 @@ class BiadjacencyMatrix:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (target, source) index pairs")
         pairs = pairs.astype(np.int64, copy=False)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        rows, cols = pairs[order, 0], pairs[order, 1]
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-            raise ValueError("duplicate edges")
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        # edges every writer emits are strictly increasing in row-major
+        # order, so hold no duplicate; only other edges are sorted and checked
+        r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+        if np.all((r1 > r0) | ((r1 == r0) & (c1 > c0))):
+            # copies: a (1, 2) array's column view counts as contiguous, so
+            # np.ascontiguousarray would share the caller's memory
+            rows, cols = rows.copy(), cols.copy()
+        else:
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+                raise ValueError("duplicate edges")
         # a negative index would wrap in numpy indexing instead of failing
         bad = (rows < 0) | (rows >= n_t) | (cols < 0) | (cols >= n_s)
         if bad.any():
@@ -183,12 +193,22 @@ class BiadjacencyMatrix:
         )
 
 
-def _indexed(table: ScoreTable, q_codes, s_codes, n_q: int, n_s: int, q_side: str, s_side: str):
-    """Each record's query and subject index in the gene lists, given each
-    distinct name's code against its list (``n_q`` and ``n_s`` long: a code
-    past the end is an unknown gene); the first record naming an unknown
-    gene raises, its query checked before its subject."""
-    q, s = q_codes[table.queries.codes], s_codes[table.subjects.codes]
+def _gene_codes(column: Factorized, genes: tuple) -> np.ndarray:
+    """Each entry's position in ``genes``; a code of ``len(genes)`` or more
+    names a gene that is not there."""
+    if column.names[: len(genes)] == genes:
+        # read against this gene list, whose names then come first
+        return column.codes
+    return factorize(list(column.names), genes).codes[column.codes]
+
+
+def _indexed(table: ScoreTable, query_genes: tuple, subject_genes: tuple, q_side: str, s_side: str):
+    """Each record's query and subject index in the gene lists; the first
+    record naming an unknown gene raises, its query checked before its
+    subject."""
+    q = _gene_codes(table.queries, query_genes)
+    s = _gene_codes(table.subjects, subject_genes)
+    n_q, n_s = len(query_genes), len(subject_genes)
     k = first_true((q >= n_q) | (s >= n_s))
     if k is not None:
         if q[k] >= n_q:
@@ -221,15 +241,11 @@ def build_rbh_graph(
     gene j is a best hit of target gene i and target gene i is a best hit
     of source gene j; many-to-many edges are permitted.
     """
-    target_genes = list(target_genes)
-    source_genes = list(source_genes)
+    target_genes = tuple(target_genes)
+    source_genes = tuple(source_genes)
     n_t, n_s = len(target_genes), len(source_genes)
-    # one lookup per distinct name of a side, over both tables at once
-    n_tq, n_sq = len(scores_tq.queries.names), len(scores_qt.queries.names)
-    t_codes = factorize([*scores_tq.queries.names, *scores_qt.subjects.names], target_genes).codes
-    s_codes = factorize([*scores_qt.queries.names, *scores_tq.subjects.names], source_genes).codes
-    t_fwd, s_fwd = _indexed(scores_tq, t_codes[:n_tq], s_codes[n_sq:], n_t, n_s, "target", "source")
-    s_rev, t_rev = _indexed(scores_qt, s_codes[:n_sq], t_codes[n_tq:], n_s, n_t, "source", "target")
+    t_fwd, s_fwd = _indexed(scores_tq, target_genes, source_genes, "target", "source")
+    s_rev, t_rev = _indexed(scores_qt, source_genes, target_genes, "source", "target")
     fwd = _best_hit_mask(t_fwd, scores_tq.scores, n_t, cfg)
     rev = _best_hit_mask(s_rev, scores_qt.scores, n_s, cfg)
     # an edge is a pair key t*width + s that is a best hit both ways; the

@@ -223,6 +223,18 @@ def _batch_loss(pred, labels):
     return loss_mse_batch(pred, labels)
 
 
+def constant_loss(labels: np.ndarray) -> float:
+    """The lowest mean loss a constant prediction reaches on ``labels``:
+    ``mean((y - ȳ)²)`` for real labels, whose column means are then
+    predicted, and the class frequencies' entropy ``-Σ f_c·log f_c`` for
+    class indices, whose logs are then predicted as logits."""
+    if np.issubdtype(labels.dtype, np.integer):
+        freqs = np.bincount(labels) / labels.size
+        freqs = freqs[freqs > 0]
+        return float(-(freqs * np.log(freqs)).sum())
+    return float(np.mean((labels - labels.mean(axis=0)) ** 2))
+
+
 def _check_data(data, n_genes: int, reader: str, output_dim: int):
     """Refuse data that ``reader`` (``n_genes`` inputs, ``output_dim`` outputs
     behind it) cannot fit or score: wrong gene count, bad labels, no samples."""

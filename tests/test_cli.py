@@ -1,6 +1,8 @@
 import argparse
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +16,15 @@ from orthomask.errors import ParseError
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model, save_model
-from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, model_forward
-from orthomask.orthograph import ScoreTable, read_gene_list, write_score_table
+from orthomask.netcore import (
+    ACT_IDENTITY,
+    ACT_RELU,
+    FeedforwardNetwork,
+    Layer,
+    MaskedLinearLayer,
+    model_forward,
+)
+from orthomask.orthograph import BiadjacencyMatrix, ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
 
 from _helpers import earlier_layout
@@ -920,3 +929,131 @@ class TestInspectWeights:
              "--out", str(tmp_path / "w.tsv")]
         )
         assert rc == 2
+
+
+class TestCollectorPaused:
+    """A command runs with the cyclic garbage collector paused and puts its
+    state back as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_state_is_put_back(self, bundle_dir, tmp_path, collector, code):
+        argv = {
+            0: ["synth", "--n-s", "3", "--n-t", "2", "--density", "0.5", "--samples", "4",
+                "--noise", "0", "--hidden", "2", "--seed", "1", "--out-dir", str(tmp_path / "b")],
+            1: ["synth"],
+            2: ["eval", "--model", str(tmp_path / "missing.json"), "--expr", "x", "--labels", "y"],
+            3: conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv",
+                               extra=["--optimizer", "sgd", "--lr", "1e200"]),
+        }[code]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(argv) == code
+        assert gc.isenabled() is collector
+
+    def test_state_is_put_back_after_an_exception(self, monkeypatch, tmp_path, collector):
+        def boom(args):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_eval", boom)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            run(["eval", "--model", "m", "--expr", "x", "--labels", "y"])
+        assert gc.isenabled() is collector
+
+    def test_no_collection_while_a_large_hard_model_loads(self, tmp_path):
+        # 30k [target, source, weight] triples: with the collector running,
+        # loading them sets off dozens of collections
+        rng = np.random.default_rng(8)
+        n_t, n_s, n_edges = 300, 200, 30_000
+        keys = np.sort(rng.choice(n_t * n_s, n_edges, replace=False))
+        mask = BiadjacencyMatrix([f"t{i}" for i in range(n_t)], [f"s{j}" for j in range(n_s)],
+                                 np.column_stack(np.divmod(keys, n_s)))
+        net = FeedforwardNetwork(
+            [Layer(rng.standard_normal((2, n_t)), np.zeros(2), ACT_RELU),
+             Layer(rng.standard_normal((1, 2)), np.zeros(1), ACT_IDENTITY)],
+            frozen=True,
+        )
+        model = tmp_path / "m.json"
+        save_model(net, MaskedLinearLayer(mask, "hard", rng.standard_normal(n_edges)), model)
+        argv = ["inspect-weights", "--model", str(model), "--out", str(tmp_path / "w.tsv")]
+
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            assert run(argv) == 0
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was else gc.disable)()
+        assert starts == []
+        assert len(read_weight_table(tmp_path / "w.tsv")) == n_edges
+
+
+class TestConstantPredictionWarning:
+    """train-conversion warns on stderr, and still exits 0 with the same
+    stdout and files, when the trained model's loss on its training labels
+    is not below the best constant prediction's."""
+
+    @staticmethod
+    def silenced(model, out):
+        # a first-layer bias that switches off every relu: a constant model
+        net, _ = load_model(model)
+        net.layers[0].bias[:] = -1e6
+        save_model(net, None, out)
+        return out
+
+    @staticmethod
+    def warned(err):
+        """The eval loss and the constant prediction's loss a warning names."""
+        match = re.fullmatch(
+            r"orthomask: warning: eval (\S+) is not below (\S+), "
+            r"the loss of the best constant prediction on these labels\n",
+            err,
+        )
+        assert match, err
+        value, constant = float(match[1]), float(match[2])
+        assert value >= constant
+        return value, constant
+
+    def test_regression(self, bundle_dir, tmp_path, capsys):
+        argv = conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv")
+        argv[argv.index("--model") + 1] = str(
+            self.silenced(bundle_dir / "base_model.json", tmp_path / "silenced.json")
+        )
+        argv[argv.index("--steps") + 1] = "5"
+        capsys.readouterr()
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        value, constant = self.warned(err)
+        lines = (bundle_dir / "train_labels.tsv").read_text().splitlines()[1:]
+        labels = np.array([float(line.split("\t")[1]) for line in lines])
+        assert constant == pytest.approx(np.mean((labels - labels.mean()) ** 2), rel=1e-12)
+        assert out.startswith("final training loss ") and out.endswith(f"; eval {value!r}\n")
+
+    def test_classification(self, clf_files, capsys):
+        self.silenced(clf_files / "clf.json", clf_files / "clf.json")
+        capsys.readouterr()
+        assert run(clf_conversion_args(clf_files, clf_files / "base_labels.tsv")) == 0
+        out, err = capsys.readouterr()
+        value, constant = self.warned(err)
+        # one sample of each of two classes
+        assert constant == pytest.approx(np.log(2.0), rel=1e-12)
+        assert out.startswith("final training loss ") and out.endswith(f"; eval {value!r}\n")
+
+    def test_trained_model_gives_no_warning(self, bundle_dir, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv")) == 0
+        assert capsys.readouterr().err == ""

@@ -165,6 +165,25 @@ def test_hard_edges_reordered_canonically(tmp_path):
     assert layer.mask.edge_set() == {(0, 1), (1, 0)}
     assert layer.weights.tolist() == [2.0, 3.0]
 
+    # a saved document's triples, in canonical order or shuffled (partly:
+    # rows in order, columns not; or wholly), load to the same layer
+    rng = np.random.default_rng(12)
+    mask = random_mask(rng, 6, 7, force_edge=True)
+    saved = MaskedLinearLayer(mask, "hard", rng.standard_normal(mask.n_edges))
+    net = random_network(rng, [6, 3, 1], frozen=True)
+    doc = json.loads(model_document(net, saved))
+    edges = doc["conversion"]["edges"]
+    for order in (
+        sorted(edges),
+        sorted(edges, key=lambda e: (e[0], -e[1])),
+        [edges[k] for k in rng.permutation(len(edges))],
+    ):
+        doc["conversion"]["edges"] = order
+        path.write_text(json.dumps(doc))
+        _, layer = load_model(path)
+        assert layer.mask == mask
+        assert np.array_equal(layer.weights, saved.weights)
+
 
 def test_document_is_deterministic():
     rng = np.random.default_rng(4)

@@ -360,10 +360,20 @@ class TestBiadjacencyMatrix:
                         "col_n_s": (i, n_s),
                     }[fault]
                 seen.add(fault)
+            # a third of the lists come sorted, as every writer emits them:
+            # a duplicate is then adjacent and an out-of-range edge in place
+            if rng.random() < 1 / 3:
+                pairs.sort()
             if not pairs:
                 seen.add("empty")
             elif pairs != sorted(pairs):
                 seen.add("unsorted")
+            elif len(pairs) > 1:
+                seen.add("sorted")
+                if len(set(pairs)) < len(pairs) or not all(
+                    0 <= i < n_t and 0 <= j < n_s for i, j in pairs
+                ):
+                    seen.add("sorted with a fault")
             t_ids = [f"t{i}" for i in range(n_t)]
             s_ids = [f"s{j}" for j in range(n_s)]
             try:
@@ -384,7 +394,20 @@ class TestBiadjacencyMatrix:
                 for got, want in zip((graph.edge_rows, graph.edge_cols, graph.indptr), expected):
                     assert got.dtype == np.int64
                     assert np.array_equal(got, np.array(want, dtype=np.int64))
-        assert seen == {"empty", "unsorted", "duplicate", "negative", "row_n_t", "col_n_s"}
+        assert seen == {
+            "empty", "unsorted", "sorted", "sorted with a fault",
+            "duplicate", "negative", "row_n_t", "col_n_s",
+        }
+
+    @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 0], [0, 1], [1, 1]]])
+    def test_edges_are_copied(self, edges):
+        # the mask keeps its own edge arrays, also when the caller's edges are
+        # sorted already and one row long, whose column view counts as contiguous
+        pairs = np.array(edges, dtype=np.int64)
+        graph = BiadjacencyMatrix(["t0", "t1"], ["s0", "s1"], pairs)
+        pairs[:] = 0
+        assert graph.edge_rows.tolist() == [i for i, _ in edges]
+        assert graph.edge_cols.tolist() == [j for _, j in edges]
 
     def test_dense_and_degrees(self):
         graph = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(1, 2), (0, 1), (1, 0)])
@@ -614,6 +637,11 @@ def test_seeded_readers_match_unseeded_reads(tmp_path):
             cfg = RbhConfig(0.3, 0.1)
             built = _outcome(lambda: build_rbh_graph(*seeded, cfg, TARGETS, SOURCES))
             assert built == _outcome(lambda: build_rbh_graph(*plain, cfg, TARGETS, SOURCES))
+            # tables read against other gene lists than the graph's
+            others = TARGETS[::-1], SOURCES[1:]
+            assert _outcome(lambda: build_rbh_graph(*seeded, cfg, *others)) == _outcome(
+                lambda: build_rbh_graph(*plain, cfg, *others)
+            )
             outcomes.add(built.split(":")[0] if isinstance(built, str) else "ok")
 
         graph.write_bytes(_pair_file_text(rng, "target_gene\tsource_gene", TARGETS, SOURCES, False).encode())

@@ -13,6 +13,8 @@ from orthomask.netcore import (
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
+    loss_cross_entropy_batch,
+    loss_mse_batch,
 )
 from orthomask.orthograph import BiadjacencyMatrix
 from orthomask.training import (
@@ -21,6 +23,7 @@ from orthomask.training import (
     ADAM_EPS,
     FULL_BATCH,
     TrainConfig,
+    constant_loss,
     evaluate,
     initialize_conversion_layer,
     regularization_grad,
@@ -499,6 +502,31 @@ class TestEvaluate:
     def test_without_layer(self):
         net = identity_net(2.0, frozen=True)
         assert evaluate(net, None, one_gene_dataset(3.0, 6.0)) == 0.0
+
+
+class TestConstantLoss:
+    """The best constant prediction's loss: the label means for real labels,
+    the log class frequencies as logits for class indices."""
+
+    def test_regression(self):
+        labels = np.random.default_rng(3).normal(2.0, 1.5, (40, 2))
+        best = labels.mean(axis=0)
+        value = constant_loss(labels)
+        assert value == pytest.approx(np.mean((labels - best) ** 2), rel=1e-15)
+        assert value == pytest.approx(loss_mse_batch(np.tile(best, (40, 1)), labels)[0], rel=1e-15)
+        for shift in ([0.01, 0.0], [0.0, -0.01]):
+            assert loss_mse_batch(np.tile(best + shift, (40, 1)), labels)[0] > value
+
+    def test_classification(self):
+        # classes 0, 2 and 3 of four logits; class 1 never occurs
+        labels = np.array([0, 2, 2, 3, 3, 3, 0, 3])
+        freqs = np.array([2, 0, 2, 4]) / 8
+        value = constant_loss(labels)
+        assert value == pytest.approx(-sum(f * np.log(f) for f in freqs if f), rel=1e-15)
+        logits = np.log(np.maximum(freqs, 1e-300))
+        assert value == pytest.approx(loss_cross_entropy_batch(np.tile(logits, (8, 1)), labels)[0],
+                                      rel=1e-12)
+        assert constant_loss(np.zeros(5, dtype=np.int64)) == 0.0
 
 
 class TestReportTsv:

@@ -35,7 +35,7 @@ from .dataio import (
     read_expression_tsv,
     write_expression_tsv,
 )
-from .interpret import export_weight_table, support_summary, top_contributors
+from .interpret import contributor_rows, export_weight_table, support_summary
 from .modelio import load_model, model_document, save_model
 
 __version__ = "0.1.0"
@@ -59,6 +59,7 @@ __all__ = [
     "UnknownGeneError",
     "align_to_genes",
     "build_rbh_graph",
+    "contributor_rows",
     "evaluate",
     "export_weight_table",
     "generate_synthetic",
@@ -71,7 +72,6 @@ __all__ = [
     "regularization_penalty",
     "save_model",
     "support_summary",
-    "top_contributors",
     "train_base",
     "train_conversion",
     "tsv_to_graph",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import FLOAT_CHUNK, check_fields, first_true, float_column, open_table, read_table, write_table
+from .tsv import FLOAT_CHUNK, check_fields, float_column, open_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 # the last cell of a row, by its on-support flag (0 or 1)
@@ -39,21 +39,15 @@ class SupportSummary:
 def write_weight_rows(rows: list[tuple[str, str, float, bool]], path) -> None:
     """Write a list of ``(target_gene, source_gene, weight, on_support)``
     rows as a weight table TSV, in the order given."""
-    weights = float_column(np.fromiter((row[2] for row in rows), np.float64, len(rows)))
-    records = (
-        (t_gene, s_gene, weight, "true" if on_support else "false")
-        for (t_gene, s_gene, _, on_support), weight in zip(rows, weights)
-    )
-    write_table(path, WEIGHT_TABLE_HEADER, records)
+    targets, sources, weights, on = zip(*rows) if rows else ((),) * 4
+    at = np.arange(len(rows))
+    _write_chunks(path, targets, sources, [(at, at, np.array(weights, np.float64), np.array(on, np.intp))])
 
 
-def _gene_order(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of ``ids`` in Python ``str`` order, and each ID's cell:
-    the ID and its tab. An ID holding a tab, LF or CR raises ValueError."""
-    check_fields(ids)
+def _str_order(ids: tuple[str, ...]) -> np.ndarray:
+    """The indices of ``ids`` in Python ``str`` order."""
     # not through a numpy str array, which drops an ID's trailing NULs
-    order = np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
-    return order, np.fromiter((gene + "\t" for gene in ids), object, len(ids))
+    return np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
 
 
 def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.ndarray):
@@ -83,34 +77,26 @@ def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.nda
 def export_weight_table(layer: MaskedLinearLayer, path) -> range:
     """Write the weight table TSV: every stored weight, sorted by
     (target_gene_id, source_gene_id), one chunk of :func:`_table_chunks` per
-    write. Returns a range as long as the rows written. A gene ID holding a
-    tab, LF or CR raises ValueError before the file is opened."""
-    t_order, t_cells = _gene_order(layer.mask.target_gene_ids)
-    s_order, s_cells = _gene_order(layer.mask.source_gene_ids)
+    write. Returns a range as long as the rows written."""
+    t_ids, s_ids = layer.mask.target_gene_ids, layer.mask.source_gene_ids
+    _write_chunks(path, t_ids, s_ids, _table_chunks(layer, _str_order(t_ids), _str_order(s_ids)))
+    return range(layer.weights.size)
+
+
+def _write_chunks(path, target_ids: tuple[str, ...], source_ids: tuple[str, ...], chunks) -> None:
+    """Write the header, then each chunk's rows in one write: a chunk holds
+    the rows' indices into ``target_ids`` and ``source_ids``, their weights
+    and their on-support flags (0 or 1). An ID holding a tab, LF or CR
+    raises ValueError before the file is opened."""
+    check_fields(target_ids + source_ids)
+    t_cells, s_cells = (np.array([gene + "\t" for gene in ids], object) for ids in (target_ids, source_ids))
     with open_table(path) as fh:
         fh.write("\t".join(WEIGHT_TABLE_HEADER) + "\n")
-        for targets, sources, weights, on in _table_chunks(layer, t_order, s_order):
+        for targets, sources, weights, on in chunks:
             parts = [""] * (4 * weights.size)
             parts[0::4], parts[1::4] = t_cells[targets].tolist(), s_cells[sources].tolist()
             parts[2::4], parts[3::4] = float_column(weights), _FLAG_CELLS[on].tolist()
             fh.write("".join(parts))
-    return range(layer.weights.size)
-
-
-def read_weight_table(path) -> list[tuple[str, str, float, bool]]:
-    table = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
-    texts, flags = table.column(2), table.column(3)
-    weights, stop = table.floats(2)
-    table.raise_first(
-        (stop, lambda k: f"non-numeric weight {texts[k]!r}"),
-        (first_true(~np.isfinite(weights)), lambda k: f"non-finite weight {texts[k]!r}"),
-        (
-            first_true(~np.isin(flags, ("true", "false"))),
-            lambda k: f"on_support must be true or false, got {flags[k]!r}",
-        ),
-    )
-    on_support = [flag == "true" for flag in flags]
-    return list(zip(table.column(0), table.column(1), weights.tolist(), on_support))
 
 
 def contributor_rows(
@@ -135,11 +121,6 @@ def contributor_rows(
         on = np.isin(cols, mask.edge_cols[span]).tolist()
     table = zip(repeat(target_gene_id), map(mask.source_gene_ids.__getitem__, cols), weights.tolist(), on)
     return sorted(table, key=lambda row: (-abs(row[2]), row[1]))[:k]
-
-
-def top_contributors(layer: MaskedLinearLayer, target_gene_id: str, k: int) -> list[tuple[str, float]]:
-    """The ``(source_gene_id, weight)`` pairs of :func:`contributor_rows`."""
-    return [(s_gene, weight) for _, s_gene, weight, _ in contributor_rows(layer, target_gene_id, k)]
 
 
 def support_summary(layer: MaskedLinearLayer) -> SupportSummary:

@@ -170,9 +170,6 @@ class BiadjacencyMatrix:
     def n_edges(self) -> int:
         return int(self.edge_rows.shape[0])
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
-
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 

@@ -423,13 +423,9 @@ def float_texts(values) -> list[str]:
 
 
 def float_column(values):
-    """:func:`float_texts` of a row or column, formatted ``FLOAT_CHUNK``
-    values at a time, so only one chunk's strings are held: the list of one
-    call when one chunk holds them all, else an iterator. A non-finite
-    value raises at the call, before any text is made."""
-    array = np.ascontiguousarray(values, np.float64)
-    if array.size <= FLOAT_CHUNK:
-        return float_texts(array)
-    _finite_floats(array)
+    """:func:`float_texts` of a row or column, as an iterator that formats
+    ``FLOAT_CHUNK`` values at a time, so only one chunk's strings are held.
+    A non-finite value raises at the call, before any text is made."""
+    array = _finite_floats(values)
     chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
     return chain.from_iterable(map(float_texts, chunks))

@@ -14,6 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from orthomask.errors import ParseError
+from orthomask.interpret import WEIGHT_TABLE_HEADER
 from orthomask.netcore import (
     ACT_IDENTITY,
     ACTIVATIONS,
@@ -21,6 +22,7 @@ from orthomask.netcore import (
     Layer,
 )
 from orthomask.orthograph import BiadjacencyMatrix
+from orthomask.tsv import read_table
 
 
 def fd_gradient(fn, x, step=1e-5):
@@ -122,11 +124,24 @@ def dense_conversion_grad(layer, net, xs, labels, loss_kind):
     return grad[layer.mask.edge_rows, layer.mask.edge_cols]
 
 
+def edge_set(mask):
+    """A mask's edges as a set of ``(target index, source index)`` pairs."""
+    return set(zip(mask.edge_rows.tolist(), mask.edge_cols.tolist()))
+
+
+def read_weight_rows(path):
+    """A weight table's ``(target_gene, source_gene, weight, on_support)``
+    rows, in file order, read with ``float()`` and an exact flag lookup."""
+    table = read_table(path, WEIGHT_TABLE_HEADER, key_fields=2)
+    flags = map({"true": True, "false": False}.__getitem__, table.column(3))
+    return list(zip(table.column(0), table.column(1), map(float, table.column(2)), flags))
+
+
 def weight_table_oracle(layer):
     """The weight table by plain loops over the dense matrix and the edge
     set: every entry in soft mode, only the edges in hard mode, sorted by
     (target ID, source ID) as ``str``."""
-    dense, edges = layer.to_dense(), layer.mask.edge_set()
+    dense, edges = layer.to_dense(), edge_set(layer.mask)
     rows = []
     for i, t_gene in enumerate(layer.mask.target_gene_ids):
         for j, s_gene in enumerate(layer.mask.source_gene_ids):

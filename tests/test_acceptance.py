@@ -23,7 +23,7 @@ from orthomask.dataio import (
     write_expression_tsv,
     write_labels_tsv,
 )
-from orthomask.interpret import export_weight_table, read_weight_table, support_summary
+from orthomask.interpret import export_weight_table, support_summary
 from orthomask.modelio import load_model, model_document, save_model
 from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 from orthomask.orthograph import (
@@ -43,11 +43,13 @@ from orthomask.training import (
 )
 
 from _helpers import (
+    edge_set,
     fd_gradient,
     random_mask,
     random_network,
     random_score_instance,
     rbh_brute_force,
+    read_weight_rows,
     rel_err,
     weight_table_oracle,
 )
@@ -134,7 +136,7 @@ def test_criterion_2_rbh_oracle_equivalence():
                 tg,
                 sg,
             )
-            assert graph.edge_set() == rbh_brute_force(tq, qt, thr, tol, tg, sg)
+            assert edge_set(graph) == rbh_brute_force(tq, qt, thr, tol, tg, sg)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
 
@@ -268,12 +270,12 @@ def test_criterion_8_round_trips(tmp_path):
 
             first = tmp_path / f"weights1_{mode}.tsv"
             written = export_weight_table(layer, first)
-            assert read_weight_table(first) == weight_table_oracle(layer)
-            assert len(written) == len(read_weight_table(first))
+            assert read_weight_rows(first) == weight_table_oracle(layer)
+            assert len(written) == len(read_weight_rows(first))
             # rebuild a layer from the parsed rows and re-export
             if mode == "hard":
                 index = {
-                    (t, s): w for t, s, w, _ in read_weight_table(first)
+                    (t, s): w for t, s, w, _ in read_weight_rows(first)
                 }
                 weights = np.array(
                     [
@@ -286,7 +288,7 @@ def test_criterion_8_round_trips(tmp_path):
                 dense = np.zeros((10, 14))
                 t_idx = {g: i for i, g in enumerate(graph.target_gene_ids)}
                 s_idx = {g: j for j, g in enumerate(graph.source_gene_ids)}
-                for t, s, w, _ in read_weight_table(first):
+                for t, s, w, _ in read_weight_rows(first):
                     dense[t_idx[t], s_idx[s]] = w
                 rebuilt = MaskedLinearLayer(graph, "soft", dense)
             second = tmp_path / f"weights2_{mode}.tsv"

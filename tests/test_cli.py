@@ -14,7 +14,6 @@ import orthomask
 from orthomask import cli, modelio
 from orthomask.errors import ParseError
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
-from orthomask.interpret import read_weight_table
 from orthomask.modelio import load_model, save_model
 from orthomask.netcore import (
     ACT_IDENTITY,
@@ -27,7 +26,7 @@ from orthomask.netcore import (
 from orthomask.orthograph import BiadjacencyMatrix, ScoreTable, read_gene_list, write_score_table
 from orthomask.training import initialize_conversion_layer
 
-from _helpers import earlier_layout
+from _helpers import earlier_layout, read_weight_rows
 
 
 def run(argv):
@@ -191,6 +190,21 @@ class TestRefusedSettings:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"orthomask: error: {field} must ")
         assert value in captured.err.splitlines()[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [("inspect-weights", "--top"), ("train-base", "--hidden")])
+    def test_counts_below_1_exit_1(self, tmp_path, capsys, command, flag):
+        absent = str(tmp_path / "absent.tsv")
+        argv = {
+            "inspect-weights": [
+                "--model", absent, "--target-gene", "T0000", "--out", str(tmp_path / "w.tsv"),
+            ],
+            "train-base": self.argv(tmp_path, "train-base"),
+        }[command]
+        assert run([command, *argv, flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"orthomask: error: argument {flag}: must be >= 1, got 0\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -771,7 +785,7 @@ class TestInspectWeights:
         assert run(conversion_args(bundle_dir, model, tmp_path / "r.tsv")) == 0
         out = tmp_path / "weights.tsv"
         assert run(["inspect-weights", "--model", str(model), "--out", str(out)]) == 0
-        rows = read_weight_table(out)
+        rows = read_weight_rows(out)
         _, conv = load_model(model)
         assert len(rows) == conv.mask.n_edges
         assert all(r[3] for r in rows)
@@ -784,7 +798,7 @@ class TestInspectWeights:
             ["inspect-weights", "--model", str(model), "--target-gene", "T0000",
              "--top", "2", "--out", str(out)]
         ) == 0
-        rows = read_weight_table(out)
+        rows = read_weight_rows(out)
         assert 1 <= len(rows) <= 2
         assert all(r[0] == "T0000" for r in rows)
         mags = [abs(r[2]) for r in rows]
@@ -999,7 +1013,7 @@ class TestCollectorPaused:
             gc.callbacks.remove(record)
             (gc.enable if was else gc.disable)()
         assert starts == []
-        assert len(read_weight_table(tmp_path / "w.tsv")) == n_edges
+        assert len(read_weight_rows(tmp_path / "w.tsv")) == n_edges
 
 
 class TestConstantPredictionWarning:

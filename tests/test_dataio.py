@@ -111,6 +111,18 @@ class TestLabelsTsv:
             write_labels_tsv(["a"], np.array([0, 1], dtype=np.int64), path)
         assert not path.exists()
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("sample_id\tlabel\na\t1\n")
+        with pytest.raises(ValueError, match="^kind must be regression or classification, got 'ordinal'$"):
+            read_labels_tsv(path, "ordinal")
+
+    def test_two_label_columns_rejected(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        with pytest.raises(ValueError, match="^label TSV supports exactly one label column$"):
+            write_labels_tsv(["a", "b"], np.zeros((2, 2)), path)
+        assert not path.exists()
+
     def test_attach_matches_by_sample_id(self, tmp_path):
         ds = ExpressionDataset("sp", ["g1"], ["a", "b"], [[1.0], [2.0]])
         path = tmp_path / "labels.tsv"
@@ -181,6 +193,22 @@ class TestDatasetValidation:
     def test_label_count(self):
         with pytest.raises(ValueError):
             ExpressionDataset("sp", ["g1"], ["a"], [[1.0]], np.array([[1.0], [2.0]]))
+
+    @pytest.mark.parametrize(
+        "samples, labels, message",
+        [
+            ([1.0, 2.0], None, r"samples must be 2-D, got shape \(2,\)"),
+            ([[1.0], [2.0]], None, r"samples shape \(2, 1\) does not match 1 sample IDs x 2 gene IDs"),
+            ([[1.0, 2.0]], np.array([1.0]), "regression labels must be 2-D"),
+            ([[1.0, 2.0]], np.array([[np.nan]]), "labels must be finite"),
+            ([[1.0, 2.0]], np.array([[1]]), "class labels must be 1-D"),
+            ([[1.0, 2.0]], np.array([-1]), "class labels must be non-negative"),
+            ([[1.0, 2.0]], np.array(["x"]), "unsupported label dtype <U1"),
+        ],
+    )
+    def test_refused_samples_and_labels(self, samples, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExpressionDataset("sp", ["g1", "g2"], ["a"], samples, labels)
 
 
 SPEC = SyntheticSpec(

@@ -1,29 +1,41 @@
-"""Every private module-level function or class, and every private method,
-of a package module is referenced somewhere in the package."""
+"""No package definition is dead code. Every private module-level function
+or class, and every private method, of a package module is referenced
+somewhere in the package; every public one is named somewhere outside its
+own definition: in the package, in ``orthomask.__all__``, in README.md or
+in a file under ``orthobench/``. So no function is kept for tests alone."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orthomask"
+import orthomask
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orthomask"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _definitions(tree):
+    """A module's module-level functions and classes, and their methods."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        yield from (item for item in (node, *members) if isinstance(item, DEFS))
+
+
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     """``sources`` maps a module's name to its text; returns ``module:line:
     name`` for each private definition that no module names, as a bare
     name or an attribute, outside the definition itself."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, used = {}, set()
     for module, text in sources.items():
         tree = ast.parse(text)
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for item in (node, *members):
-                if isinstance(item, defs) and _private(item.name):
-                    defined[item.name] = f"{module}:{item.lineno}: {item.name}"
+        for item in _definitions(tree):
+            if _private(item.name):
+                defined[item.name] = f"{module}:{item.lineno}: {item.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -32,9 +44,56 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     return [where for name, where in defined.items() if name not in used]
 
 
+def _names_outside_own_definition(tree) -> set[str]:
+    """The bare names, attributes and imported names of a module, each
+    but where it lies inside a definition of that name."""
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, DEFS):
+            enclosing = enclosing | {node.name}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+            used.add(name)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return used
+
+
+def unnamed_public_defs(sources: dict[str, str], exported=(), texts=()) -> list[str]:
+    """``module:line: name`` for each public definition of ``sources`` (as
+    for :func:`unreferenced_private_defs`) that no module names outside
+    the definition itself, that ``exported`` does not list, and that no
+    text of ``texts`` holds as a word. Dunders are exempt."""
+    defined, used = {}, set(exported)
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for item in _definitions(tree):
+            if not item.name.startswith("_"):
+                defined.setdefault(item.name, f"{module}:{item.lineno}: {item.name}")
+        used |= _names_outside_own_definition(tree)
+    for text in texts:
+        used.update(re.findall(r"\w+", text))
+    return [where for name, where in defined.items() if name not in used]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_unreferenced_private_definitions():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_private_defs(_package_sources()) == []
+
+
+def test_no_public_definition_only_tests_name():
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    bench = sorted(path for path in (ROOT / "orthobench").rglob("*") if path.is_file())
+    texts += [path.read_text(encoding="utf-8") for path in bench]
+    assert unnamed_public_defs(_package_sources(), orthomask.__all__, texts) == []
 
 
 def test_guard_finds_unreferenced_definitions():
@@ -51,3 +110,19 @@ def test_guard_finds_unreferenced_definitions():
         "a.py:3: _helper",
         "a.py:8: _shut",
     ]
+
+
+def test_guard_finds_unnamed_public_definitions():
+    a = (
+        "def imported():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def exported():\n    pass\n"
+        "def documented():\n    pass\n"
+        "class Box:\n"
+        "    def open(self):\n        pass\n"
+        "    def shut(self):\n        return self.shut()\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    b = "from a import imported, Box\nBox().open()\n"
+    found = unnamed_public_defs({"a.py": a, "b.py": b}, ["exported"], ["call documented(x)"])
+    assert found == ["a.py:3: recursive", "a.py:12: shut"]

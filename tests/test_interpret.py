@@ -1,26 +1,26 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from orthomask.errors import ParseError, UnknownGeneError
-from orthomask.interpret import (
-    contributor_rows,
-    export_weight_table,
-    read_weight_table,
-    support_summary,
-    top_contributors,
-)
+from orthomask.errors import UnknownGeneError
+from orthomask.interpret import contributor_rows, export_weight_table, support_summary, write_weight_rows
 from orthomask.netcore import MaskedLinearLayer
 from orthomask.orthograph import BiadjacencyMatrix
 
-from _helpers import random_mask, weight_table_oracle
+from _helpers import random_mask, read_weight_rows, weight_table_oracle
 
 
 def two_source_layer():
     mask = BiadjacencyMatrix(["t1"], ["s1", "s2"], [(0, 0), (0, 1)])
     return MaskedLinearLayer(mask, "hard", [0.5, -2.0])
+
+
+def top_contributors(layer, target_gene_id, k):
+    """The ``(source_gene_id, weight)`` pairs of :func:`contributor_rows`."""
+    return [(s_gene, weight) for _, s_gene, weight, _ in contributor_rows(layer, target_gene_id, k)]
 
 
 class TestTopContributors:
@@ -76,7 +76,7 @@ class TestExportWeightTable:
         layer = MaskedLinearLayer(mask, "soft", [[1.0, -3.0]])
         path = tmp_path / "weights.tsv"
         assert len(export_weight_table(layer, path)) == 2
-        assert read_weight_table(path) == [("t1", "s1", 1.0, True), ("t1", "s2", -3.0, False)]
+        assert read_weight_rows(path) == [("t1", "s1", 1.0, True), ("t1", "s2", -3.0, False)]
 
     def test_round_trip_and_byte_stability(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -84,7 +84,7 @@ class TestExportWeightTable:
         layer = MaskedLinearLayer(mask, "hard", rng.normal(0, 1, mask.n_edges))
         path = tmp_path / "weights.tsv"
         assert len(export_weight_table(layer, path)) == mask.n_edges
-        assert read_weight_table(path) == weight_table_oracle(layer)
+        assert read_weight_rows(path) == weight_table_oracle(layer)
         export_weight_table(layer, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
@@ -93,7 +93,7 @@ class TestExportWeightTable:
         layer = MaskedLinearLayer(mask, "hard", [1.0, 2.0])
         path = tmp_path / "weights.tsv"
         export_weight_table(layer, path)
-        assert [r[0] for r in read_weight_table(path)] == ["ta", "tb"]
+        assert [r[0] for r in read_weight_rows(path)] == ["ta", "tb"]
 
     def test_refused_write_leaves_no_file(self, tmp_path):
         # a lone surrogate passes the ID check but cannot be encoded: the
@@ -104,6 +104,17 @@ class TestExportWeightTable:
         with pytest.raises(UnicodeEncodeError):
             export_weight_table(layer, path)
         assert not path.exists()
+
+    def test_bad_id_refused_before_the_file_is_opened(self, tmp_path):
+        # both writers: a file already at the path keeps its bytes
+        path = tmp_path / "weights.tsv"
+        path.write_text("kept\n")
+        mask = BiadjacencyMatrix(["t1"], ["s\t1"], [(0, 0)])
+        with pytest.raises(ValueError, match=re.escape(repr("s\t1"))):
+            export_weight_table(MaskedLinearLayer(mask, "hard", [1.0]), path)
+        with pytest.raises(ValueError, match=re.escape(repr("s\t1"))):
+            write_weight_rows([("t1", "s\t1", 1.0, True)], path)
+        assert path.read_text() == "kept\n"
 
     def test_memory_is_one_chunk(self, tmp_path):
         # the writer holds one chunk of rows, not a tuple per soft weight:
@@ -118,23 +129,6 @@ class TestExportWeightTable:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
-
-    def test_reader_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("target_gene\tsource_gene\tweight\ton_support\nt1\ts1\t1.0\tmaybe\n")
-        with pytest.raises(ParseError) as err:
-            read_weight_table(path)
-        assert err.value.line == 2
-
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
-    def test_reader_rejects_non_finite(self, tmp_path, text):
-        path = tmp_path / "bad.tsv"
-        path.write_text(
-            f"target_gene\tsource_gene\tweight\ton_support\nt1\ts1\t1.0\ttrue\nt1\ts2\t{text}\tfalse\n"
-        )
-        with pytest.raises(ParseError, match=f"non-finite weight '{text}'") as err:
-            read_weight_table(path)
-        assert err.value.line == 3
 
 
 class TestSupportSummary:
@@ -167,7 +161,7 @@ class TestViewConsistency:
             shape = (mask.n_edges,) if mode == "hard" else (5, 6)
             layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
             export_weight_table(layer, tmp_path / "weights.tsv")
-            table = read_weight_table(tmp_path / "weights.tsv")
+            table = read_weight_rows(tmp_path / "weights.tsv")
             for t_gene in mask.target_gene_ids:
                 gene_rows = [r for r in table if r[0] == t_gene]
                 gene_rows.sort(key=lambda r: (-abs(r[2]), r[1]))
@@ -210,7 +204,7 @@ class TestViewConsistency:
 
             table = weight_table_oracle(layer)
             assert len(export_weight_table(layer, path)) == len(table)
-            assert read_weight_table(path) == table
+            assert read_weight_rows(path) == table
             for t_gene in mask.target_gene_ids:
                 ranked = [r for r in table if r[0] == t_gene]
                 ranked.sort(key=lambda r: (-abs(r[2]), r[1]))

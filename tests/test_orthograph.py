@@ -19,7 +19,7 @@ from orthomask.orthograph import (
 )
 from orthomask.tsv import first_true, read_table
 
-from _helpers import kmer_similarity, random_mask, random_score_instance, rbh_brute_force
+from _helpers import edge_set, kmer_similarity, random_mask, random_score_instance, rbh_brute_force
 
 
 def table(entries):
@@ -66,7 +66,7 @@ def forward_hits(entries, cfg):
     reverse table scores every pair 1.0, so every candidate is reciprocal."""
     reverse = ScoreTable("source_sp", "target_sp", [(s, q, 1.0) for q, s, _ in entries])
     graph = build_rbh_graph(table(entries), reverse, cfg, ["q1"], ["s1", "s2"])
-    return {(graph.target_gene_ids[i], graph.source_gene_ids[j]) for i, j in graph.edge_set()}
+    return {(graph.target_gene_ids[i], graph.source_gene_ids[j]) for i, j in edge_set(graph)}
 
 
 class TestBestHits:
@@ -185,7 +185,7 @@ class TestBuildRbhGraph:
             ["t1"],
             ["s1"],
         )
-        assert graph.edge_set() == {(0, 0)}
+        assert edge_set(graph) == {(0, 0)}
 
     def test_non_reciprocal_rejected(self):
         # s1's best hit is t2, so (t1, s1) must not appear
@@ -196,11 +196,11 @@ class TestBuildRbhGraph:
             ["t1", "t2"],
             ["s1"],
         )
-        assert graph.edge_set() == set()
+        assert edge_set(graph) == set()
 
     def test_empty_tables(self):
         graph = build_rbh_graph(table([]), table([]), RbhConfig(0.5), ["t1"], ["s1"])
-        assert graph.edge_set() == set()
+        assert edge_set(graph) == set()
 
     def test_unknown_gene(self):
         with pytest.raises(UnknownGeneError):
@@ -219,7 +219,7 @@ class TestBuildRbhGraph:
             graph = build_rbh_graph(
                 table(tq), ScoreTable("source_sp", "target_sp", qt), RbhConfig(thr, tol), tg, sg
             )
-            assert graph.edge_set() == rbh_brute_force(tq, qt, thr, tol, tg, sg)
+            assert edge_set(graph) == rbh_brute_force(tq, qt, thr, tol, tg, sg)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(12)
@@ -228,7 +228,7 @@ class TestBuildRbhGraph:
             qt_table = ScoreTable("source_sp", "target_sp", qt)
             lo = build_rbh_graph(table(tq), qt_table, RbhConfig(thr, tol), tg, sg)
             hi = build_rbh_graph(table(tq), qt_table, RbhConfig(thr + 0.2, tol), tg, sg)
-            assert hi.edge_set() <= lo.edge_set()
+            assert edge_set(hi) <= edge_set(lo)
 
     def test_tie_tolerance_monotonicity(self):
         rng = np.random.default_rng(13)
@@ -237,7 +237,7 @@ class TestBuildRbhGraph:
             qt_table = ScoreTable("source_sp", "target_sp", qt)
             narrow = build_rbh_graph(table(tq), qt_table, RbhConfig(thr, tol), tg, sg)
             wide = build_rbh_graph(table(tq), qt_table, RbhConfig(thr, tol + 0.2), tg, sg)
-            assert narrow.edge_set() <= wide.edge_set()
+            assert edge_set(narrow) <= edge_set(wide)
 
     def test_empty_universes(self):
         for tg, sg in (([], []), (["t1"], []), ([], ["s1"])):
@@ -398,6 +398,17 @@ class TestBiadjacencyMatrix:
             "empty", "unsorted", "sorted", "sorted with a fault",
             "duplicate", "negative", "row_n_t", "col_n_s",
         }
+
+    @pytest.mark.parametrize("edges", [[(0, 0, 0)], np.zeros((1, 3), np.int64), np.zeros(2, np.int64)])
+    def test_edges_must_be_pairs(self, edges):
+        with pytest.raises(ValueError, match=r"^edges must be \(target, source\) index pairs$"):
+            BiadjacencyMatrix(["t"], ["s"], edges)
+
+    def test_compares_only_with_masks(self):
+        mask = BiadjacencyMatrix(["t"], ["s"], [(0, 0)])
+        assert mask.__eq__(1) is NotImplemented
+        assert (mask == 1) is False
+        assert mask == BiadjacencyMatrix(["t"], ["s"], [(0, 0)])
 
     @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 0], [0, 1], [1, 1]]])
     def test_edges_are_copied(self, edges):

@@ -14,14 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from orthomask import cli
-from orthomask.interpret import export_weight_table, read_weight_table
+from orthomask.interpret import export_weight_table
 from orthomask.netcore import MaskedLinearLayer
 from orthomask.orthograph import BiadjacencyMatrix
+
+from _helpers import read_weight_rows
 
 TRACER = Path(__file__).resolve().parents[1] / "orthobench" / "tracer.py"
 
 # gone from the package; the benchmark still lists them
-STALE = ["kernels.csr_backward_batch", "netcore.backward_conversion_batch"]
+STALE = [
+    "interpret.top_contributors",
+    "kernels.csr_backward_batch",
+    "netcore.backward_conversion_batch",
+]
 
 # the parameters each counter reads by name (the tracer matches positional
 # arguments to the wrapped function's parameter names)
@@ -84,7 +90,7 @@ def test_row_counter_reads_the_rows_written(tmp_path):
         path = tmp_path / f"{layer.mode}.tsv"
         counts = defaultdict(int)
         rows(counts, {"layer": layer, "path": path}, export_weight_table(layer, path))
-        assert counts["interpret.export_weight_table.rows"] == len(read_weight_table(path))
+        assert counts["interpret.export_weight_table.rows"] == len(read_weight_rows(path))
 
 
 def test_tracer_times_and_counts_score_table_reads(tmp_path):

@@ -270,6 +270,11 @@ class TestTrainConversion:
                 single_edge_layer(), identity_net(1.0), one_gene_dataset(1.0, 0.0), TrainConfig()
             )
 
+    def test_network_width_must_match_the_targets(self):
+        net = FeedforwardNetwork([Layer([[1.0, 1.0]], [0.0], ACT_IDENTITY)], frozen=True)
+        with pytest.raises(ValueError, match="^network input dim 2 does not match conversion output dim 1$"):
+            train_conversion(single_edge_layer(), net, one_gene_dataset(1.0, 0.0), TrainConfig())
+
     def test_labels_wider_than_the_output(self):
         data = ExpressionDataset("sp", ["g1"], ["s1"], [[1.0]], np.array([[1.0, 2.0]]))
         net = identity_net(1.0, frozen=True)
@@ -502,6 +507,11 @@ class TestEvaluate:
     def test_without_layer(self):
         net = identity_net(2.0, frozen=True)
         assert evaluate(net, None, one_gene_dataset(3.0, 6.0)) == 0.0
+
+    def test_unlabelled_dataset_rejected(self):
+        data = ExpressionDataset("sp", ["g1"], ["s1"], [[1.0]])
+        with pytest.raises(ValueError, match="^dataset has no labels$"):
+            evaluate(identity_net(1.0, frozen=True), single_edge_layer(), data)
 
 
 class TestConstantLoss:

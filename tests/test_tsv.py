@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from _helpers import read_table_per_line
+from _helpers import read_table_per_line, read_weight_rows
 
 from orthomask import cli, tsv
 from orthomask.dataio import (
@@ -19,7 +19,6 @@ from orthomask.dataio import (
     write_labels_tsv,
 )
 from orthomask.errors import ParseError
-from orthomask.interpret import read_weight_table
 from orthomask.orthograph import (
     BiadjacencyMatrix,
     ScoreTable,
@@ -67,7 +66,7 @@ READERS = {
     ),
     "labels": (_labels, "sample_id\tlabel", ["a\t1.5", "b\t-2.0"], "a\t3.0"),
     "weight_table": (
-        read_weight_table,
+        read_weight_rows,
         "target_gene\tsource_gene\tweight\ton_support",
         ["t1\ts1\t0.5\ttrue", "t1\ts2\t-1.0\tfalse"],
         "t1\ts1\t2.0\tfalse",
@@ -252,8 +251,6 @@ NUMERIC_READERS = {
                          "sample_{}\t{}", "non-numeric label {!r}"),
     "class_label": (lambda path: read_labels_tsv(path, "classification"), "sample_id\tlabel",
                     "sample_{}\t{}", "non-integer class label {!r}"),
-    "weight": (read_weight_table, "target_gene\tsource_gene\tweight\ton_support",
-               "t_{}\ts_1\t{}\ttrue", "non-numeric weight {!r}"),
 }
 
 
@@ -390,14 +387,12 @@ NUMERIC_FILES = [
     (lambda p: read_score_table(p).scores.tobytes(), "query\tsubject\tscore", "q{k}\ts\t{field}"),
     (lambda p: read_labels_tsv(p, "regression")[1].tobytes(), "sample_id\tlabel", "s{k}\t{field}"),
     (lambda p: read_expression_tsv(p).samples.tobytes(), "sample_id\tg1\tg2", "s{k}\t1.5\t{field}"),
-    (lambda p: read_weight_table(p)[0][2], "target_gene\tsource_gene\tweight\ton_support",
-     "t{k}\ts\t{field}\ttrue"),
 ]
 
 
 @pytest.mark.parametrize("read, header, record", NUMERIC_FILES)
 def test_numeric_files_read_as_parse_numbers_reads_them(tmp_path, monkeypatch, read, header, record):
-    """A score, label, expression or weight file gives the same bits with
+    """A score, label or expression file gives the same bits with
     orjson as with parse_numbers alone, or the same ``path:line:`` message."""
     rng = np.random.default_rng(45)
     fields = _decimal_fields(rng)[:200] + ODD_FIELDS

@@ -85,14 +85,19 @@ def _package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def source_texts(directory: Path) -> list[str]:
+    """The text of each Python source file under ``directory``. Only
+    sources are read: bytecode that importing a module leaves in
+    ``__pycache__`` is not UTF-8 text."""
+    return [path.read_text(encoding="utf-8") for path in sorted(directory.rglob("*.py"))]
+
+
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_defs(_package_sources()) == []
 
 
 def test_no_public_definition_only_tests_name():
-    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
-    bench = sorted(path for path in (ROOT / "orthobench").rglob("*") if path.is_file())
-    texts += [path.read_text(encoding="utf-8") for path in bench]
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8"), *source_texts(ROOT / "orthobench")]
     assert unnamed_public_defs(_package_sources(), orthomask.__all__, texts) == []
 
 
@@ -126,3 +131,13 @@ def test_guard_finds_unnamed_public_definitions():
     b = "from a import imported, Box\nBox().open()\n"
     found = unnamed_public_defs({"a.py": a, "b.py": b}, ["exported"], ["call documented(x)"])
     assert found == ["a.py:3: recursive", "a.py:12: shut"]
+
+
+def test_guard_reads_sources_beside_bytecode(tmp_path):
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "bench.cpython-311.pyc").write_bytes(b"\xa7\r\r\n\x00\x00\xe3\x00")
+    (tmp_path / "bench.py").write_text("from orthomask import documented\n", encoding="utf-8")
+    texts = source_texts(tmp_path)
+    assert texts == ["from orthomask import documented\n"]
+    a = "def documented():\n    pass\ndef hidden():\n    pass\n"
+    assert unnamed_public_defs({"a.py": a}, (), texts) == ["a.py:3: hidden"]

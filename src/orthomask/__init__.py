@@ -12,7 +12,6 @@ from .orthograph import (
 )
 from .netcore import (
     FeedforwardNetwork,
-    ForwardCache,
     Layer,
     MaskedLinearLayer,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "BiadjacencyMatrix",
     "ExpressionDataset",
     "FeedforwardNetwork",
-    "ForwardCache",
     "InvalidStateError",
     "Layer",
     "MaskedLinearLayer",

@@ -203,9 +203,15 @@ def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None
             )
     else:
         try:
-            dataset = dataio.align_to_genes(dataset, gene_ids)[0]
+            dataset, dropped = dataio.align_to_genes(dataset, gene_ids)
         except UnknownGeneError as exc:
             raise UnknownGeneError(f"{expr_path}: {exc}") from None
+        if dropped:
+            print(
+                f"orthomask: warning: {expr_path}: dropping {dropped} gene(s) "
+                "not among the conversion layer's source genes",
+                file=sys.stderr,
+            )
     if labels_path is not None and dataset.n_samples == 0:
         raise ValueError(f"no samples in {expr_path}")
     return dataset

@@ -15,7 +15,6 @@ order, so a seed pins the bundle byte-for-byte.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ from .tsv import (
     read_table,
     write_table,
 )
-
-logger = logging.getLogger(__name__)
 
 LABEL_HEADER = ("sample_id", "label")
 KIND_REGRESSION = "regression"
@@ -203,8 +200,6 @@ def align_to_genes(dataset: ExpressionDataset, required_gene_ids) -> tuple[Expre
     if missing is not None:
         raise UnknownGeneError(f"dataset is missing required gene {required[missing]!r}")
     dropped = dataset.n_genes - len(required)
-    if dropped:
-        logger.warning("dropping %d gene(s) not in the required list", dropped)
     aligned = ExpressionDataset(
         dataset.species,
         required,

@@ -21,10 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _edge_rows(indptr):
-    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
-
-
 def _scatter(a, gather, scatter, data, n_out):
     """``out[m, scatter[e]] += a[m, gather[e]] * data[e]``; shape (k, n_out)."""
     out = np.zeros((a.shape[0], n_out))
@@ -33,21 +29,22 @@ def _scatter(a, gather, scatter, data, n_out):
     return out
 
 
-def dense_times_csr(indptr, indices, data, a, n_cols):
-    """Dense ``a`` (k, n_rows) times the CSR matrix (n_rows, n_cols).
+def dense_times_csr(rows, cols, data, a, n_cols):
+    """Dense ``a`` (k, n_rows) times the sparse matrix (n_rows, n_cols) whose
+    edge e sits at ``(rows[e], cols[e])``.
 
-    ``out[m, j]`` sums ``a[m, row(e)] * data[e]`` over the edges e in column
+    ``out[m, j]`` sums ``a[m, rows[e]] * data[e]`` over the edges e in column
     j, in edge order.
     """
-    return _scatter(a, _edge_rows(indptr), indices, data, n_cols)
+    return _scatter(a, rows, cols, data, n_cols)
 
 
-def edge_dot(indptr, indices, a, b):
-    """Per-edge column dot product: ``sum_m a[m, row(e)] * b[m, indices[e]]``.
+def edge_dot(rows, cols, a, b):
+    """Per-edge column dot product: ``sum_m a[m, rows[e]] * b[m, cols[e]]``.
 
     ``a`` is (k, n_rows) and ``b`` is (k, n_cols); returns one value per edge.
     """
-    return np.einsum("me,me->e", a[:, _edge_rows(indptr)], b[:, indices])
+    return np.einsum("me,me->e", a[:, rows], b[:, cols])
 
 
 def csr_matvec_batch(indptr, indices, data, xs):
@@ -57,4 +54,5 @@ def csr_matvec_batch(indptr, indices, data, xs):
     ``out[s, i] = sum_e data[e] * xs[s, indices[e]]`` over row i's entries,
     in edge order.
     """
-    return _scatter(xs, indices, _edge_rows(indptr), data, indptr.shape[0] - 1)
+    n_rows = indptr.shape[0] - 1
+    return _scatter(xs, indices, np.repeat(np.arange(n_rows), np.diff(indptr)), data, n_rows)

@@ -27,7 +27,6 @@ MODES = (MODE_HARD, MODE_SOFT)
 ACT_IDENTITY = "identity"
 ACT_RELU = "relu"
 ACT_SIGMOID = "sigmoid"
-ACTIVATIONS = (ACT_IDENTITY, ACT_RELU, ACT_SIGMOID)
 
 
 def _sigmoid(z):
@@ -39,25 +38,13 @@ def _sigmoid(z):
     return out
 
 
-def _activate(name, z):
-    if name == ACT_IDENTITY:
-        return z
-    if name == ACT_RELU:
-        return np.maximum(z, 0.0)
-    if name == ACT_SIGMOID:
-        return _sigmoid(z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name, pre, post):
-    """d(activation)/d(pre-activation), elementwise."""
-    if name == ACT_IDENTITY:
-        return np.ones_like(pre)
-    if name == ACT_RELU:
-        return (pre > 0.0).astype(np.float64)
-    if name == ACT_SIGMOID:
-        return post * (1.0 - post)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (activation, its derivative written as a function of the output)
+_ACTIVATIONS = {
+    ACT_IDENTITY: (lambda z: z, lambda out: 1.0),
+    ACT_RELU: (lambda z: np.maximum(z, 0.0), lambda out: (out > 0.0).astype(np.float64)),
+    ACT_SIGMOID: (_sigmoid, lambda out: out * (1.0 - out)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 class MaskedLinearLayer:
@@ -145,7 +132,7 @@ def fold_conversion(layer: MaskedLinearLayer, first_weights: np.ndarray) -> np.n
     if layer.mode == MODE_HARD:
         mask = layer.mask
         return kernels.dense_times_csr(
-            mask.indptr, mask.edge_cols, layer.weights, first_weights, layer.n_sources
+            mask.edge_rows, mask.edge_cols, layer.weights, first_weights, layer.n_sources
         )
     return first_weights @ layer.weights
 
@@ -162,7 +149,7 @@ def fold_conversion_grad(
         raise ValueError(f"folded gradient of shape {grad_folded.shape} does not match {expected}")
     if layer.mode == MODE_HARD:
         mask = layer.mask
-        return kernels.edge_dot(mask.indptr, mask.edge_cols, first_weights, grad_folded)
+        return kernels.edge_dot(mask.edge_rows, mask.edge_cols, first_weights, grad_folded)
     return first_weights.T @ grad_folded
 
 
@@ -220,36 +207,17 @@ class FeedforwardNetwork:
         return FeedforwardNetwork(self.layers, self.frozen if frozen is None else frozen)
 
 
-@dataclass
-class ForwardCache:
-    """Per-layer pre/post activations retained for the backward pass."""
-
-    x: np.ndarray
-    pre: list[np.ndarray]
-    post: list[np.ndarray]
-
-    def matches(self, net: FeedforwardNetwork) -> bool:
-        if len(self.pre) != len(net.layers):
-            return False
-        if self.x.shape[1] != net.input_dim:
-            return False
-        return all(
-            p.shape[1] == lay.weights.shape[0] for p, lay in zip(self.pre, net.layers)
-        )
-
-
-def mlp_forward_batch(net: FeedforwardNetwork, xs) -> tuple[np.ndarray, ForwardCache]:
+def mlp_forward_batch(net: FeedforwardNetwork, xs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Network output and the values backpropagation reads:
+    ``[xs, out_1, ..., out_L]``, each layer's input followed by its output."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"expected input of shape (n, {net.input_dim}), got {xs.shape}")
-    pre, post = [], []
-    a = xs
+    values = [xs]
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = _activate(layer.activation, z)
-        pre.append(z)
-        post.append(a)
-    return post[-1], ForwardCache(xs, pre, post)
+        activation = _ACTIVATIONS[layer.activation][0]
+        values.append(activation(values[-1] @ layer.weights.T + layer.bias))
+    return values[-1], values
 
 
 def model_forward(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, xs) -> np.ndarray:
@@ -260,27 +228,26 @@ def model_forward(net: FeedforwardNetwork, layer: MaskedLinearLayer | None, xs) 
     return pred
 
 
-def mlp_backward_batch(net, cache: ForwardCache, dldy):
-    """Backpropagate a loss gradient through the network.
+def mlp_backward_batch(net, values, dldy):
+    """Backpropagate a loss gradient through the network, reading
+    ``values[k]`` as layer k's input and ``values[k + 1]`` as its output.
 
     Returns per-layer ``(grad_weights, grad_bias)`` pairs. Parameter
     gradients are computed even for a frozen network; callers of a frozen
     network must not apply them.
     """
     dldy = np.asarray(dldy, dtype=np.float64)
-    if not cache.matches(net):
+    widths = [net.input_dim, *(lay.weights.shape[0] for lay in net.layers)]
+    if [v.shape[1] for v in values] != widths:
         raise ValueError("forward cache does not match this network")
-    if dldy.shape != cache.post[-1].shape:
-        raise ValueError(
-            f"expected upstream of shape {cache.post[-1].shape}, got {dldy.shape}"
-        )
+    if dldy.shape != values[-1].shape:
+        raise ValueError(f"expected upstream of shape {values[-1].shape}, got {dldy.shape}")
     param_grads = [None] * len(net.layers)
     delta = dldy
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
-        dz = delta * _activation_grad(layer.activation, cache.pre[k], cache.post[k])
-        a_prev = cache.post[k - 1] if k > 0 else cache.x
-        param_grads[k] = (dz.T @ a_prev, dz.sum(axis=0))
+        dz = delta * _ACTIVATIONS[layer.activation][1](values[k + 1])
+        param_grads[k] = (dz.T @ values[k], dz.sum(axis=0))
         if k > 0:
             delta = dz @ layer.weights
     return param_grads

@@ -288,9 +288,9 @@ def train_base(
     trained = net.copy()
 
     def step(xs, labels):
-        pred, cache = mlp_forward_batch(trained, xs)
+        pred, values = mlp_forward_batch(trained, xs)
         value, dpred = _batch_loss(pred, labels)
-        param_grads = mlp_backward_batch(trained, cache, dpred)
+        param_grads = mlp_backward_batch(trained, values, dpred)
         return value, [g for gw_gb in param_grads for g in gw_gb]
 
     params = [arr for lay in trained.layers for arr in (lay.weights, lay.bias)]
@@ -321,9 +321,9 @@ def conversion_step(
     """
     first_weights = frozen_net.layers[0].weights
     folded.layers[0].weights = fold_conversion(layer, first_weights)
-    pred, cache = mlp_forward_batch(folded, xs)
+    pred, values = mlp_forward_batch(folded, xs)
     base_loss, dpred = _batch_loss(pred, labels)
-    param_grads = mlp_backward_batch(folded, cache, dpred)
+    param_grads = mlp_backward_batch(folded, values, dpred)
     grad = fold_conversion_grad(layer, first_weights, param_grads[0][0])
     penalty = -0.0
     if layer.mode == MODE_SOFT:

@@ -59,7 +59,7 @@ _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
 _NON_SEPARATORS = bytes(sorted(set(range(256)) - {9, 10}))
 # characters of a table's text scanned for separators at a time
 _SCAN_CHUNK = 1 << 20
-# values per float_texts call when float_column formats a row or column: a
+# values per _float_texts call when float_column formats a row or column: a
 # chunk's strings add little to a writer's peak memory
 FLOAT_CHUNK = 1 << 12
 
@@ -386,18 +386,8 @@ def _standard_stream(info: os.stat_result) -> bool:
     return False
 
 
-def _finite_floats(values) -> np.ndarray:
-    """``values`` as a contiguous float64 array; a non-finite value raises
-    ValueError, naming the first."""
-    array = np.ascontiguousarray(values, np.float64)
-    bad = first_true(~np.isfinite(array))
-    if bad is not None:
-        raise ValueError(f"cannot format non-finite value {array[bad]}")
-    return array
-
-
-def float_texts(values) -> list[str]:
-    """The ``repr`` of each value of a row or column, as a float64.
+def _float_texts(array) -> list[str]:
+    """The ``repr`` of each value of a finite, contiguous float64 array.
 
     orjson formats the whole array in one call. In [1e-4, 1e16) it spells
     every double as ``repr`` does: the shortest decimal that reads back to
@@ -406,7 +396,6 @@ def float_texts(values) -> list[str]:
     spells with an ``e`` or without a ``.`` take ``repr`` itself, so the
     text does not depend on orjson's version.
     """
-    array = _finite_floats(values)
     magnitude = np.abs(array)
     by_repr = (magnitude >= 1e16) | ((magnitude < 1e-4) & (array != 0.0))
     # orjson formats 0.0 in place of those values, so that one scan of the
@@ -423,9 +412,13 @@ def float_texts(values) -> list[str]:
 
 
 def float_column(values):
-    """:func:`float_texts` of a row or column, as an iterator that formats
-    ``FLOAT_CHUNK`` values at a time, so only one chunk's strings are held.
-    A non-finite value raises at the call, before any text is made."""
-    array = _finite_floats(values)
+    """The ``repr`` of each value of a row or column, as a float64, as an
+    iterator that formats ``FLOAT_CHUNK`` values at a time, so only one
+    chunk's strings are held. A non-finite value raises ValueError at the
+    call, naming the first, before any text is made."""
+    array = np.ascontiguousarray(values, np.float64)
+    bad = first_true(~np.isfinite(array))
+    if bad is not None:
+        raise ValueError(f"cannot format non-finite value {array[bad]}")
     chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
-    return chain.from_iterable(map(float_texts, chunks))
+    return chain.from_iterable(map(_float_texts, chunks))

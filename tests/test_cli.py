@@ -756,6 +756,21 @@ class TestPredict:
             "sample_id\tprediction", f"a\t{classes[0]}", f"b\t{classes[1]}"
         ]
 
+    def test_extra_genes_dropped_with_a_warning(self, clf_files, capsys):
+        assert run(clf_conversion_args(clf_files, clf_files / "base_labels.tsv")) == 0
+        model, wide = clf_files / "m.json", clf_files / "wide.tsv"
+        wide.write_text("sample_id\tx1\ts2\tx2\ts1\na\t5.0\t0.0\t-3.0\t1.0\nb\t7.0\t1.0\t2.0\t0.0\n")
+        out, wide_out = clf_files / "pred.tsv", clf_files / "wide_pred.tsv"
+        assert run(["predict", "--model", str(model), "--expr", str(clf_files / "expr.tsv"),
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--expr", str(wide), "--out", str(wide_out)]) == 0
+        assert capsys.readouterr().err == (
+            f"orthomask: warning: {wide}: dropping 2 gene(s) "
+            "not among the conversion layer's source genes\n"
+        )
+        assert wide_out.read_bytes() == out.read_bytes()
+
     def test_overflowing_forward_is_a_numerical_failure(self, tmp_path, capsys):
         # every weight and input is finite; 1e200 * 1e200 is not
         model, expr, out = tmp_path / "m.json", tmp_path / "expr.tsv", tmp_path / "pred.tsv"

@@ -1,14 +1,14 @@
 """No package definition is dead code. Every private module-level function
 or class, and every private method, of a package module is referenced
 somewhere in the package; every public one is named somewhere outside its
-own definition: in the package, in ``orthomask.__all__``, in README.md or
-in a file under ``orthobench/``. So no function is kept for tests alone."""
+own definition: in a package module other than ``__init__.py``, in
+README.md or in a file under ``orthobench/``. A re-export from
+``__init__.py`` or ``orthomask.__all__`` is not a use. So no function is
+kept for tests alone."""
 
 import ast
 import re
 from pathlib import Path
-
-import orthomask
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "orthomask"
@@ -64,18 +64,20 @@ def _names_outside_own_definition(tree) -> set[str]:
     return used
 
 
-def unnamed_public_defs(sources: dict[str, str], exported=(), texts=()) -> list[str]:
+def unnamed_public_defs(sources: dict[str, str], texts=()) -> list[str]:
     """``module:line: name`` for each public definition of ``sources`` (as
-    for :func:`unreferenced_private_defs`) that no module names outside
-    the definition itself, that ``exported`` does not list, and that no
-    text of ``texts`` holds as a word. Dunders are exempt."""
-    defined, used = {}, set(exported)
+    for :func:`unreferenced_private_defs`) that no module but
+    ``__init__.py``, whose imports and ``__all__`` only re-export, names
+    outside the definition itself, and that no text of ``texts`` holds as
+    a word. Dunders are exempt."""
+    defined, used = {}, set()
     for module, text in sources.items():
         tree = ast.parse(text)
         for item in _definitions(tree):
             if not item.name.startswith("_"):
                 defined.setdefault(item.name, f"{module}:{item.lineno}: {item.name}")
-        used |= _names_outside_own_definition(tree)
+        if module != "__init__.py":
+            used |= _names_outside_own_definition(tree)
     for text in texts:
         used.update(re.findall(r"\w+", text))
     return [where for name, where in defined.items() if name not in used]
@@ -98,7 +100,7 @@ def test_no_unreferenced_private_definitions():
 
 def test_no_public_definition_only_tests_name():
     texts = [(ROOT / "README.md").read_text(encoding="utf-8"), *source_texts(ROOT / "orthobench")]
-    assert unnamed_public_defs(_package_sources(), orthomask.__all__, texts) == []
+    assert unnamed_public_defs(_package_sources(), texts) == []
 
 
 def test_guard_finds_unreferenced_definitions():
@@ -129,8 +131,15 @@ def test_guard_finds_unnamed_public_definitions():
         "    def __len__(self):\n        return 0\n"
     )
     b = "from a import imported, Box\nBox().open()\n"
-    found = unnamed_public_defs({"a.py": a, "b.py": b}, ["exported"], ["call documented(x)"])
-    assert found == ["a.py:3: recursive", "a.py:12: shut"]
+    found = unnamed_public_defs({"a.py": a, "b.py": b}, ["call documented(x)"])
+    assert found == ["a.py:3: recursive", "a.py:5: exported", "a.py:12: shut"]
+
+
+def test_guard_does_not_count_re_exports():
+    a = "def exported():\n    pass\ndef called():\n    pass\n"
+    init = "from .a import called, exported\n__all__ = ['called', 'exported']\n"
+    b = "from .a import called\ncalled()\n"
+    assert unnamed_public_defs({"__init__.py": init, "a.py": a, "b.py": b}) == ["a.py:1: exported"]
 
 
 def test_guard_reads_sources_beside_bytecode(tmp_path):
@@ -140,4 +149,4 @@ def test_guard_reads_sources_beside_bytecode(tmp_path):
     texts = source_texts(tmp_path)
     assert texts == ["from orthomask import documented\n"]
     a = "def documented():\n    pass\ndef hidden():\n    pass\n"
-    assert unnamed_public_defs({"a.py": a}, (), texts) == ["a.py:3: hidden"]
+    assert unnamed_public_defs({"a.py": a}, texts) == ["a.py:3: hidden"]

@@ -41,10 +41,10 @@ def test_backward_against_dense():
         upstream = rng.normal(0.0, 1.0, (5, mask.n_targets))
         dense = np.zeros((mask.n_targets, mask.n_sources))
         dense[mask.edge_rows, mask.edge_cols] = data
-        got = kernels.dense_times_csr(mask.indptr, mask.edge_cols, data, upstream, mask.n_sources)
+        got = kernels.dense_times_csr(mask.edge_rows, mask.edge_cols, data, upstream, mask.n_sources)
         assert got.shape == (5, mask.n_sources) and got.dtype == np.float64
         assert np.max(np.abs(got - upstream @ dense), initial=0.0) <= 1e-12
-        grad_data = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
+        grad_data = kernels.edge_dot(mask.edge_rows, mask.edge_cols, upstream, xs)
         expected = (upstream.T @ xs)[mask.edge_rows, mask.edge_cols]
         assert grad_data.shape == (mask.n_edges,)
         assert np.max(np.abs(grad_data - expected), initial=0.0) <= 1e-12
@@ -58,10 +58,10 @@ def test_empty_support():
     assert out.shape == (2, 3)
     assert not out.any()
     upstream = np.ones((2, 3))
-    folded = kernels.dense_times_csr(mask.indptr, mask.edge_cols, data, upstream, 5)
+    folded = kernels.dense_times_csr(mask.edge_rows, mask.edge_cols, data, upstream, 5)
     assert folded.shape == (2, 5) and folded.dtype == np.float64
     assert not folded.any()
-    grad_data = kernels.edge_dot(mask.indptr, mask.edge_cols, upstream, xs)
+    grad_data = kernels.edge_dot(mask.edge_rows, mask.edge_cols, upstream, xs)
     assert grad_data.shape == (0,) and grad_data.dtype == np.float64
 
 
@@ -92,7 +92,7 @@ def test_scatters_sum_in_edge_order():
 
         got = kernels.csr_matvec_batch(mask.indptr, cols, data, xs)
         assert np.array_equal(got, scatter_oracle(xs, cols, rows, data, n_t))
-        got = kernels.dense_times_csr(mask.indptr, cols, data, upstream, n_s)
+        got = kernels.dense_times_csr(rows, cols, data, upstream, n_s)
         assert np.array_equal(got, scatter_oracle(upstream, rows, cols, data, n_s))
 
         seen["no edges"] += mask.n_edges == 0

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from orthomask.netcore import (
+    _ACTIVATIONS,
     ACT_IDENTITY,
     ACT_RELU,
     ACT_SIGMOID,
+    ACTIVATIONS,
     FeedforwardNetwork,
     Layer,
     MaskedLinearLayer,
@@ -230,6 +233,12 @@ class TestMlpForward:
         with pytest.raises(ValueError):
             mlp_forward_batch(net, [1.0])
 
+    def test_layer_shapes_validated(self):
+        with pytest.raises(ValueError, match=re.escape("layer weights must be 2-D, got shape (2,)")):
+            Layer([1.0, 2.0], [0.0], ACT_IDENTITY)
+        with pytest.raises(ValueError, match=re.escape("bias shape (2,) does not match 1 outputs")):
+            Layer([[1.0]], [0.0, 0.0], ACT_IDENTITY)
+
     def test_layer_chaining_validated(self):
         with pytest.raises(ValueError):
             FeedforwardNetwork(
@@ -240,8 +249,8 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_zero_upstream(self):
         net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
-        _, cache = mlp_forward_batch(net, [[3.0]])
-        grads = mlp_backward_batch(net, cache, [[0.0]])
+        _, values = mlp_forward_batch(net, [[3.0]])
+        grads = mlp_backward_batch(net, values, [[0.0]])
         assert grads[0][0].tolist() == [[0.0]]
         assert grads[0][1].tolist() == [0.0]
 
@@ -250,8 +259,8 @@ class TestMlpBackward:
         net = FeedforwardNetwork(
             [Layer([[2.0]], [1.0], ACT_IDENTITY), Layer([[3.0]], [0.0], ACT_IDENTITY)]
         )
-        _, cache = mlp_forward_batch(net, [[3.0]])
-        grads = mlp_backward_batch(net, cache, [[1.0]])
+        _, values = mlp_forward_batch(net, [[3.0]])
+        grads = mlp_backward_batch(net, values, [[1.0]])
         assert grads[1][0].tolist() == [[7.0]]
         assert grads[1][1].tolist() == [1.0]
         assert grads[0][0].tolist() == [[9.0]]
@@ -269,8 +278,8 @@ class TestMlpBackward:
                 y, _ = mlp_forward_batch(FeedforwardNetwork([first, net.layers[1]]), xs)
                 return float((y * dldy).sum())
 
-            _, cache = mlp_forward_batch(net, xs)
-            grads = mlp_backward_batch(net, cache, dldy)
+            _, values = mlp_forward_batch(net, xs)
+            grads = mlp_backward_batch(net, values, dldy)
             fd = fd_gradient(scalar, net.layers[0].weights).reshape(3, 4)
             assert np.max(rel_err(grads[0][0], fd)) <= 1e-6
 
@@ -279,9 +288,34 @@ class TestMlpBackward:
         other = FeedforwardNetwork(
             [Layer([[2.0, 0.0]], [1.0], ACT_IDENTITY)]
         )
-        _, cache = mlp_forward_batch(other, [[3.0, 1.0]])
+        _, values = mlp_forward_batch(other, [[3.0, 1.0]])
         with pytest.raises(ValueError):
-            mlp_backward_batch(net, cache, [[1.0]])
+            mlp_backward_batch(net, values, [[1.0]])
+
+
+    def test_values_of_another_depth(self):
+        net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
+        deeper = FeedforwardNetwork([net.layers[0], Layer([[3.0]], [0.0], ACT_IDENTITY)])
+        _, values = mlp_forward_batch(deeper, [[3.0]])
+        with pytest.raises(ValueError, match="forward cache does not match this network"):
+            mlp_backward_batch(net, values, [[1.0]])
+
+    def test_upstream_shape_checked(self):
+        net = FeedforwardNetwork([Layer([[2.0]], [1.0], ACT_IDENTITY)])
+        _, values = mlp_forward_batch(net, [[3.0]])
+        with pytest.raises(ValueError, match=re.escape("expected upstream of shape (1, 1), got (1, 2)")):
+            mlp_backward_batch(net, values, [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("name", ACTIVATIONS)
+def test_activation_derivative_matches_finite_differences(name):
+    # the derivative is written as a function of the output; points stay
+    # clear of relu's kink at 0
+    function, derivative = _ACTIVATIONS[name]
+    z = np.array([-4.0, -1.3, -0.2, 0.15, 0.9, 2.5, 6.0])
+    h = 1e-6
+    fd = (function(z + h) - function(z - h)) / (2 * h)
+    assert np.max(np.abs(derivative(function(z)) - fd)) <= 1e-8
 
 
 class TestLosses:
@@ -334,6 +368,11 @@ class TestLosses:
             loss_cross_entropy_batch([[0.0, 0.0]], [2])
         with pytest.raises(ValueError):
             loss_cross_entropy_batch([[0.0, 0.0]], [-1])
+
+    def test_ce_shape_mismatch(self):
+        message = "logits shape (1, 2) incompatible with classes shape (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loss_cross_entropy_batch([[1.0, 2.0]], [0, 1])
 
     def test_ce_gradient_matches_fd(self):
         rng = np.random.default_rng(18)

@@ -363,7 +363,7 @@ class TestTrainConversion:
             n = 1 if trial % 4 == 0 else int(rng.integers(2, 9))
             hidden = [int(rng.integers(1, 5)) for _ in range(trial % 3)]
             out_dim = int(rng.integers(2, 5)) if loss_kind == "ce" else int(rng.integers(1, 3))
-            acts = [ACTIVATIONS[(trial + k) % 3] for k in range(len(hidden))] + [ACT_IDENTITY]
+            acts = [ACTIVATIONS[(trial + k) % len(ACTIVATIONS)] for k in range(len(hidden))] + [ACT_IDENTITY]
             net = random_network(rng, [n_t, *hidden, out_dim], frozen=True, activations=acts)
             if loss_kind == "ce":
                 labels = rng.integers(0, out_dim, n).astype(np.int64)
@@ -507,6 +507,11 @@ class TestEvaluate:
     def test_without_layer(self):
         net = identity_net(2.0, frozen=True)
         assert evaluate(net, None, one_gene_dataset(3.0, 6.0)) == 0.0
+
+    def test_non_finite_loss_raises(self):
+        net = identity_net(1e200, frozen=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite evaluation loss"):
+            evaluate(net, single_edge_layer(1e200), one_gene_dataset(1e200, 0.0))
 
     def test_unlabelled_dataset_rejected(self):
         data = ExpressionDataset("sp", ["g1"], ["s1"], [[1.0]])

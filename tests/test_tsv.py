@@ -454,18 +454,18 @@ def _float_cases(rng):
     ]
 
 
-def test_float_texts_matches_repr(monkeypatch):
+def test_float_column_matches_repr(monkeypatch):
     """orjson's spelling, with repr where it differs, is repr's."""
     monkeypatch.setattr(tsv, "FLOAT_CHUNK", 7)
     for values in _float_cases(np.random.default_rng(46)):
         expected = [repr(float(x)) for x in np.asarray(values).tolist()]
-        texts = tsv.float_texts(values)
+        texts = tsv._float_texts(np.ascontiguousarray(values, np.float64))
         wrong = [(t, e) for t, e in zip(texts, expected) if t != e]
         assert texts == expected, f"orjson {orjson.__version__}: {wrong[:5]}"
         assert list(tsv.float_column(values)) == expected
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
-            tsv.float_texts([1.0, bad, math.nan])
+            tsv.float_column([1.0, bad, math.nan])
         with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
             tsv.float_column(np.array([1e-9, bad]))
 
@@ -552,7 +552,7 @@ def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
         return texts
 
     with monkeypatch.context() as m:
-        m.setattr(tsv, "float_texts", counted)
+        m.setattr(tsv, "_float_texts", counted)
         expected = written(tmp_path / "expected")
     assert found == expected
     assert len(found[0]) > 10 and "e-05" in found[0][Path("expr.tsv")].decode()

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect-weights", help="export the learned orthology weight table")
     p.add_argument("--model", required=True)
     p.add_argument("--target-gene", help="restrict to one target gene's contributors")
-    p.add_argument("--top", type=_positive_int, default=10, help="contributors to keep (with --target-gene)")
+    p.add_argument("--top", type=_positive_int, help="contributors to keep (default 10; needs --target-gene)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_inspect_weights)
 
@@ -305,13 +305,15 @@ def _cmd_predict(args):
 
 
 def _cmd_inspect_weights(args):
+    if args.target_gene is None and args.top is not None:
+        raise _UsageError("--top needs --target-gene")
     conversion = modelio.load_model(args.model)[1]
     if conversion is None:
         raise ValueError(f"model in {args.model} has no conversion layer to inspect")
     if args.target_gene is None:
         interpret.export_weight_table(conversion, args.out)
         return EXIT_OK
-    rows = interpret.contributor_rows(conversion, args.target_gene, args.top)
+    rows = interpret.contributor_rows(conversion, args.target_gene, 10 if args.top is None else args.top)
     interpret.write_weight_rows(rows, args.out)
     return EXIT_OK
 

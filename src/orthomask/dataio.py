@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,10 +182,7 @@ def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionData
     if missing is not None:
         raise ValueError(f"no label for sample {dataset.sample_ids[missing]!r} in {path}")
     # one row per sample; a (n, 1) or (n,) array keeps its shape
-    ordered = values[rows]
-    return ExpressionDataset(
-        dataset.species, dataset.gene_ids, dataset.sample_ids, dataset.samples, ordered
-    )
+    return replace(dataset, labels=values[rows])
 
 
 def align_to_genes(dataset: ExpressionDataset, required_gene_ids) -> tuple[ExpressionDataset, int]:
@@ -200,14 +197,7 @@ def align_to_genes(dataset: ExpressionDataset, required_gene_ids) -> tuple[Expre
     if missing is not None:
         raise UnknownGeneError(f"dataset is missing required gene {required[missing]!r}")
     dropped = dataset.n_genes - len(required)
-    aligned = ExpressionDataset(
-        dataset.species,
-        required,
-        dataset.sample_ids,
-        dataset.samples[:, take],
-        dataset.labels,
-    )
-    return aligned, dropped
+    return replace(dataset, gene_ids=required, samples=dataset.samples[:, take]), dropped
 
 
 # ---------------------------------------------------------------------------

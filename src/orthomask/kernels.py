@@ -5,13 +5,13 @@ per edge in row-major order, so its products are edge operations rather than
 dense matmuls. There are two, each written once in numpy float64 with a
 fixed reduction order, so every call is deterministic:
 
-- one scatter, ``out[m, scatter[e]] += a[m, gather[e]] * data[e]``, run by
-  ``np.bincount`` one row of ``a`` at a time: each output sums its edges in
-  edge order, and scratch memory is O(edges) whatever the batch size.
-  Scattering onto the columns gives :func:`dense_times_csr` (the fold of the
-  layer into the frozen network's first layer); scattering onto the rows
-  gives :func:`csr_matvec_batch` (the layer's forward pass in evaluation,
-  prediction and synthetic labels).
+- one scatter product, :func:`dense_times_csr`, run by ``np.bincount`` one
+  row of the dense factor at a time: each output sums its edges in edge
+  order, and scratch memory is O(edges) whatever the batch size. It folds
+  the layer into the frozen network's first layer. The layer's forward pass
+  in evaluation, prediction and synthetic labels, :func:`csr_matvec_batch`,
+  is the same product with the transpose, whose edge e sits at
+  ``(col[e], row[e])``.
 - one gather-dot, :func:`edge_dot`, the gradient with respect to the edge
   weights.
 """
@@ -21,14 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _scatter(a, gather, scatter, data, n_out):
-    """``out[m, scatter[e]] += a[m, gather[e]] * data[e]``; shape (k, n_out)."""
-    out = np.zeros((a.shape[0], n_out))
-    for m, row in enumerate(a):
-        out[m] = np.bincount(scatter, weights=row[gather] * data, minlength=n_out)
-    return out
-
-
 def dense_times_csr(rows, cols, data, a, n_cols):
     """Dense ``a`` (k, n_rows) times the sparse matrix (n_rows, n_cols) whose
     edge e sits at ``(rows[e], cols[e])``.
@@ -36,7 +28,10 @@ def dense_times_csr(rows, cols, data, a, n_cols):
     ``out[m, j]`` sums ``a[m, rows[e]] * data[e]`` over the edges e in column
     j, in edge order.
     """
-    return _scatter(a, rows, cols, data, n_cols)
+    out = np.zeros((a.shape[0], n_cols))
+    for m, row in enumerate(a):
+        out[m] = np.bincount(cols, weights=row[rows] * data, minlength=n_cols)
+    return out
 
 
 def edge_dot(rows, cols, a, b):
@@ -55,4 +50,5 @@ def csr_matvec_batch(indptr, indices, data, xs):
     in edge order.
     """
     n_rows = indptr.shape[0] - 1
-    return _scatter(xs, indices, np.repeat(np.arange(n_rows), np.diff(indptr)), data, n_rows)
+    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    return dense_times_csr(indices, rows, data, xs, n_rows)

@@ -9,7 +9,10 @@ the same fields loads, and so do documents of earlier versions: their
 
 orjson is the reader: :func:`load_model` parses each document once and
 checks what it parsed. Text orjson refuses (NaN or Infinity, which
-earlier versions wrote, ``1e400``, a lone surrogate) is invalid JSON.
+earlier versions wrote, ``1e400``, a lone surrogate) is invalid JSON,
+so every number it yields is finite; an integer too wide for 64 bits is
+read as a finite float. ``Layer`` and ``MaskedLinearLayer`` refuse
+non-finite values all the same, as a ParseError here.
 Every command, ``inspect-weights`` included, loads the whole document.
 """
 
@@ -112,11 +115,8 @@ def _json_list(values, types, what, path):
     return values
 
 
-def _finite_floats(values, what, path):
-    arr = np.asarray(_json_list(values, {int, float}, what, path), dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ParseError(f"non-finite value in {what}", path)
-    return arr
+def _floats(values, what, path):
+    return np.asarray(_json_list(values, {int, float}, what, path), dtype=np.float64)
 
 
 @contextmanager
@@ -155,8 +155,8 @@ def load_model(path) -> tuple[FeedforwardNetwork, MaskedLinearLayer | None]:
             rows, cols = lay["rows"], lay["cols"]
             if type(rows) is not int or type(cols) is not int:
                 raise ParseError(f"layer {k}: rows and cols must be integers", path)
-            weights = _finite_floats(lay["weights"], f"layer {k} weights", path)
-            bias = _finite_floats(lay["bias"], f"layer {k} bias", path)
+            weights = _floats(lay["weights"], f"layer {k} weights", path)
+            bias = _floats(lay["bias"], f"layer {k} bias", path)
             if weights.shape != (rows * cols,):
                 raise ParseError(
                     f"layer {k}: expected {rows * cols} weights, got {weights.shape[0]}", path
@@ -208,13 +208,13 @@ def _conversion(conv_doc, n_inputs: int, path) -> MaskedLinearLayer | None:
     cols = np.array(fields[1], dtype=np.int64)
     mask = BiadjacencyMatrix(targets, sources, np.column_stack((rows, cols)))
     if mode == MODE_HARD:
-        weights = _finite_floats(list(fields[2]), "conversion weights", path)
+        weights = _floats(list(fields[2]), "conversion weights", path)
         # the mask keeps its edges in canonical (row-major) order, which
         # documents written by save_model already have
         if not (np.array_equal(rows, mask.edge_rows) and np.array_equal(cols, mask.edge_cols)):
             weights = weights[np.lexsort((cols, rows))]
         return MaskedLinearLayer(mask, MODE_HARD, weights)
-    weights = _finite_floats(conv_doc["weights"], "conversion weights", path)
+    weights = _floats(conv_doc["weights"], "conversion weights", path)
     if weights.shape != (mask.n_targets * mask.n_sources,):
         raise ParseError(
             f"expected {mask.n_targets * mask.n_sources} conversion weights, "

@@ -243,12 +243,11 @@ def _check_data(data, n_genes: int, reader: str, output_dim: int):
     labels = data.labels
     if labels is None:
         raise ValueError("dataset has no labels")
+    # ExpressionDataset has checked the labels' shape and sign
     if np.issubdtype(labels.dtype, np.integer):
-        if labels.ndim != 1:
-            raise ValueError(f"class labels must be 1-D, got shape {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= output_dim):
+        if labels.size and labels.max() >= output_dim:
             raise ValueError(f"class index out of range for {output_dim} logits")
-    elif labels.ndim != 2 or labels.shape[1] != output_dim:
+    elif labels.shape[1] != output_dim:
         raise ValueError(f"labels of shape {labels.shape} do not match output dim {output_dim}")
     if data.n_samples == 0:
         raise ValueError("dataset is empty")

@@ -208,6 +208,16 @@ class TestRefusedSettings:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_top_without_target_gene_exits_1(self, tmp_path, capsys):
+        # the whole table has no top to keep: refused before the model is read
+        out = tmp_path / "w.tsv"
+        argv = ["--model", str(tmp_path / "absent.json"), "--top", "5", "--out", str(out)]
+        assert run(["inspect-weights", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("orthomask: error: --top needs --target-gene\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_base_arguments_run_to_the_first_read(self, tmp_path, capsys):
         # the arguments above are valid, so each command fails on a missing input
         for command in ("train-base", "train-conversion", "build-graph"):

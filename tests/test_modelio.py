@@ -622,6 +622,28 @@ def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
     assert outcomes() == loaded
 
 
+@pytest.mark.parametrize("mode, value", [(None, "NaN"), ("hard", "-Infinity"), ("soft", "-Infinity")])
+def test_non_finite_numbers_are_refused_by_the_constructors(tmp_path, monkeypatch, mode, value):
+    # orjson reads no non-finite number; under a parser that does, the
+    # network and conversion constructors refuse it as a ParseError
+    path, text, *_ = _saved_model(tmp_path, mode)
+    doc = json.loads(text)
+    if mode is None:
+        doc["network"]["layers"][0]["bias"][0] = float(value)
+    elif mode == "hard":
+        doc["conversion"]["edges"][0][2] = float(value)
+    else:
+        doc["conversion"]["weights"][0] = float(value)
+    edited = json.dumps(doc)
+    assert value in edited
+    path.write_text(edited)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_model(path)
+    monkeypatch.setattr(orjson, "loads", _json_module_loads)
+    with pytest.raises(ParseError, match="must be finite"):
+        load_model(path)
+
+
 def test_deep_nesting_outside_the_checked_fields_loads(tmp_path):
     # nested past Python's recursion limit, in a key the checks do not
     # read: orjson parses it, and the document loads

@@ -427,6 +427,10 @@ class TestBiadjacencyMatrix:
         assert dense.tolist() == [[0, 1, 0], [1, 0, 1]]
         assert graph.row_degrees().tolist() == [1, 2]
 
+    def test_repr_names_shape_and_edge_count(self):
+        graph = BiadjacencyMatrix(["t1", "t2"], ["s1", "s2", "s3"], [(1, 2), (0, 1), (1, 0)])
+        assert repr(graph) == "BiadjacencyMatrix(2x3, 3 edges)"
+
 
 class TestGraphTsv:
     def test_empty_round_trip(self, tmp_path):

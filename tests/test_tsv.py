@@ -165,6 +165,23 @@ def test_refused_write_leaves_streams_alone(tmp_path, capfd):
     assert capfd.readouterr().out == "a\tb\nx\ty\n"
 
 
+def test_refused_write_removes_its_file_with_the_standard_streams_closed(tmp_path, monkeypatch):
+    # with descriptors 1 and 2 closed, no written file can be a standard
+    # stream, so a refused write still removes its partial regular file
+    fstat = os.fstat
+
+    def closed_streams(fd):
+        if fd in (1, 2):
+            raise OSError(9, "Bad file descriptor")
+        return fstat(fd)
+
+    monkeypatch.setattr(os, "fstat", closed_streams)
+    path = tmp_path / "partial.tsv"
+    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
+        write_table(path, ("a", "b"), [("x", "y"), ("z",)])
+    assert not path.exists()
+
+
 def test_writer_rejects_empty_line(tmp_path):
     # a one-column record of an empty field would be written as a blank
     # line, which the reader skips: the empty gene ID would vanish

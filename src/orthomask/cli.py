@@ -35,12 +35,17 @@ EXIT_NUMERIC = 3
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error; ``parser`` is the parser whose usage follows the
+    message, or None for the running command's."""
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def _positive_int(text):
@@ -124,6 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.set_defaults(func=_cmd_eval)
 
+    # a usage error in a command's body is followed by that command's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -339,11 +347,14 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # refused here, not by parse_args, to show the command's usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except _UsageError as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        (exc.parser or args.parser).print_usage(sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"orthomask: numerical failure: {exc}", file=sys.stderr)

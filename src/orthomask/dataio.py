@@ -41,6 +41,7 @@ from .tsv import (
     parse_floats,
     parse_numbers,
     read_table,
+    write_float_rows,
     write_table,
 )
 
@@ -133,9 +134,7 @@ def read_expression_tsv(path) -> ExpressionDataset:
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
-    rows = zip(dataset.sample_ids, dataset.samples)
-    records = ((sid, *float_column(row)) for sid, row in rows)
-    write_table(path, ("sample_id", *dataset.gene_ids), records)
+    write_float_rows(path, ("sample_id", *dataset.gene_ids), dataset.sample_ids, dataset.samples)
 
 
 def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import FLOAT_CHUNK, check_fields, float_column, open_table
+from .tsv import FLOAT_CHUNK, check_fields, float_column, write_blocks
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
 # the last cell of a row, by its on-support flag (0 or 1)
@@ -90,13 +90,15 @@ def _write_chunks(path, target_ids: tuple[str, ...], source_ids: tuple[str, ...]
     raises ValueError before the file is opened."""
     check_fields(target_ids + source_ids)
     t_cells, s_cells = (np.array([gene + "\t" for gene in ids], object) for ids in (target_ids, source_ids))
-    with open_table(path) as fh:
-        fh.write("\t".join(WEIGHT_TABLE_HEADER) + "\n")
+
+    def blocks():
         for targets, sources, weights, on in chunks:
             parts = [""] * (4 * weights.size)
             parts[0::4], parts[1::4] = t_cells[targets].tolist(), s_cells[sources].tolist()
             parts[2::4], parts[3::4] = float_column(weights), _FLAG_CELLS[on].tolist()
-            fh.write("".join(parts))
+            yield "".join(parts)
+
+    write_blocks(path, WEIGHT_TABLE_HEADER, blocks())
 
 
 def contributor_rows(

@@ -32,11 +32,14 @@ JSON numbers; any other row, and every refusal, goes to
 :func:`parse_numbers`. Both readers round correctly, so both give the same
 bits and the same first bad field.
 
-Every writer formats its floats through :func:`float_column`: each value
-is spelled as its ``repr``, the shortest decimal that reads back to the
-same double, so a file's bytes depend only on its values. orjson formats
-``FLOAT_CHUNK`` values per call, and ``repr`` spells each value orjson is
-not trusted with.
+Every float a writer writes is spelled by one formatter,
+:func:`_float_texts`: each value as its ``repr``, the shortest decimal that
+reads back to the same double, so a file's bytes depend only on its
+values. orjson formats about ``FLOAT_CHUNK`` values per call, of a column
+(:func:`float_column`) or of a block of rows (:func:`write_float_rows`),
+and ``repr`` spells each value orjson is not trusted with. Every table is
+written by :func:`write_blocks`, one write per block of lines;
+:func:`write_table` joins and checks ``RECORD_BLOCK`` records per block.
 """
 
 from __future__ import annotations
@@ -59,9 +62,12 @@ _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
 _NON_SEPARATORS = bytes(sorted(set(range(256)) - {9, 10}))
 # characters of a table's text scanned for separators at a time
 _SCAN_CHUNK = 1 << 20
-# values per _float_texts call when float_column formats a row or column: a
-# chunk's strings add little to a writer's peak memory
-FLOAT_CHUNK = 1 << 12
+# values per _float_texts call when float_column formats a row or column,
+# or write_float_rows a block of rows: a chunk's text adds little to a
+# writer's peak memory
+FLOAT_CHUNK = 1 << 10
+# records per join, check and write of write_table
+RECORD_BLOCK = 1 << 8
 
 
 class Factorized(NamedTuple):
@@ -333,18 +339,96 @@ def write_table(path, header, records) -> None:
     A record must have one field per column, a name or field holding a
     tab, LF or CR would read back as other fields or lines, and a line of
     one empty field would read back as a skipped blank line; each raises
-    ValueError. The file is opened by :func:`open_table`.
+    ValueError, after the lines before the refused one are written. The
+    records are joined, checked and written ``RECORD_BLOCK`` at a time,
+    by :func:`write_blocks`.
     """
-    width = len(header)
+    write_blocks(path, header, _record_blocks(len(header), iter(records)))
+
+
+def _record_blocks(width: int, records):
+    """The text of each ``RECORD_BLOCK`` records of ``width`` fields.
+
+    A block is checked in C-level passes: its records' widths, and its
+    tabs and LFs, which must be those the joins put in, with no CR and
+    no empty line. Only a block that fails is checked record by record:
+    its lines before the first bad record are yielded, and that record's
+    ValueError raised.
+    """
+    for block in iter(lambda: list(islice(records, RECORD_BLOCK)), []):
+        text = "\n".join(map("\t".join, block)) + "\n"
+        n = len(block)
+        if (
+            set(map(len, block)) == {width}
+            and text.count("\t") == (width - 1) * n
+            and text.count("\n") == n
+            and "\r" not in text
+            and text[0] != "\n"
+            and "\n\n" not in text
+        ):
+            yield text
+            continue
+        for k, fields in enumerate(block):
+            try:
+                _check_record(fields, width)
+            except ValueError:
+                yield "".join(map("{}\n".format, map("\t".join, block[:k])))
+                raise
+
+
+def _check_record(fields, width: int) -> None:
+    """Raise ValueError if a record of ``fields`` cannot be a line of a
+    table of ``width`` columns."""
+    if len(fields) != width:
+        raise ValueError(f"expected {width} fields, got {len(fields)}")
+    check_fields(fields)
+    if not "\t".join(fields):
+        raise ValueError("an empty field alone on a line would be read as a blank line")
+
+
+def write_blocks(path, header, blocks) -> None:
+    """Write the header's column names joined by tabs, then each text of
+    ``blocks`` in one write: every table file is written here.
+
+    The header is checked as a record (see :func:`write_table`). Each text
+    is whole lines, each ended by an LF, that its maker has checked; a
+    maker that refuses raises ValueError after yielding the lines before
+    the refused one. The file is opened by :func:`open_table`.
+    """
     with open_table(path) as fh:
-        for fields in chain((header,), records):
-            if len(fields) != width:
-                raise ValueError(f"expected {width} fields, got {len(fields)}")
-            line = "\t".join(fields)
-            if line.count("\t") != width - 1 or not line or "\n" in line or "\r" in line:
-                check_fields(fields)
-                raise ValueError("an empty field alone on a line would be read as a blank line")
-            fh.write(line + "\n")
+        _check_record(header, len(header))
+        fh.write("\t".join(header) + "\n")
+        for text in blocks:
+            fh.write(text)
+
+
+def write_float_rows(path, header, ids, values) -> None:
+    """Write the header, then one line per ID: the ID, then its row of
+    ``values``, a 2-D float array with one row per ID and one column per
+    header name after the first, each value spelled as by
+    :func:`float_column`.
+
+    Rows are formatted ``FLOAT_CHUNK`` values at a time (at least one row)
+    by one :func:`_float_texts` call and written in one write. An ID
+    holding a tab, LF or CR raises ValueError after the header is written,
+    and a non-finite value after the blocks of rows before its own. A
+    float's text holds no tab, LF or CR, so the lines need no other check.
+    """
+    matrix = np.ascontiguousarray(values, np.float64)
+    if not matrix.shape[1]:
+        # a one-column table of the IDs alone
+        write_table(path, header, zip(ids))
+        return
+
+    def blocks():
+        check_fields(ids)
+        step = max(1, FLOAT_CHUNK // matrix.shape[1])
+        for k in range(0, len(ids), step):
+            block = matrix[k : k + step]
+            _check_finite(block)
+            yield "".join(map("{}\t{}\n".format, ids[k : k + step], _float_texts(block)))
+
+    write_blocks(path, header, blocks())
 
 
 def check_fields(fields) -> None:
@@ -387,28 +471,44 @@ def _standard_stream(info: os.stat_result) -> bool:
 
 
 def _float_texts(array) -> list[str]:
-    """The ``repr`` of each value of a finite, contiguous float64 array.
+    """The text of each row of a finite, C-contiguous float64 array, a
+    1-D array being one column: its values' ``repr`` joined by tabs.
 
     orjson formats the whole array in one call. In [1e-4, 1e16) it spells
     every double as ``repr`` does: the shortest decimal that reads back to
     the same double, with a ``.`` and no exponent. A nonzero value outside
-    that range, where ``repr`` writes an exponent, and any cell orjson
-    spells with an ``e`` or without a ``.`` take ``repr`` itself, so the
-    text does not depend on orjson's version.
+    that range, where ``repr`` writes an exponent, takes ``repr`` itself;
+    and if orjson spells any cell with an ``e`` or without a ``.``, each
+    cell is checked and each such one takes ``repr``, so the text does not
+    depend on orjson's version.
     """
+    if not len(array):
+        return []
     magnitude = np.abs(array)
     by_repr = (magnitude >= 1e16) | ((magnitude < 1e-4) & (array != 0.0))
-    # orjson formats 0.0 in place of those values, so that one scan of the
-    # whole text checks only the cells whose orjson spelling is kept
-    shown = np.where(by_repr, 0.0, array) if by_repr.any() else array
-    text = orjson.dumps(shown, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-    texts = text.split(",") if text else []
-    if "e" in text or text.count(".") != len(texts):
-        by_repr |= np.fromiter(("e" in t or "." not in t for t in texts), bool, len(texts))
-    at = np.flatnonzero(by_repr)
-    for k, x in zip(at.tolist(), array[at].tolist()):
-        texts[k] = repr(x)
-    return texts
+    n_repr = np.count_nonzero(by_repr)
+    # orjson spells NaN, put in place of those values, as null, so that one
+    # scan of the text checks only the cells whose orjson spelling is kept
+    shown = np.where(by_repr, np.nan, array) if n_repr else array
+    # the values joined by commas; a 2-D array's rows joined by "],["
+    text = orjson.dumps(shown, option=orjson.OPT_SERIALIZE_NUMPY)[array.ndim : -array.ndim].decode()
+    if "e" in text or text.count(".") != array.size - n_repr:
+        cells = text.replace("],[", ",").split(",")
+        cells = [t if "." in t and "e" not in t else repr(x) for t, x in zip(cells, array.ravel().tolist())]
+        width = array.size // len(array)
+        return ["\t".join(cells[k : k + width]) for k in range(0, len(cells), width)]
+    if n_repr:
+        pieces = text.split("null")
+        reprs = map(repr, array[by_repr].tolist())
+        text = "".join(chain.from_iterable(zip(pieces, reprs))) + pieces[-1]
+    return text.split(",") if array.ndim == 1 else text.replace(",", "\t").split("]\t[")
+
+
+def _check_finite(array) -> None:
+    """Raise ValueError naming the first non-finite value of an array."""
+    bad = first_true(~np.isfinite(array.ravel()))
+    if bad is not None:
+        raise ValueError(f"cannot format non-finite value {array.ravel()[bad]}")
 
 
 def float_column(values):
@@ -417,8 +517,6 @@ def float_column(values):
     chunk's strings are held. A non-finite value raises ValueError at the
     call, naming the first, before any text is made."""
     array = np.ascontiguousarray(values, np.float64)
-    bad = first_true(~np.isfinite(array))
-    if bad is not None:
-        raise ValueError(f"cannot format non-finite value {array[bad]}")
+    _check_finite(array)
     chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
     return chain.from_iterable(map(_float_texts, chunks))

@@ -218,6 +218,31 @@ class TestRefusedSettings:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            # argparse's own refusals: of a command's flags, and of the command
+            (["eval", "--model", "x.json"], "orthomask eval "),
+            (["inspect-weights", "--model", "x.json", "--top", "0", "--target-gene", "T",
+              "--out", "w.tsv"], "orthomask inspect-weights "),
+            (["predict", "--model", "x.json", "--expr", "x.tsv", "--out", "p.tsv", "--bogus"],
+             "orthomask predict "),
+            (["bogus"], "orthomask [-h]"),
+            # refusals in a command's body
+            (["inspect-weights", "--model", "x.json", "--top", "5", "--out", "w.tsv"],
+             "orthomask inspect-weights "),
+            (["synth", "--n-s", "5", "--n-t", "5", "--density", "0.5", "--samples", "10",
+              "--noise", "0.1", "--hidden", "0", "--seed", "1", "--out-dir", "b"], "orthomask synth "),
+        ],
+    )
+    def test_usage_error_shows_the_usage_at_fault(self, tmp_path, monkeypatch, capsys, argv, usage):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        message, *usage_lines = capsys.readouterr().err.splitlines()
+        assert message.startswith("orthomask: error: ")
+        assert usage_lines[0].startswith(f"usage: {usage}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_base_arguments_run_to_the_first_read(self, tmp_path, capsys):
         # the arguments above are valid, so each command fails on a missing input
         for command in ("train-base", "train-conversion", "build-graph"):

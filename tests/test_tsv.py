@@ -107,6 +107,9 @@ WRITERS = {
     "expression": lambda bad, path: write_expression_tsv(
         ExpressionDataset("sp", ["g1", bad], ["a"], [[1.0, 2.0]]), path
     ),
+    "expression_sample": lambda bad, path: write_expression_tsv(
+        ExpressionDataset("sp", ["g1"], ["a", bad], [[1.0], [2.0]]), path
+    ),
 }
 
 
@@ -191,6 +194,46 @@ def test_writer_rejects_empty_line(tmp_path):
     # an empty field beside others is still a line with a tab
     write_table(path, ("a", "b"), [("", "")])
     assert path.read_text() == "a\tb\n\t\n"
+
+
+# a record that write_table refuses, in a table of its header, and the
+# refusal's message
+BAD_RECORDS = {
+    "short": (("a", "b"), ("z",), "expected 2 fields, got 1"),
+    "tab": (("a", "b"), ("x\ty", "z"), "field 'x\\ty' contains a tab or line break"),
+    "lf": (("a", "b"), ("x", "y\nz"), "field 'y\\nz' contains a tab or line break"),
+    "cr": (("a", "b"), ("x\ry", "z"), "field 'x\\ry' contains a tab or line break"),
+    "empty": (("a",), ("",), "an empty field alone on a line would be read as a blank line"),
+}
+
+
+@pytest.mark.parametrize("at", [5, 6])
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_refusal_past_the_first_block(tmp_path, monkeypatch, case, at):
+    """A bad record in a later block, first or second in it, gives the
+    message it gives alone; a regular file is removed, and a FIFO holds
+    exactly the lines before the bad record."""
+    header, bad, message = BAD_RECORDS[case]
+    monkeypatch.setattr(tsv, "RECORD_BLOCK", 2)
+    good = [tuple(f"r{k}c{j}" for j in range(len(header))) for k in range(9)]
+    records = good[:at] + [bad] + good[at:]
+    lines = "".join("\t".join(fields) + "\n" for fields in [header, *good])
+    path = tmp_path / "table.tsv"
+    write_table(path, header, good)
+    assert path.read_text() == lines
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_table(path, header, records)
+    assert not path.exists()
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_table(fifo, header, iter(records))
+        assert os.read(reader, 1000).decode() == "".join(lines.splitlines(True)[: at + 1])
+    finally:
+        os.close(reader)
 
 
 # IDs a table may hold: non-ASCII, and characters that str.splitlines
@@ -487,6 +530,57 @@ def test_float_column_matches_repr(monkeypatch):
             tsv.float_column(np.array([1e-9, bad]))
 
 
+def _float_matrices(rng):
+    """Matrices of random finite doubles of several shapes, and degenerate ones."""
+    bits = rng.integers(0, 2**64, 30000, dtype=np.uint64).view(np.float64)
+    finite = bits[np.isfinite(bits)]
+    subnormal = rng.integers(1, 2**52, 20, dtype=np.uint64).view(np.float64)
+    big = np.finfo(np.float64).max
+    return [
+        finite[:24000].reshape(-1, 60),
+        finite[:999].reshape(-1, 3),
+        finite[:40].reshape(-1, 1),
+        finite[:7].reshape(1, -1),
+        np.zeros((0, 5)),
+        np.zeros((3, 0)),
+        np.full((4, 6), -0.0),
+        np.array([[1e-4, -1e-4, 1e16], [-1e16, np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0)]]),
+        np.array([subnormal, -subnormal, [big, -big] * 10]),
+        np.array([[0.375, 1.0, 2.5], [1e-300, 0.1, -7.0]]),
+    ]
+
+
+def _exponent_cell(dumps):
+    """orjson's dumps, but spelling one cell with an exponent."""
+    return lambda obj, option=None: dumps(obj, option=option).replace(b".", b"e", 1)
+
+
+def _no_point_cell(dumps):
+    """orjson's dumps, but spelling one cell without a point."""
+    return lambda obj, option=None: dumps(obj, option=option).replace(b".0", b"", 1)
+
+
+@pytest.mark.parametrize("dumps", [None, _exponent_cell, _no_point_cell])
+@pytest.mark.parametrize("chunk", [1, 3, tsv.FLOAT_CHUNK])
+def test_float_rows_match_repr(tmp_path, monkeypatch, chunk, dumps):
+    """Each row the formatter and the expression writer spell is its
+    values' repr joined by tabs, block by block and when orjson spells a
+    cell otherwise."""
+    monkeypatch.setattr(tsv, "FLOAT_CHUNK", chunk)
+    if dumps is not None:
+        monkeypatch.setattr(orjson, "dumps", dumps(orjson.dumps))
+    path = tmp_path / "expr.tsv"
+    for matrix in _float_matrices(np.random.default_rng(48)):
+        expected = ["\t".join(map(repr, row)) for row in matrix.tolist()]
+        assert tsv._float_texts(np.ascontiguousarray(matrix)) == expected
+        genes = [f"g{k}" for k in range(matrix.shape[1])]
+        samples = [f"s{k}" for k in range(matrix.shape[0])]
+        write_expression_tsv(ExpressionDataset("", genes, samples, matrix), path)
+        lines = ["\t".join(["sample_id", *genes])]
+        lines += [f"{sid}\t{row}" if genes else sid for sid, row in zip(samples, expected)]
+        assert path.read_text() == "".join(line + "\n" for line in lines)
+
+
 def _repr_texts(values):
     """The reference formatter: repr of each value, one at a time."""
     texts = []
@@ -564,9 +658,10 @@ def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
     formatted = []
 
     def counted(values):
-        texts = _repr_texts(values)
-        formatted.extend(texts)
-        return texts
+        # a 1-D array is one column: one text per value
+        rows = [_repr_texts(row) for row in (values[:, None] if values.ndim == 1 else values)]
+        formatted.extend(cell for row in rows for cell in row)
+        return list(map("\t".join, rows))
 
     with monkeypatch.context() as m:
         m.setattr(tsv, "_float_texts", counted)

@@ -26,7 +26,7 @@ from .netcore import (
     Layer,
     model_forward,
 )
-from .tsv import float_column, write_table
+from .tsv import Factorized, id_column, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -305,10 +305,10 @@ def _cmd_predict(args):
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
     if net.output_dim == 1:
-        cells = float_column(pred[:, 0])
+        cells = pred[:, 0]
     else:
-        cells = map(str, pred.argmax(axis=1).tolist())
-    write_table(args.out, ("sample_id", "prediction"), zip(dataset.sample_ids, cells))
+        cells = Factorized(tuple(map(str, range(net.output_dim))), pred.argmax(axis=1))
+    write_table(args.out, ("sample_id", "prediction"), [(id_column(dataset.sample_ids), cells)])
     return EXIT_OK
 
 

@@ -37,11 +37,10 @@ from .training import evaluate
 from .tsv import (
     factorize,
     first_true,
-    float_column,
+    id_column,
     parse_floats,
     parse_numbers,
     read_table,
-    write_float_rows,
     write_table,
 )
 
@@ -134,7 +133,7 @@ def read_expression_tsv(path) -> ExpressionDataset:
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
-    write_float_rows(path, ("sample_id", *dataset.gene_ids), dataset.sample_ids, dataset.samples)
+    write_table(path, ("sample_id", *dataset.gene_ids), [(id_column(dataset.sample_ids), dataset.samples)])
 
 
 def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -161,16 +160,13 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_labels_tsv(sample_ids, labels, path) -> None:
     labels = np.asarray(labels)
-    if np.issubdtype(labels.dtype, np.integer):
-        cells = [str(int(v)) for v in labels]
-    else:
-        flat = labels if labels.ndim == 2 else labels[:, None]
-        if flat.shape[1] != 1:
+    if labels.ndim == 2:
+        if labels.shape[1] != 1:
             raise ValueError("label TSV supports exactly one label column")
-        cells = float_column(flat[:, 0])
-    if len(sample_ids) != len(labels):
-        raise ValueError(f"{len(sample_ids)} sample IDs for {len(labels)} labels")
-    write_table(path, LABEL_HEADER, zip(sample_ids, cells))
+        labels = labels[:, 0]
+    if np.issubdtype(labels.dtype, np.integer):
+        labels = id_column(map(str, labels.tolist()))
+    write_table(path, LABEL_HEADER, [(id_column(sample_ids), labels)])
 
 
 def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionDataset:

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import UnknownGeneError
 from .netcore import MODE_HARD, MaskedLinearLayer
-from .tsv import FLOAT_CHUNK, check_fields, float_column, write_blocks
+from .tsv import FLOAT_CHUNK, Factorized, id_column, write_table
 
 WEIGHT_TABLE_HEADER = ("target_gene", "source_gene", "weight", "on_support")
-# the last cell of a row, by its on-support flag (0 or 1)
-_FLAG_CELLS = np.array(["\tfalse\n", "\ttrue\n"], dtype=object)
+# the on_support cell, by its flag (0 or 1)
+_FLAGS = ("false", "true")
 
 
 @dataclass
@@ -40,8 +40,8 @@ def write_weight_rows(rows: list[tuple[str, str, float, bool]], path) -> None:
     """Write a list of ``(target_gene, source_gene, weight, on_support)``
     rows as a weight table TSV, in the order given."""
     targets, sources, weights, on = zip(*rows) if rows else ((),) * 4
-    at = np.arange(len(rows))
-    _write_chunks(path, targets, sources, [(at, at, np.array(weights, np.float64), np.array(on, np.intp))])
+    flags = Factorized(_FLAGS, np.array(on, np.intp))
+    write_table(path, WEIGHT_TABLE_HEADER, [(id_column(targets), id_column(sources), weights, flags)])
 
 
 def _str_order(ids: tuple[str, ...]) -> np.ndarray:
@@ -50,11 +50,13 @@ def _str_order(ids: tuple[str, ...]) -> np.ndarray:
     return np.fromiter(sorted(range(len(ids)), key=ids.__getitem__), np.intp, len(ids))
 
 
-def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.ndarray):
-    """Target index, source index, weight and on-support flag (0 or 1) of
-    the table's rows, in table order, ``FLOAT_CHUNK`` rows at a time (in
-    soft mode, whole target rows at a time, at least one)."""
+def _table_chunks(layer: MaskedLinearLayer):
+    """The table's rows in table order, as chunks of its four columns for
+    :func:`tsv.write_table`, ``FLOAT_CHUNK`` rows at a time (in soft mode,
+    whole target rows at a time, at least one)."""
     mask = layer.mask
+    t_ids, s_ids = mask.target_gene_ids, mask.source_gene_ids
+    t_order, s_order = _str_order(t_ids), _str_order(s_ids)
     rows, cols, n_s = mask.edge_rows, mask.edge_cols, mask.n_sources
     if layer.mode == MODE_HARD:
         # each edge's key from the genes' ranks: the edges are distinct, so
@@ -62,7 +64,8 @@ def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.nda
         order = np.argsort(np.argsort(t_order)[rows] * n_s + np.argsort(s_order)[cols])
         for k in range(0, order.size, FLOAT_CHUNK):
             at = order[k : k + FLOAT_CHUNK]
-            yield rows[at], cols[at], layer.weights[at], np.ones(at.size, np.intp)
+            on = Factorized(_FLAGS, np.ones(at.size, np.intp))
+            yield Factorized(t_ids, rows[at]), Factorized(s_ids, cols[at]), layer.weights[at], on
         return
     block = max(1, FLOAT_CHUNK // max(1, n_s))
     for k in range(0, mask.n_targets, block):
@@ -70,35 +73,20 @@ def _table_chunks(layer: MaskedLinearLayer, t_order: np.ndarray, s_order: np.nda
         on = np.zeros((targets.size, n_s), dtype=np.intp)
         for row, i in enumerate(targets):
             on[row, cols[mask.indptr[i] : mask.indptr[i + 1]]] = 1
-        weights = layer.weights[np.ix_(targets, s_order)].ravel()
-        yield np.repeat(targets, n_s), np.tile(s_order, targets.size), weights, on[:, s_order].ravel()
+        yield (
+            Factorized(t_ids, np.repeat(targets, n_s)),
+            Factorized(s_ids, np.tile(s_order, targets.size)),
+            layer.weights[np.ix_(targets, s_order)].ravel(),
+            Factorized(_FLAGS, on[:, s_order].ravel()),
+        )
 
 
 def export_weight_table(layer: MaskedLinearLayer, path) -> range:
     """Write the weight table TSV: every stored weight, sorted by
-    (target_gene_id, source_gene_id), one chunk of :func:`_table_chunks` per
-    write. Returns a range as long as the rows written."""
-    t_ids, s_ids = layer.mask.target_gene_ids, layer.mask.source_gene_ids
-    _write_chunks(path, t_ids, s_ids, _table_chunks(layer, _str_order(t_ids), _str_order(s_ids)))
+    (target_gene_id, source_gene_id), one chunk of :func:`_table_chunks` at
+    a time. Returns a range as long as the rows written."""
+    write_table(path, WEIGHT_TABLE_HEADER, _table_chunks(layer))
     return range(layer.weights.size)
-
-
-def _write_chunks(path, target_ids: tuple[str, ...], source_ids: tuple[str, ...], chunks) -> None:
-    """Write the header, then each chunk's rows in one write: a chunk holds
-    the rows' indices into ``target_ids`` and ``source_ids``, their weights
-    and their on-support flags (0 or 1). An ID holding a tab, LF or CR
-    raises ValueError before the file is opened."""
-    check_fields(target_ids + source_ids)
-    t_cells, s_cells = (np.array([gene + "\t" for gene in ids], object) for ids in (target_ids, source_ids))
-
-    def blocks():
-        for targets, sources, weights, on in chunks:
-            parts = [""] * (4 * weights.size)
-            parts[0::4], parts[1::4] = t_cells[targets].tolist(), s_cells[sources].tolist()
-            parts[2::4], parts[3::4] = float_column(weights), _FLAG_CELLS[on].tolist()
-            yield "".join(parts)
-
-    write_blocks(path, WEIGHT_TABLE_HEADER, blocks())
 
 
 def contributor_rows(

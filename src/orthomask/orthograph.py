@@ -19,7 +19,7 @@ from .tsv import (
     factorize,
     first_repeat,
     first_true,
-    float_column,
+    id_column,
     read_table,
     write_table,
 )
@@ -281,8 +281,7 @@ def read_score_table(path, query_genes=(), subject_genes=()) -> ScoreTable:
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    scores = float_column(table.scores)
-    write_table(path, SCORE_HEADER, zip(table.queries.decoded(), table.subjects.decoded(), scores))
+    write_table(path, SCORE_HEADER, [(table.queries, table.subjects, table.scores)])
 
 
 def read_gene_list(path) -> list[str]:
@@ -291,14 +290,13 @@ def read_gene_list(path) -> list[str]:
 
 
 def write_gene_list(gene_ids, path) -> None:
-    write_table(path, GENE_LIST_HEADER, ((gene,) for gene in gene_ids))
+    write_table(path, GENE_LIST_HEADER, [(id_column(gene_ids),)])
 
 
 def graph_to_tsv(graph: BiadjacencyMatrix, path) -> None:
     """Write the edge list (canonical row-major order), one edge per line."""
-    t_ids, s_ids = graph.target_gene_ids, graph.source_gene_ids
-    edges = zip(graph.edge_rows.tolist(), graph.edge_cols.tolist())
-    write_table(path, GRAPH_HEADER, ((t_ids[i], s_ids[j]) for i, j in edges))
+    targets = Factorized(graph.target_gene_ids, graph.edge_rows)
+    write_table(path, GRAPH_HEADER, [(targets, Factorized(graph.source_gene_ids, graph.edge_cols))])
 
 
 def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:

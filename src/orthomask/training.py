@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .netcore import (
     model_forward,
 )
 from .orthograph import BiadjacencyMatrix
-from .tsv import float_column, write_table
+from .tsv import id_column, write_table
 
 OPT_SGD = "sgd"
 OPT_ADAM = "adam"
@@ -96,9 +95,8 @@ class TrainReport:
 
 def write_report_tsv(report: TrainReport, path) -> None:
     """Per-step losses plus a final-eval footer; bytes depend only on the run."""
-    cells = float_column([*report.losses, report.final_eval])
-    steps = chain(map(str, range(1, len(report.losses) + 1)), ("# final_eval",))
-    write_table(path, ("step", "loss"), zip(steps, cells))
+    steps = id_column([*map(str, range(1, len(report.losses) + 1)), "# final_eval"])
+    write_table(path, ("step", "loss"), [(steps, [*report.losses, report.final_eval])])
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,16 @@ JSON numbers; any other row, and every refusal, goes to
 :func:`parse_numbers`. Both readers round correctly, so both give the same
 bits and the same first bad field.
 
-Every float a writer writes is spelled by one formatter,
-:func:`_float_texts`: each value as its ``repr``, the shortest decimal that
-reads back to the same double, so a file's bytes depend only on its
-values. orjson formats about ``FLOAT_CHUNK`` values per call, of a column
-(:func:`float_column`) or of a block of rows (:func:`write_float_rows`),
-and ``repr`` spells each value orjson is not trusted with. Every table is
-written by :func:`write_blocks`, one write per block of lines;
-:func:`write_table` joins and checks ``RECORD_BLOCK`` records per block.
+Every table is written by :func:`write_table` from its columns: ID
+columns, each a :class:`Factorized` (a names tuple and each row's code
+into it), and float columns, 1-D for one header column or 2-D for one per
+array column. Each distinct names tuple is checked once per table and
+turned into cells, each ended by its separator; the rows are then
+written about ``FLOAT_CHUNK`` values per write. Every float is spelled by
+one formatter, :func:`_float_texts`: each value as its ``repr``, the
+shortest decimal that reads back to the same double, so a file's bytes
+depend only on its values. orjson formats a block of a column, or of rows,
+in one call, and ``repr`` spells each value orjson is not trusted with.
 """
 
 from __future__ import annotations
@@ -62,12 +64,10 @@ _JSON_NUMBER_BYTES = b"0123456789.eE+-\t"
 _NON_SEPARATORS = bytes(sorted(set(range(256)) - {9, 10}))
 # characters of a table's text scanned for separators at a time
 _SCAN_CHUNK = 1 << 20
-# values per _float_texts call when float_column formats a row or column,
-# or write_float_rows a block of rows: a chunk's text adds little to a
-# writer's peak memory
+# floats per write of write_table, and per _float_texts call (at least one
+# row), or rows per write of a table of IDs alone: a write's text adds
+# little to a writer's peak memory
 FLOAT_CHUNK = 1 << 10
-# records per join, check and write of write_table
-RECORD_BLOCK = 1 << 8
 
 
 class Factorized(NamedTuple):
@@ -333,109 +333,98 @@ def _is_number(text: str, dtype) -> bool:
     return True
 
 
-def write_table(path, header, records) -> None:
-    """Write the header's column names, then each record's fields, joined by tabs.
+def id_column(ids) -> Factorized:
+    """A column of ``ids`` in order, each its own name, for
+    :func:`write_table`; the IDs need not be distinct."""
+    ids = tuple(ids)
+    return Factorized(ids, np.arange(len(ids)))
 
-    A record must have one field per column, a name or field holding a
-    tab, LF or CR would read back as other fields or lines, and a line of
-    one empty field would read back as a skipped blank line; each raises
-    ValueError, after the lines before the refused one are written. The
-    records are joined, checked and written ``RECORD_BLOCK`` at a time,
-    by :func:`write_blocks`.
+
+def write_table(path, header, chunks) -> None:
+    """Write the header's column names joined by tabs, then the rows of
+    each chunk: every table file is written here.
+
+    A chunk is a tuple of columns of its consecutive rows. A column is a
+    :class:`Factorized`, whose cells are ``names[codes]`` (see
+    :func:`id_column`), or a float array: 1-D for one header column, 2-D
+    for one header column per array column. Before any of a chunk's lines
+    is written, and the header line goes out with the first chunk's first
+    lines, its columns' widths must sum to the header's, their lengths
+    must agree, and its names (each distinct names tuple checked once per
+    table, as the header's names are) must hold no tab, LF or CR and, in
+    a one-column table, not be empty; else ValueError. The rows are
+    written about ``FLOAT_CHUNK`` floats (or ``FLOAT_CHUNK`` rows of IDs
+    alone) per write, each block's floats checked to be finite before its
+    write, to a file opened by :func:`open_table`.
     """
-    write_blocks(path, header, _record_blocks(len(header), iter(records)))
-
-
-def _record_blocks(width: int, records):
-    """The text of each ``RECORD_BLOCK`` records of ``width`` fields.
-
-    A block is checked in C-level passes: its records' widths, and its
-    tabs and LFs, which must be those the joins put in, with no CR and
-    no empty line. Only a block that fails is checked record by record:
-    its lines before the first bad record are yielded, and that record's
-    ValueError raised.
-    """
-    for block in iter(lambda: list(islice(records, RECORD_BLOCK)), []):
-        text = "\n".join(map("\t".join, block)) + "\n"
-        n = len(block)
-        if (
-            set(map(len, block)) == {width}
-            and text.count("\t") == (width - 1) * n
-            and text.count("\n") == n
-            and "\r" not in text
-            and text[0] != "\n"
-            and "\n\n" not in text
-        ):
-            yield text
-            continue
-        for k, fields in enumerate(block):
-            try:
-                _check_record(fields, width)
-            except ValueError:
-                yield "".join(map("{}\n".format, map("\t".join, block[:k])))
-                raise
-
-
-def _check_record(fields, width: int) -> None:
-    """Raise ValueError if a record of ``fields`` cannot be a line of a
-    table of ``width`` columns."""
-    if len(fields) != width:
-        raise ValueError(f"expected {width} fields, got {len(fields)}")
-    check_fields(fields)
-    if not "\t".join(fields):
-        raise ValueError("an empty field alone on a line would be read as a blank line")
-
-
-def write_blocks(path, header, blocks) -> None:
-    """Write the header's column names joined by tabs, then each text of
-    ``blocks`` in one write: every table file is written here.
-
-    The header is checked as a record (see :func:`write_table`). Each text
-    is whole lines, each ended by an LF, that its maker has checked; a
-    maker that refuses raises ValueError after yielding the lines before
-    the refused one. The file is opened by :func:`open_table`.
-    """
+    width = len(header)
+    cells = {}  # (id of a names tuple, separator) -> the tuple, its cells
     with open_table(path) as fh:
-        _check_record(header, len(header))
-        fh.write("\t".join(header) + "\n")
-        for text in blocks:
+        _check_names(header, width == 1)
+        lines = chain.from_iterable(_chunk_texts(chunk, width, cells) for chunk in chunks)
+        fh.write("\t".join(header) + "\n" + next(lines, ""))
+        for text in lines:
             fh.write(text)
 
 
-def write_float_rows(path, header, ids, values) -> None:
-    """Write the header, then one line per ID: the ID, then its row of
-    ``values``, a 2-D float array with one row per ID and one column per
-    header name after the first, each value spelled as by
-    :func:`float_column`.
+def _chunk_texts(chunk, width: int, cells: dict):
+    """The lines of a chunk of a ``width``-column table, as the texts of
+    :func:`write_table`'s writes, once its widths, lengths and names are
+    checked (its floats block by block); ``cells`` holds the cells of each
+    names tuple seen so far."""
+    columns = [c if isinstance(c, Factorized) else np.ascontiguousarray(c, np.float64) for c in chunk]
+    ids = [isinstance(c, Factorized) for c in columns]
+    widths = [1 if is_id or c.ndim == 1 else c.shape[1] for c, is_id in zip(columns, ids)]
+    if sum(widths) != width:
+        raise ValueError(f"expected {width} fields, got {sum(widths)}")
+    lengths = [len(c.codes) if is_id else len(c) for c, is_id in zip(columns, ids)]
+    if len(set(lengths)) > 1:
+        other = next(n for n in lengths if n != lengths[0])
+        raise ValueError(f"columns of {lengths[0]} and {other} rows")
+    # each column of nonzero width: its codes and cells, or its floats, and
+    # the separator that ends its cells
+    used = [(c, is_id) for c, is_id, w in zip(columns, ids, widths) if w]
+    slots = []
+    for k, (column, is_id) in enumerate(used):
+        sep = "\t" if k < len(used) - 1 else "\n"
+        if not is_id:
+            slots.append((column, None, sep))
+            continue
+        key = (id(column.names), sep)
+        if key not in cells:
+            _check_names(column.names, width == 1)
+            cells[key] = column.names, np.array([name + sep for name in column.names], object)
+        slots.append((column.codes, cells[key][1], sep))
+    step = max(1, FLOAT_CHUNK // max(1, width - sum(ids)))
+    for start in range(0, max(lengths, default=0), step):
+        at = slice(start, start + step)
+        parts = []
+        for values, texts, sep in slots:
+            if texts is None:
+                block = values[at]
+                _check_finite(block)
+                floats = _float_texts(block)
+                parts += (floats, [sep] * len(floats))
+            else:
+                parts.append(texts[values[at]].tolist())
+        lines = [""] * (len(parts) * len(parts[0]))
+        for k, part in enumerate(parts):
+            lines[k :: len(parts)] = part
+        yield "".join(lines)
 
-    Rows are formatted ``FLOAT_CHUNK`` values at a time (at least one row)
-    by one :func:`_float_texts` call and written in one write. An ID
-    holding a tab, LF or CR raises ValueError after the header is written,
-    and a non-finite value after the blocks of rows before its own. A
-    float's text holds no tab, LF or CR, so the lines need no other check.
-    """
-    matrix = np.ascontiguousarray(values, np.float64)
-    if not matrix.shape[1]:
-        # a one-column table of the IDs alone
-        write_table(path, header, zip(ids))
+
+def _check_names(names, alone: bool) -> None:
+    """Raise ValueError for the first name that holds a tab, LF or CR, or,
+    ``alone`` in its line, is empty: either would read back as other
+    fields or lines, or as a skipped blank line."""
+    text = "".join(names)
+    if not ("\t" in text or "\n" in text or "\r" in text or (alone and "" in names)):
         return
-
-    def blocks():
-        check_fields(ids)
-        step = max(1, FLOAT_CHUNK // matrix.shape[1])
-        for k in range(0, len(ids), step):
-            block = matrix[k : k + step]
-            _check_finite(block)
-            yield "".join(map("{}\t{}\n".format, ids[k : k + step], _float_texts(block)))
-
-    write_blocks(path, header, blocks())
-
-
-def check_fields(fields) -> None:
-    """Raise ValueError naming the first field that holds a tab, LF or CR."""
-    for cell in fields:
-        if "\t" in cell or "\n" in cell or "\r" in cell:
-            raise ValueError(f"field {cell!r} contains a tab or line break")
+    for name in names:
+        if "\t" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"field {name!r} contains a tab or line break")
+        if alone and not name:
+            raise ValueError("an empty field alone on a line would be read as a blank line")
 
 
 @contextmanager
@@ -510,13 +499,3 @@ def _check_finite(array) -> None:
     if bad is not None:
         raise ValueError(f"cannot format non-finite value {array.ravel()[bad]}")
 
-
-def float_column(values):
-    """The ``repr`` of each value of a row or column, as a float64, as an
-    iterator that formats ``FLOAT_CHUNK`` values at a time, so only one
-    chunk's strings are held. A non-finite value raises ValueError at the
-    call, naming the first, before any text is made."""
-    array = np.ascontiguousarray(values, np.float64)
-    _check_finite(array)
-    chunks = (array[k : k + FLOAT_CHUNK] for k in range(0, array.size, FLOAT_CHUNK))
-    return chain.from_iterable(map(_float_texts, chunks))

@@ -105,9 +105,9 @@ class TestLabelsTsv:
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "labels.tsv"
-        with pytest.raises(ValueError, match="3 sample IDs for 2 labels"):
+        with pytest.raises(ValueError, match="columns of 3 and 2 rows"):
             write_labels_tsv(["a", "b", "c"], np.array([1.0, 2.0]), path)
-        with pytest.raises(ValueError, match="1 sample IDs for 2 labels"):
+        with pytest.raises(ValueError, match="columns of 1 and 2 rows"):
             write_labels_tsv(["a"], np.array([0, 1], dtype=np.int64), path)
         assert not path.exists()
 

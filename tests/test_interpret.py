@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 
@@ -105,8 +106,9 @@ class TestExportWeightTable:
             export_weight_table(layer, path)
         assert not path.exists()
 
-    def test_bad_id_refused_before_the_file_is_opened(self, tmp_path):
-        # both writers: a file already at the path keeps its bytes
+    def test_bad_id_refused_before_any_line(self, tmp_path):
+        # both writers refuse before the header line: a regular file at the
+        # path is removed, and a FIFO reads nothing
         path = tmp_path / "weights.tsv"
         path.write_text("kept\n")
         mask = BiadjacencyMatrix(["t1"], ["s\t1"], [(0, 0)])
@@ -114,7 +116,15 @@ class TestExportWeightTable:
             export_weight_table(MaskedLinearLayer(mask, "hard", [1.0]), path)
         with pytest.raises(ValueError, match=re.escape(repr("s\t1"))):
             write_weight_rows([("t1", "s\t1", 1.0, True)], path)
-        assert path.read_text() == "kept\n"
+        assert not path.exists()
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(ValueError, match=re.escape(repr("s\t1"))):
+                export_weight_table(MaskedLinearLayer(mask, "hard", [1.0]), path)
+            assert os.read(reader, 100) == b""
+        finally:
+            os.close(reader)
 
     def test_memory_is_one_chunk(self, tmp_path):
         # the writer holds one chunk of rows, not a tuple per soft weight:

@@ -19,6 +19,9 @@ from orthomask.dataio import (
     write_labels_tsv,
 )
 from orthomask.errors import ParseError
+from orthomask.interpret import contributor_rows, export_weight_table, write_weight_rows
+from orthomask.modelio import save_model
+from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
 from orthomask.orthograph import (
     BiadjacencyMatrix,
     ScoreTable,
@@ -30,7 +33,7 @@ from orthomask.orthograph import (
     write_score_table,
 )
 from orthomask.training import TrainReport, write_report_tsv
-from orthomask.tsv import parse_numbers, read_table, write_table
+from orthomask.tsv import id_column, parse_numbers, read_table, write_table
 
 
 def _expression(path):
@@ -125,47 +128,50 @@ def test_writers_reject_tab_and_line_breaks(tmp_path, name, char):
     assert not path.exists()
 
 
+# a chunk of two ID columns, the second one row short
+UNEQUAL = [(id_column(["x", "z"]), id_column(["y"]))]
+
+
 def test_writer_rejects_wrong_width(tmp_path):
     path = tmp_path / "table.tsv"
-    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-        write_table(path, ("a", "b"), [("x", "y"), ("z",)])
+    with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+        write_table(path, ("a", "b"), UNEQUAL)
     assert not path.exists()
-    # a record one field short whose field holds a tab has the header's
-    # number of tabs, but would read back as other fields
+    # a 2-D float column spans one header column per array column
     with pytest.raises(ValueError, match="expected 3 fields, got 2"):
-        write_table(path, ("a", "b", "c"), [("x\ty", "z")])
+        write_table(path, ("a", "b", "c"), [(id_column(["x"]), np.zeros((1, 1)))])
     assert not path.exists()
     # a refused write through a symlink removes the regular file it names
     # and leaves the link in place
     link = tmp_path / "link.tsv"
     link.symlink_to(path)
     path.write_text("a\tb\nold\trecord\n")
-    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-        write_table(link, ("a", "b"), [("x", "y"), ("z",)])
+    with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+        write_table(link, ("a", "b"), UNEQUAL)
     assert link.is_symlink() and not path.exists()
 
 
 def test_refused_write_leaves_streams_alone(tmp_path, capfd):
-    # a link to a FIFO: the FIFO stays, with the lines written before the
-    # refused record
+    # a link to a FIFO: the FIFO stays, and a chunk refused whole writes
+    # no line to it
     fifo, link = tmp_path / "fifo", tmp_path / "link.tsv"
     os.mkfifo(fifo)
     link.symlink_to(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-            write_table(link, ("a", "b"), [("x", "y"), ("z",)])
+        with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+            write_table(link, ("a", "b"), UNEQUAL)
         assert stat.S_ISFIFO(os.stat(link).st_mode)
-        assert os.read(reader, 100) == b"a\tb\nx\ty\n"
+        assert os.read(reader, 100) == b""
     finally:
         os.close(reader)
     # /dev/stdout, here a regular file that capfd opened, is not removed
     stdout = os.fstat(1)
     assert stat.S_ISREG(stdout.st_mode)
-    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-        write_table("/dev/stdout", ("a", "b"), [("x", "y"), ("z",)])
+    with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+        write_table("/dev/stdout", ("a", "b"), UNEQUAL)
     assert os.fstat(1).st_nlink == stdout.st_nlink
-    assert capfd.readouterr().out == "a\tb\nx\ty\n"
+    assert capfd.readouterr().out == ""
 
 
 def test_refused_write_removes_its_file_with_the_standard_streams_closed(tmp_path, monkeypatch):
@@ -180,8 +186,8 @@ def test_refused_write_removes_its_file_with_the_standard_streams_closed(tmp_pat
 
     monkeypatch.setattr(os, "fstat", closed_streams)
     path = tmp_path / "partial.tsv"
-    with pytest.raises(ValueError, match="expected 2 fields, got 1"):
-        write_table(path, ("a", "b"), [("x", "y"), ("z",)])
+    with pytest.raises(ValueError, match="columns of 2 and 1 rows"):
+        write_table(path, ("a", "b"), UNEQUAL)
     assert not path.exists()
 
 
@@ -192,48 +198,92 @@ def test_writer_rejects_empty_line(tmp_path):
     with pytest.raises(ValueError, match="blank line"):
         write_gene_list(["", "a"], path)
     # an empty field beside others is still a line with a tab
-    write_table(path, ("a", "b"), [("", "")])
+    write_table(path, ("a", "b"), [(id_column([""]), id_column([""]))])
     assert path.read_text() == "a\tb\n\t\n"
 
 
-# a record that write_table refuses, in a table of its header, and the
-# refusal's message
-BAD_RECORDS = {
-    "short": (("a", "b"), ("z",), "expected 2 fields, got 1"),
-    "tab": (("a", "b"), ("x\ty", "z"), "field 'x\\ty' contains a tab or line break"),
-    "lf": (("a", "b"), ("x", "y\nz"), "field 'y\\nz' contains a tab or line break"),
-    "cr": (("a", "b"), ("x\ry", "z"), "field 'x\\ry' contains a tab or line break"),
-    "empty": (("a",), ("",), "an empty field alone on a line would be read as a blank line"),
+# a table's header, the bad entry that its last column holds, the
+# refusal's message, and the rows written before it given the bad row: a
+# bad name is refused with its names tuple, before any line (None); a
+# chunk of columns of unequal length (bad None) when the chunk comes; a
+# non-finite float with its block of two rows
+BAD_ENTRIES = {
+    "short": (("a", "b"), None, "columns of 6 and 5 rows", lambda at: 4),
+    "tab": (("a", "b"), "x\ty", "field 'x\\ty' contains a tab or line break", None),
+    "lf": (("a", "b"), "y\nz", "field 'y\\nz' contains a tab or line break", None),
+    "cr": (("a", "b"), "x\ry", "field 'x\\ry' contains a tab or line break", None),
+    "empty": (("a",), "", "an empty field alone on a line would be read as a blank line", None),
+    "nan": (("a", "b"), math.nan, "cannot format non-finite value nan", lambda at: at - at % 2),
 }
 
 
+def _two_chunks(header, bad, at):
+    """A table of 10 rows as two chunks, rows 0-3 and 4-9, whose last
+    column holds ``bad`` at row ``at`` of the second: one names tuple, as
+    both chunks' IDs, names it; a float column holds it; or, for None, the
+    second chunk's last column lacks that row. Also the lines of the table
+    with no bad entry."""
+    keys = id_column([f"r{k}" for k in range(10)])
+    if isinstance(bad, float):
+        last = np.arange(10.0)
+        lines = [f"r{k}\t{float(k)!r}" for k in range(10)]
+    else:
+        last = id_column([f"v{k}" for k in range(10)])
+        lines = [f"r{k}\tv{k}" if len(header) == 2 else f"v{k}" for k in range(10)]
+
+    def cut(column, rows):
+        if isinstance(column, tsv.Factorized):
+            return tsv.Factorized(column.names, column.codes[rows])
+        return column[rows]
+
+    columns = (keys, last)[-len(header) :]
+    good = [tuple(cut(c, rows) for c in columns) for rows in (slice(0, 4), slice(4, 10))]
+    if bad is None:
+        last = tsv.Factorized(last.names, np.delete(last.codes, at))
+    elif isinstance(bad, float):
+        last = last.copy()
+        last[at] = bad
+    else:
+        last = tsv.Factorized(last.names[:at] + (bad,) + last.names[at + 1 :], last.codes)
+    columns = (keys, last)[-len(header) :]
+    chunks = [tuple(cut(c, rows) for c in columns) for rows in (slice(0, 4), slice(4, None))]
+    text = "".join(line + "\n" for line in ["\t".join(header), *lines])
+    return good, chunks, text
+
+
 @pytest.mark.parametrize("at", [5, 6])
-@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
-def test_refusal_past_the_first_block(tmp_path, monkeypatch, case, at):
-    """A bad record in a later block, first or second in it, gives the
-    message it gives alone; a regular file is removed, and a FIFO holds
-    exactly the lines before the bad record."""
-    header, bad, message = BAD_RECORDS[case]
-    monkeypatch.setattr(tsv, "RECORD_BLOCK", 2)
-    good = [tuple(f"r{k}c{j}" for j in range(len(header))) for k in range(9)]
-    records = good[:at] + [bad] + good[at:]
-    lines = "".join("\t".join(fields) + "\n" for fields in [header, *good])
-    path = tmp_path / "table.tsv"
-    write_table(path, header, good)
-    assert path.read_text() == lines
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+def test_refusal_past_the_first_block(tmp_path, monkeypatch, capfd, case, at):
+    """A bad entry in a later chunk, written two floats or rows at a time,
+    gives the message it gives alone. A bad name writes no line: a FIFO
+    reads nothing and /dev/stdout gets nothing. A regular file is removed,
+    through a symlink that stays."""
+    header, bad, message, rows_before = BAD_ENTRIES[case]
+    monkeypatch.setattr(tsv, "FLOAT_CHUNK", 2)
+    good, chunks, text = _two_chunks(header, bad, at)
+    written = "" if rows_before is None else "".join(text.splitlines(True)[: 1 + rows_before(at)])
+    path, link = tmp_path / "table.tsv", tmp_path / "link.tsv"
+    link.symlink_to(path)
+    write_table(link, header, good)
+    assert path.read_text() == text
     with pytest.raises(ValueError, match=re.escape(message)):
-        write_table(path, header, records)
-    assert not path.exists()
+        write_table(link, header, chunks)
+    assert link.is_symlink() and not path.exists()
 
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
         with pytest.raises(ValueError, match=re.escape(message)):
-            write_table(fifo, header, iter(records))
-        assert os.read(reader, 1000).decode() == "".join(lines.splitlines(True)[: at + 1])
+            write_table(fifo, header, iter(chunks))
+        assert os.read(reader, 1000).decode() == written
     finally:
         os.close(reader)
+
+    capfd.readouterr()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_table("/dev/stdout", header, chunks)
+    assert capfd.readouterr().out == written
 
 
 # IDs a table may hold: non-ASCII, and characters that str.splitlines
@@ -514,20 +564,24 @@ def _float_cases(rng):
     ]
 
 
-def test_float_column_matches_repr(monkeypatch):
-    """orjson's spelling, with repr where it differs, is repr's."""
+def test_float_column_matches_repr(tmp_path, monkeypatch):
+    """orjson's spelling, with repr where it differs, is repr's, also in a
+    float column written seven values at a time."""
     monkeypatch.setattr(tsv, "FLOAT_CHUNK", 7)
+    path = tmp_path / "column.tsv"
     for values in _float_cases(np.random.default_rng(46)):
         expected = [repr(float(x)) for x in np.asarray(values).tolist()]
         texts = tsv._float_texts(np.ascontiguousarray(values, np.float64))
         wrong = [(t, e) for t, e in zip(texts, expected) if t != e]
         assert texts == expected, f"orjson {orjson.__version__}: {wrong[:5]}"
-        assert list(tsv.float_column(values)) == expected
+        write_table(path, ("x",), [(values,)])
+        assert path.read_text() == "".join(f"{text}\n" for text in ["x", *expected])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
-            tsv.float_column([1.0, bad, math.nan])
+            write_table(path, ("x",), [([1.0, bad, math.nan],)])
         with pytest.raises(ValueError, match=re.escape(f"cannot format non-finite value {bad}")):
-            tsv.float_column(np.array([1e-9, bad]))
+            write_table(path, ("x",), [(np.array([1e-9, bad]),)])
+        assert not path.exists()
 
 
 def _float_matrices(rng):
@@ -670,3 +724,69 @@ def test_writers_match_repr_reference(tmp_path, monkeypatch, capsys):
     assert len(found[0]) > 10 and "e-05" in found[0][Path("expr.tsv")].decode()
     cells = _float_cells(expected[0])
     assert len(cells) > 300 and sorted(formatted) == sorted(cells)
+
+
+# each writer's file for the small fixed input of test_every_writer_keeps_its_bytes
+PINNED = {
+    "scores.tsv": "query\tsubject\tscore\nq2\ts1\t0.5\nq1\ts1\t1e-05\nq2\ts2\t0.0\nq1\ts2\t1e+16\n",
+    "genes.tsv": "gene_id\ng2\ng1\n\u00e4\u00df\n",
+    "graph.tsv": "target_gene\tsource_gene\nt2\ts1\nt1\ts2\nt1\ts3\nt3\ts1\n",
+    "expr0.tsv": "sample_id\na\nb\n",
+    "expr3.tsv": "sample_id\tg1\tg2\tg3\na\t0.1\t-0.0\t1e-05\nb\t123.25\t5e-324\t-1e+16\n",
+    "labels_float.tsv": "sample_id\tlabel\na\t0.5\nb\t-2.0\nc\t1e-07\n",
+    "labels_int.tsv": "sample_id\tlabel\na\t2\nb\t0\nc\t11\nd\t2\n",
+    "report.tsv": "step\tloss\n1\t0.75\n2\t0.1\n3\t1e-05\n# final_eval\t0.0625\n",
+    "pred_regression.tsv": "sample_id\tprediction\na\t0.25\nb\t-1e-05\n",
+    "pred_class.tsv": "sample_id\tprediction\na\t11\nb\t0\n",
+    "weights_hard.tsv": (
+        "target_gene\tsource_gene\tweight\ton_support\n"
+        "t1\ts2\t-1.5\ttrue\nt1\ts3\t1e-06\ttrue\nt2\ts1\t0.5\ttrue\nt3\ts1\t2.0\ttrue\n"
+    ),
+    "weights_soft.tsv": (
+        "target_gene\tsource_gene\tweight\ton_support\n"
+        "t1\ts1\t0.5\tfalse\nt1\ts2\t1e+17\ttrue\nt1\ts3\t-0.125\ttrue\n"
+        "t2\ts1\t-0.0\ttrue\nt2\ts2\t0.25\tfalse\nt2\ts3\t3.0\tfalse\n"
+        "t3\ts1\t7.0\ttrue\nt3\ts2\t0.0\tfalse\nt3\ts3\t-2.5\tfalse\n"
+    ),
+    "top_hard.tsv": (
+        "target_gene\tsource_gene\tweight\ton_support\nt1\ts2\t-1.5\ttrue\nt1\ts3\t1e-06\ttrue\n"
+    ),
+    "top_soft.tsv": (
+        "target_gene\tsource_gene\tweight\ton_support\nt1\ts2\t1e+17\ttrue\nt1\ts1\t0.5\tfalse\n"
+    ),
+}
+
+
+def test_every_writer_keeps_its_bytes(tmp_path, monkeypatch):
+    """Each table writer, and predict's, writes the pinned text for a
+    small fixed input. No value goes through a matrix product, so the
+    text does not depend on the BLAS numpy links."""
+    out = tmp_path
+    scores = [("q2", "s1", 0.5), ("q1", "s1", 1e-05), ("q2", "s2", 0.0), ("q1", "s2", 1e16)]
+    write_score_table(ScoreTable("q", "s", scores), out / "scores.tsv")
+    write_gene_list(["g2", "g1", "\u00e4\u00df"], out / "genes.tsv")
+    mask = BiadjacencyMatrix(["t2", "t1", "t3"], ["s2", "s1", "s3"], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    graph_to_tsv(mask, out / "graph.tsv")
+    write_expression_tsv(ExpressionDataset("sp", [], ["a", "b"], np.zeros((2, 0))), out / "expr0.tsv")
+    samples = np.array([[0.1, -0.0, 1e-05], [123.25, 5e-324, -1e16]])
+    write_expression_tsv(ExpressionDataset("sp", ["g1", "g2", "g3"], ["a", "b"], samples), out / "expr3.tsv")
+    write_labels_tsv(["a", "b", "c"], np.array([0.5, -2.0, 1e-07]), out / "labels_float.tsv")
+    write_labels_tsv(["a", "b", "c", "d"], np.array([2, 0, 11, 2]), out / "labels_int.tsv")
+    write_report_tsv(TrainReport([0.75, 0.1, 1e-05], 0.0625), out / "report.tsv")
+
+    # predict's outputs for fixed network outputs, put in place of the forward pass
+    outputs = {1: np.array([[0.25], [-1e-05]]), 12: np.eye(12)[[11, 0]] * 0.5}
+    monkeypatch.setattr(cli, "model_forward", lambda net, conversion, xs: outputs[net.output_dim])
+    for head, n_out in (("regression", 1), ("class", 12)):
+        model = out / f"{head}.json"
+        save_model(FeedforwardNetwork([Layer(np.zeros((n_out, 3)), np.zeros(n_out), ACT_IDENTITY)]), None, model)
+        argv = ["predict", "--model", model, "--expr", out / "expr3.tsv", "--out", out / f"pred_{head}.tsv"]
+        assert cli.main(list(map(str, argv))) == 0
+
+    hard = MaskedLinearLayer(mask, "hard", [0.5, -1.5, 1e-06, 2.0])
+    soft = MaskedLinearLayer(mask, "soft", [[0.25, -0.0, 3.0], [1e17, 0.5, -0.125], [0.0, 7.0, -2.5]])
+    export_weight_table(hard, out / "weights_hard.tsv")
+    export_weight_table(soft, out / "weights_soft.tsv")
+    write_weight_rows(contributor_rows(hard, "t1", 10), out / "top_hard.tsv")
+    write_weight_rows(contributor_rows(soft, "t1", 2), out / "top_soft.tsv")
+    assert {name: (out / name).read_bytes().decode() for name in PINNED} == PINNED

@@ -26,7 +26,6 @@ from .netcore import (
     Layer,
     model_forward,
 )
-from .tsv import Factorized, id_column, write_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,6 +189,18 @@ def _cmd_synth(args):
     return EXIT_OK
 
 
+def _labelled(dataset, expr_path, labels_path, kind):
+    """``dataset``, read from ``expr_path``, with its labels attached."""
+    dataset, ignored = dataio.attach_labels(dataset, labels_path, kind)
+    if ignored:
+        print(
+            f"orthomask: warning: {labels_path}: ignoring {ignored} label row(s) "
+            f"whose sample is not in {expr_path}",
+            file=sys.stderr,
+        )
+    return dataset
+
+
 def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None):
     """An expression file as the model reads it.
 
@@ -202,7 +213,7 @@ def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None
     dataset = dataio.read_expression_tsv(expr_path)
     if labels_path is not None:
         kind = dataio.KIND_REGRESSION if net.output_dim == 1 else dataio.KIND_CLASSIFICATION
-        dataset = dataio.attach_labels(dataset, labels_path, kind)
+        dataset = _labelled(dataset, expr_path, labels_path, kind)
     if gene_ids is None:
         if dataset.n_genes != net.input_dim:
             raise ValueError(
@@ -232,7 +243,7 @@ def _source_genes(conversion):
 def _cmd_train_base(args):
     cfg = _train_config(args)
     kind = dataio.KIND_REGRESSION if args.loss == "mse" else dataio.KIND_CLASSIFICATION
-    data = dataio.attach_labels(dataio.read_expression_tsv(args.expr), args.labels, kind)
+    data = _labelled(dataio.read_expression_tsv(args.expr), args.expr, args.labels, kind)
     if data.n_samples == 0:
         raise ValueError(f"no samples in {args.expr}")
 
@@ -277,6 +288,16 @@ def _cmd_train_conversion(args):
             f"model {args.model} expects {net.input_dim} target genes "
             f"but graph {args.graph} has {graph.n_targets}"
         )
+    orphans = int(np.count_nonzero(graph.row_degrees() == 0))
+    if orphans:
+        # a soft layer's dense weights reach every target gene
+        effect = ("the network reads 0 for them" if args.mode == MODE_HARD
+                  else "only off-support weights feed them")
+        print(
+            f"orthomask: warning: {orphans} of {graph.n_targets} target genes have no ortholog "
+            f"in {args.graph}; {effect}",
+            file=sys.stderr,
+        )
 
     data = _model_inputs(net, graph.source_gene_ids, args.expr, args.labels)
 
@@ -304,11 +325,8 @@ def _cmd_predict(args):
     pred = model_forward(net, conversion, dataset.samples)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
-    if net.output_dim == 1:
-        cells = pred[:, 0]
-    else:
-        cells = Factorized(tuple(map(str, range(net.output_dim))), pred.argmax(axis=1))
-    write_table(args.out, ("sample_id", "prediction"), [(id_column(dataset.sample_ids), cells)])
+    labels = pred if net.output_dim == 1 else pred.argmax(axis=1)
+    dataio.write_labels_tsv(dataset.sample_ids, labels, args.out, ("sample_id", "prediction"))
     return EXIT_OK
 
 

@@ -35,6 +35,7 @@ from .netcore import (
 from .orthograph import BiadjacencyMatrix, graph_to_tsv, write_gene_list
 from .training import evaluate
 from .tsv import (
+    Factorized,
     factorize,
     first_true,
     id_column,
@@ -158,26 +159,34 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(table.column(0)), values
 
 
-def write_labels_tsv(sample_ids, labels, path) -> None:
+def write_labels_tsv(sample_ids, labels, path, header=LABEL_HEADER) -> None:
+    """Write each sample's label, a float or an integer class, under ``header``."""
     labels = np.asarray(labels)
     if labels.ndim == 2:
         if labels.shape[1] != 1:
             raise ValueError("label TSV supports exactly one label column")
         labels = labels[:, 0]
     if np.issubdtype(labels.dtype, np.integer):
-        labels = id_column(map(str, labels.tolist()))
-    write_table(path, LABEL_HEADER, [(id_column(sample_ids), labels)])
+        classes, codes = np.unique(labels, return_inverse=True)
+        labels = Factorized(tuple(map(str, classes.tolist())), codes)
+    write_table(path, header, [(id_column(sample_ids), labels)])
 
 
-def attach_labels(dataset: ExpressionDataset, path, kind: str) -> ExpressionDataset:
-    """Join a phenotype file onto a dataset by sample ID."""
+def attach_labels(dataset: ExpressionDataset, path, kind: str) -> tuple[ExpressionDataset, int]:
+    """Join a phenotype file onto a dataset by sample ID.
+
+    Returns the labelled dataset and the number of ignored label rows,
+    whose sample is not in the dataset. A sample without a label raises
+    ValueError.
+    """
     label_ids, values = read_labels_tsv(path, kind)
     rows = factorize(dataset.sample_ids, label_ids).codes
     missing = first_true(rows >= len(label_ids))
     if missing is not None:
         raise ValueError(f"no label for sample {dataset.sample_ids[missing]!r} in {path}")
-    # one row per sample; a (n, 1) or (n,) array keeps its shape
-    return replace(dataset, labels=values[rows])
+    # one row per sample; a (n, 1) or (n,) array keeps its shape. Sample
+    # and label IDs are distinct, so each sample takes a label of its own
+    return replace(dataset, labels=values[rows]), len(label_ids) - dataset.n_samples
 
 
 def align_to_genes(dataset: ExpressionDataset, required_gene_ids) -> tuple[ExpressionDataset, int]:

@@ -1,11 +1,11 @@
 """Model document (JSON) serialization.
 
 One document holds the feedforward network and, optionally, the
-conversion layer. Documents are written by orjson as compact one-line
-JSON with UTF-8 text and shortest round-trip floats, so floats load back
-bit for bit and the same model gives the same bytes. Any JSON layout of
-the same fields loads, and so do documents of earlier versions: their
-``network_sha256`` key is ignored.
+conversion layer. orjson renders it from the model's arrays as compact
+one-line JSON with UTF-8 text and shortest round-trip floats, written as
+orjson's bytes: floats load back bit for bit, and the same model gives
+the same bytes. Any JSON layout of the same fields loads, and so do
+documents of earlier versions: their ``network_sha256`` key is ignored.
 
 orjson is the reader: :func:`load_model` parses each document once and
 checks what it parsed. Text orjson refuses (NaN or Infinity, which
@@ -51,8 +51,8 @@ def _network_fields(net: FeedforwardNetwork) -> dict:
             {
                 "rows": lay.weights.shape[0],
                 "cols": lay.weights.shape[1],
-                "weights": lay.weights.ravel().tolist(),
-                "bias": lay.bias.tolist(),
+                "weights": lay.weights.ravel(),
+                "bias": lay.bias,
                 "activation": lay.activation,
             }
             for lay in checked.layers
@@ -67,21 +67,20 @@ def _conversion_fields(conversion: MaskedLinearLayer) -> dict:
         "target_gene_ids": list(mask.target_gene_ids),
         "source_gene_ids": list(mask.source_gene_ids),
     }
-    rows = mask.edge_rows.tolist()
-    cols = mask.edge_cols.tolist()
     if conversion.mode == MODE_HARD:
-        conv["edges"] = [[i, j, w] for i, j, w in zip(rows, cols, conversion.weights.tolist())]
+        triples = zip(mask.edge_rows.tolist(), mask.edge_cols.tolist(), conversion.weights.tolist())
+        conv["edges"] = [[i, j, w] for i, j, w in triples]
     else:
         # soft mode keeps the mask alongside the dense weights so
         # on/off-support reporting survives a reload
-        conv["edges"] = [[i, j] for i, j in zip(rows, cols)]
-        conv["weights"] = conversion.weights.ravel().tolist()
+        conv["edges"] = np.column_stack((mask.edge_rows, mask.edge_cols))
+        conv["weights"] = conversion.weights.ravel()
     return conv
 
 
-def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None = None) -> str:
-    """Render the model as canonical JSON text; raise ValueError for a
-    model :func:`load_model` would refuse, such as a non-finite weight."""
+def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None = None) -> bytes:
+    """Render the model as canonical JSON bytes, ended by a newline; raise
+    ValueError for a model :func:`load_model` would refuse, such as a non-finite weight."""
     doc = {"network": _network_fields(net), "conversion": None}
     if conversion is not None:
         if conversion.n_targets != net.input_dim:
@@ -94,16 +93,16 @@ def model_document(net: FeedforwardNetwork, conversion: MaskedLinearLayer | None
         checked = MaskedLinearLayer(conversion.mask, conversion.mode, conversion.weights)
         doc["conversion"] = _conversion_fields(checked)
     try:
-        return orjson.dumps(doc).decode() + "\n"
+        return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
     except orjson.JSONEncodeError as exc:  # a TypeError, e.g. for a lone surrogate
         raise ValueError(f"model cannot be written as JSON: {exc}") from None
 
 
 def save_model(net, conversion, path) -> None:
     # rendered first: a refused model leaves an existing file as it was
-    text = model_document(net, conversion)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    document = model_document(net, conversion)
+    with open(path, "wb") as fh:
+        fh.write(document)
 
 
 def _json_list(values, types, what, path):

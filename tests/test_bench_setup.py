@@ -67,9 +67,9 @@ def test_train_conversion_keeps_the_base_network_bytes(workloads, tmp_path, name
     ]) == 0
     capsys.readouterr()
 
-    def network_part(text):
-        return text[: text.index(',"conversion":')]
+    def network_part(document):
+        return document[: document.index(b',"conversion":')]
 
-    base, trained = Path(paths["base_model.json"]).read_text(), out.read_text()
+    base, trained = Path(paths["base_model.json"]).read_bytes(), out.read_bytes()
     assert network_part(trained) == network_part(base)
     assert model_document(*load_model(out)) == trained

@@ -1121,3 +1121,56 @@ class TestConstantPredictionWarning:
         capsys.readouterr()
         assert run(conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv")) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestReportedInputs:
+    @pytest.mark.parametrize("command", ["train-base", "train-conversion", "eval"])
+    def test_ignored_label_rows_are_reported(self, clf_files, capsys, command):
+        # label rows for samples the expression file lacks are reported,
+        # and the run is the run on the labels without them
+        files, labels = clf_files, "LABELS"
+        extra = files / "extra_labels.tsv"
+        extra.write_text("sample_id\tlabel\nz\t1\na\t0\nb\t1\ny\t0\n")
+        if command == "train-base":
+            expr, outputs = files / "base_expr.tsv", [files / "base.json"]
+            argv = [
+                "train-base", "--expr", str(expr), "--labels", labels, "--hidden", "2",
+                "--loss", "ce", "--lr", "0.1", "--steps", "2", "--seed", "1",
+                "--out", str(outputs[0]),
+            ]
+        elif command == "train-conversion":
+            expr, outputs = files / "expr.tsv", [files / "m.json", files / "r.tsv"]
+            argv = clf_conversion_args(files, labels)
+        else:
+            assert run(clf_conversion_args(files, files / "base_labels.tsv")) == 0
+            expr, outputs = files / "expr.tsv", []
+            argv = ["eval", "--model", str(files / "m.json"), "--expr", str(expr), "--labels", labels]
+        results = []
+        for path in (files / "base_labels.tsv", extra):
+            capsys.readouterr()
+            assert run([str(path) if a == labels else a for a in argv]) == 0
+            results.append((*capsys.readouterr(), [p.read_bytes() for p in outputs]))
+        (out, err, written), (extra_out, extra_err, extra_written) = results
+        assert extra_out == out and extra_written == written
+        assert extra_err == (
+            f"orthomask: warning: {extra}: ignoring 2 label row(s) "
+            f"whose sample is not in {expr}\n" + err
+        )
+
+    @pytest.mark.parametrize("mode, effect", [
+        ("hard", "the network reads 0 for them"), ("soft", "only off-support weights feed them"),
+    ])
+    def test_orphan_targets_are_reported(self, clf_files, capsys, mode, effect):
+        graph = clf_files / "orphans.tsv"
+        graph.write_text("target_gene\tsource_gene\nt2\ts2\n")
+        argv = clf_conversion_args(clf_files, clf_files / "base_labels.tsv")
+        argv[argv.index("--graph") + 1] = str(graph)
+        argv[argv.index("--mode") + 1] = mode
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().err.startswith(
+            f"orthomask: warning: 1 of 2 target genes have no ortholog in {graph}; {effect}\n"
+        )
+        if mode == "hard":
+            _, conv = load_model(clf_files / "m.json")
+            assert not conv.to_dense()[0].any()

@@ -127,8 +127,17 @@ class TestLabelsTsv:
         ds = ExpressionDataset("sp", ["g1"], ["a", "b"], [[1.0], [2.0]])
         path = tmp_path / "labels.tsv"
         path.write_text("sample_id\tlabel\nb\t5.0\na\t4.0\n")
-        joined = attach_labels(ds, path, "regression")
+        joined, ignored = attach_labels(ds, path, "regression")
         assert joined.labels.tolist() == [[4.0], [5.0]]
+        assert ignored == 0
+
+    def test_attach_counts_the_rows_it_ignores(self, tmp_path):
+        ds = ExpressionDataset("sp", ["g1"], ["a", "b"], [[1.0], [2.0]])
+        path = tmp_path / "labels.tsv"
+        path.write_text("sample_id\tlabel\nc\t1\nb\t0\nz\t2\na\t1\nd\t0\n")
+        joined, ignored = attach_labels(ds, path, "classification")
+        assert joined.labels.tolist() == [1, 0]
+        assert ignored == 3
 
     def test_attach_missing_sample(self, tmp_path):
         ds = ExpressionDataset("sp", ["g1"], ["a", "b"], [[1.0], [2.0]])
@@ -346,8 +355,8 @@ class TestEmptyEdgeCases:
         ds = ExpressionDataset("sp", ["g1"], [], np.zeros((0, 1)))
         path = tmp_path / "labels.tsv"
         path.write_text("sample_id\tlabel\n")
-        joined = attach_labels(ds, path, "regression")
-        assert joined.labels.shape == (0, 1)
+        joined, ignored = attach_labels(ds, path, "regression")
+        assert joined.labels.shape == (0, 1) and ignored == 0
 
     def test_zero_gene_expression_round_trip(self, tmp_path):
         ds = ExpressionDataset("sp", [], ["a", "b"], np.zeros((2, 0)))

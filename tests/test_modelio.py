@@ -8,6 +8,7 @@ import pytest
 from orthomask.errors import ParseError
 from orthomask.modelio import load_model, model_document, save_model
 from orthomask.netcore import ACT_IDENTITY, FeedforwardNetwork, Layer, MaskedLinearLayer
+from orthomask.orthograph import BiadjacencyMatrix
 
 from _helpers import earlier_layout, edge_set, random_mask, random_network
 
@@ -185,6 +186,63 @@ def test_hard_edges_reordered_canonically(tmp_path):
         assert np.array_equal(layer.weights, saved.weights)
 
 
+# zeros, the extreme subnormal and normal, values next to and at 1e-4 and
+# 1e16 where a shortest spelling changes form, and the largest double
+PINNED_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05,
+    0.0001, 2.0, 1e16, 1.7976931348623157e308, -1.5,
+]
+
+
+@pytest.mark.parametrize("mode", [None, "hard", "soft"])
+def test_arrays_are_spelled_as_python_floats(mode):
+    # orjson renders the arrays themselves; the document must be the bytes
+    # of the same document built of Python numbers, as earlier writers did.
+    # Arrays in Fortran order are written as well as C-ordered ones
+    values = np.array(PINNED_FLOATS)
+    n = values.size
+    net = FeedforwardNetwork([
+        Layer(np.asfortranarray(np.stack([values, values[::-1]])), values[:2], "relu"),
+        Layer(values[None, -2:], values[-1:], ACT_IDENTITY),
+    ], frozen=True)
+    layer = None
+    mask = BiadjacencyMatrix(
+        [f"t{i}" for i in range(n)], ["s0", "s1"], [(i, j) for i in range(n) for j in range(2) if i % 3 != j]
+    )
+    if mode == "hard":
+        layer = MaskedLinearLayer(mask, mode, np.resize(values, mask.n_edges))
+    elif mode == "soft":
+        layer = MaskedLinearLayer(mask, mode, np.asfortranarray(np.stack([values, values[::-1]], axis=1)))
+    listed = {
+        "network": {
+            "frozen": True,
+            "layers": [
+                {
+                    "rows": lay.weights.shape[0],
+                    "cols": lay.weights.shape[1],
+                    "weights": lay.weights.ravel().tolist(),
+                    "bias": lay.bias.tolist(),
+                    "activation": lay.activation,
+                }
+                for lay in net.layers
+            ],
+        },
+        "conversion": None,
+    }
+    if layer is not None:
+        edges = zip(mask.edge_rows.tolist(), mask.edge_cols.tolist())
+        conv = {"mode": mode, "target_gene_ids": list(mask.target_gene_ids), "source_gene_ids": ["s0", "s1"]}
+        if mode == "hard":
+            conv["edges"] = [[i, j, w] for (i, j), w in zip(edges, layer.weights.tolist())]
+        else:
+            conv["edges"] = [[i, j] for i, j in edges]
+            conv["weights"] = layer.weights.ravel().tolist()
+        listed["conversion"] = conv
+    document = model_document(net, layer)
+    assert document == orjson.dumps(listed) + b"\n"
+    assert orjson.loads(document)["network"]["layers"][0]["weights"][:n] == PINNED_FLOATS
+
+
 def test_document_is_deterministic():
     rng = np.random.default_rng(4)
     net = random_network(rng, [3, 2], frozen=True)
@@ -202,7 +260,7 @@ def test_compact_layout_and_indented_documents(tmp_path, mode):
         layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
     text = model_document(net, layer)
     # compact separators and no indent: the layout orjson writes
-    assert text == orjson.dumps(orjson.loads(text)).decode() + "\n"
+    assert text == orjson.dumps(orjson.loads(text)) + b"\n"
 
     # documents written with the earlier indented layout still load, and
     # saving them again gives the compact bytes
@@ -229,7 +287,7 @@ def _sha256(text):
 
 
 def _saved_model(tmp_path, mode, seed=6):
-    """A saved model's path and text, and the model as loaded from it."""
+    """A saved model's path and bytes, and the model as loaded from it."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, [4, 3, 1], frozen=True)
     layer = None
@@ -239,7 +297,7 @@ def _saved_model(tmp_path, mode, seed=6):
         layer = MaskedLinearLayer(mask, mode, rng.normal(0, 1, shape))
     path = tmp_path / f"{mode}.json"
     save_model(net, layer, path)
-    return path, path.read_text(), *load_model(path)
+    return path, path.read_bytes(), *load_model(path)
 
 
 def _awkward(rng, shape):
@@ -286,7 +344,7 @@ def test_writer_round_trips_every_float_bit_pattern(tmp_path, mode):
     assert mask.n_edges >= 58  # every special value is in every large array
 
     text = model_document(net, layer)
-    assert text == orjson.dumps(orjson.loads(text)).decode() + "\n"
+    assert text == orjson.dumps(orjson.loads(text)) + b"\n"
     for doc in (json.loads(text), orjson.loads(text)):
         conv = doc["conversion"]
         parsed = [
@@ -311,8 +369,8 @@ def test_signed_zero_change_is_formatted_again(tmp_path):
     loaded, _ = load_model(path)
     loaded.layers[0].weights[0, 0] = 0.0
     text = model_document(loaded)
-    assert text == model_document(loaded.copy()) != path.read_text()
-    assert '"weights":[0.0,1.0]' in text
+    assert text == model_document(loaded.copy()) != path.read_bytes()
+    assert b'"weights":[0.0,1.0]' in text
 
 
 def test_non_utf8_model_names_its_path(tmp_path):
@@ -351,14 +409,14 @@ def _make_unwritable(change, net, layer):
     "frozen not a boolean", "too few target genes",
 ])
 def test_writer_refuses_what_the_reader_refuses(tmp_path, mode, change):
-    path, text, net, layer = _saved_model(tmp_path, mode)
+    path, saved, net, layer = _saved_model(tmp_path, mode)
     _make_unwritable(change, net, layer)
     with pytest.raises(ValueError):
         model_document(net, layer)
     # rendered before the file is opened: a refused save leaves it as it was
     with pytest.raises(ValueError):
         save_model(net, layer, path)
-    assert path.read_text() == text
+    assert path.read_bytes() == saved
 
 
 @pytest.mark.parametrize("mode, change", [
@@ -366,7 +424,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, mode, change):
     ("soft", "weights of another shape"),
 ])
 def test_writer_refuses_models_it_cannot_write(tmp_path, mode, change):
-    path, text, net, layer = _saved_model(tmp_path, mode)
+    path, saved, net, layer = _saved_model(tmp_path, mode)
     if change == "lone surrogate":
         # documents are UTF-8 text, which cannot hold a lone surrogate; the
         # earlier writer escaped it as \\ud800, which loading refuses
@@ -382,7 +440,7 @@ def test_writer_refuses_models_it_cannot_write(tmp_path, mode, change):
         model_document(net, layer)
     with pytest.raises(ValueError):
         save_model(net, layer, path)
-    assert path.read_text() == text
+    assert path.read_bytes() == saved
 
 
 def _outcome(path):
@@ -438,14 +496,14 @@ def _random_documents(seed):
     }[seed % 3]
     if layer is not None:
         layer.weights *= 10.0 ** rng.integers(-12, 18, layer.weights.shape)
-    text = model_document(net, layer)
+    text = model_document(net, layer).decode()
     doc, edited_doc = json.loads(text), json.loads(text)
     earlier = earlier_layout(doc, doc["network"])
     digest = json.loads(earlier)["network_sha256"]
     edited_doc["network"]["layers"][0]["weights"][0] += 1.0
     edited = net.copy()
     edited.layers[0].weights[0, 0] += 1.0
-    edited_text = model_document(edited, layer)
+    edited_text = model_document(edited, layer).decode()
     return {
         "canonical": (text, text),
         "earlier": (earlier, text),
@@ -607,11 +665,11 @@ def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
         if type(loaded[name][0]) is type:
             continue
         path.write_text(doc, encoding="utf-8")
-        text = model_document(*load_model(path))
-        assert text == resaved.get(name, text), name
-        path.write_text(text, encoding="utf-8")
+        document = model_document(*load_model(path))
+        assert document.decode() == resaved.get(name, document.decode()), name
+        path.write_bytes(document)
         assert _outcome(path) == loaded[name], name
-        assert model_document(*load_model(path)) == text, name
+        assert model_document(*load_model(path)) == document, name
 
     # each document is parsed once, by orjson: the json module's parser is
     # never called, for accepted and refused documents alike
@@ -626,8 +684,8 @@ def test_load_model_matches_json_only_reference(tmp_path, monkeypatch):
 def test_non_finite_numbers_are_refused_by_the_constructors(tmp_path, monkeypatch, mode, value):
     # orjson reads no non-finite number; under a parser that does, the
     # network and conversion constructors refuse it as a ParseError
-    path, text, *_ = _saved_model(tmp_path, mode)
-    doc = json.loads(text)
+    path, saved, *_ = _saved_model(tmp_path, mode)
+    doc = json.loads(saved)
     if mode is None:
         doc["network"]["layers"][0]["bias"][0] = float(value)
     elif mode == "hard":
@@ -647,7 +705,7 @@ def test_non_finite_numbers_are_refused_by_the_constructors(tmp_path, monkeypatc
 def test_deep_nesting_outside_the_checked_fields_loads(tmp_path):
     # nested past Python's recursion limit, in a key the checks do not
     # read: orjson parses it, and the document loads
-    path, text, *_ = _saved_model(tmp_path, "hard")
+    path, saved, *_ = _saved_model(tmp_path, "hard")
     expected = _outcome(path)
-    path.write_text(text[:-2] + ',"extra":' + "[" * 5000 + "]" * 5000 + "}\n")
+    path.write_bytes(saved[:-2] + b',"extra":' + b"[" * 5000 + b"]" * 5000 + b"}\n")
     assert _outcome(path) == expected

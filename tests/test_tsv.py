@@ -735,6 +735,8 @@ PINNED = {
     "expr3.tsv": "sample_id\tg1\tg2\tg3\na\t0.1\t-0.0\t1e-05\nb\t123.25\t5e-324\t-1e+16\n",
     "labels_float.tsv": "sample_id\tlabel\na\t0.5\nb\t-2.0\nc\t1e-07\n",
     "labels_int.tsv": "sample_id\tlabel\na\t2\nb\t0\nc\t11\nd\t2\n",
+    "labels_int_empty.tsv": "sample_id\tlabel\n",
+    "labels_int_negative.tsv": "sample_id\tlabel\na\t-3\nb\t2\nc\t-3\nd\t0\ne\t-12\n",
     "report.tsv": "step\tloss\n1\t0.75\n2\t0.1\n3\t1e-05\n# final_eval\t0.0625\n",
     "pred_regression.tsv": "sample_id\tprediction\na\t0.25\nb\t-1e-05\n",
     "pred_class.tsv": "sample_id\tprediction\na\t11\nb\t0\n",
@@ -772,6 +774,8 @@ def test_every_writer_keeps_its_bytes(tmp_path, monkeypatch):
     write_expression_tsv(ExpressionDataset("sp", ["g1", "g2", "g3"], ["a", "b"], samples), out / "expr3.tsv")
     write_labels_tsv(["a", "b", "c"], np.array([0.5, -2.0, 1e-07]), out / "labels_float.tsv")
     write_labels_tsv(["a", "b", "c", "d"], np.array([2, 0, 11, 2]), out / "labels_int.tsv")
+    write_labels_tsv([], np.zeros(0, np.int64), out / "labels_int_empty.tsv")
+    write_labels_tsv(list("abcde"), np.array([[-3], [2], [-3], [0], [-12]]), out / "labels_int_negative.tsv")
     write_report_tsv(TrainReport([0.75, 0.1, 1e-05], 0.0625), out / "report.tsv")
 
     # predict's outputs for fixed network outputs, put in place of the forward pass

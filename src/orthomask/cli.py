@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import dataio, interpret, modelio, orthograph, training
-from .errors import InvalidStateError, NumericalError, ParseError, UnknownGeneError
+from .errors import InvalidStateError, NumericalError, UnknownGeneError
 from .netcore import (
     ACT_IDENTITY,
     ACT_RELU,
@@ -270,7 +270,7 @@ def _cmd_train_base(args):
         ]
     )
     trained, report = training.train_base(net, data, cfg)
-    modelio.save_model(trained.copy(frozen=True), None, args.out)
+    modelio.save_model(FeedforwardNetwork(trained.layers, frozen=True), None, args.out)
     print(f"final training loss {report.losses[-1]!r}; eval {report.final_eval!r}")
     return EXIT_OK
 
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"orthomask: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, UnknownGeneError, InvalidStateError, ValueError, OSError) as exc:
+    except (InvalidStateError, ValueError, OSError) as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -40,13 +40,11 @@ from .tsv import read_text
 
 def _network_fields(net: FeedforwardNetwork) -> dict:
     # a network changed in place is checked again as its constructor
-    # checks it (finite values, shapes, activations, layers that chain),
-    # so that no document load_model refuses is written
-    if type(net.frozen) is not bool:
-        raise ValueError(f"frozen must be True or False, got {net.frozen!r}")
-    checked = FeedforwardNetwork(net.layers)
+    # checks it (frozen a bool, finite values, shapes, activations, layers
+    # that chain), so that no document load_model refuses is written
+    checked = FeedforwardNetwork(net.layers, net.frozen)
     return {
-        "frozen": net.frozen,
+        "frozen": checked.frozen,
         "layers": [
             {
                 "rows": lay.weights.shape[0],

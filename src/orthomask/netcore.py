@@ -62,7 +62,7 @@ class MaskedLinearLayer:
     def __init__(self, mask: BiadjacencyMatrix, mode: str, weights):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64, order="C")
         if mode == MODE_HARD:
             if weights.shape != (mask.n_edges,):
                 raise ValueError(
@@ -78,7 +78,7 @@ class MaskedLinearLayer:
             raise ValueError("weights must be finite")
         self.mask = mask
         self.mode = mode
-        self.weights = weights.copy()
+        self.weights = weights
 
     @property
     def n_targets(self) -> int:
@@ -89,7 +89,7 @@ class MaskedLinearLayer:
         return self.mask.n_sources
 
     def copy(self) -> "MaskedLinearLayer":
-        return MaskedLinearLayer(self.mask, self.mode, self.weights)
+        return MaskedLinearLayer(self.mask, self.mode, self.weights.copy())
 
     def to_dense(self) -> np.ndarray:
         """Dense weight matrix; hard mode scatters onto the support."""
@@ -162,8 +162,10 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        # kept, not copied, when C-ordered float64; np.ascontiguousarray
+        # would turn a 0-d bias into shape (1,) and accept it
+        self.weights = np.asarray(self.weights, dtype=np.float64, order="C")
+        self.bias = np.asarray(self.bias, dtype=np.float64, order="C")
         if self.weights.ndim != 2:
             raise ValueError(f"layer weights must be 2-D, got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
@@ -175,15 +177,14 @@ class Layer:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
 
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 class FeedforwardNetwork:
     """Plain MLP phenotype predictor with a freeze flag."""
 
     def __init__(self, layers, frozen: bool = False):
-        layers = [lay.copy() for lay in layers]
+        if type(frozen) is not bool:
+            raise ValueError(f"frozen must be True or False, got {frozen!r}")
+        layers = [Layer(lay.weights, lay.bias, lay.activation) for lay in layers]
         if not layers:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
@@ -193,7 +194,7 @@ class FeedforwardNetwork:
                     f"previous output dim {prev.weights.shape[0]}"
                 )
         self.layers = layers
-        self.frozen = bool(frozen)
+        self.frozen = frozen
 
     @property
     def input_dim(self) -> int:
@@ -203,8 +204,9 @@ class FeedforwardNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].weights.shape[0]
 
-    def copy(self, frozen=None) -> "FeedforwardNetwork":
-        return FeedforwardNetwork(self.layers, self.frozen if frozen is None else frozen)
+    def copy(self) -> "FeedforwardNetwork":
+        layers = [Layer(lay.weights.copy(), lay.bias.copy(), lay.activation) for lay in self.layers]
+        return FeedforwardNetwork(layers, self.frozen)
 
 
 def mlp_forward_batch(net: FeedforwardNetwork, xs) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -307,7 +307,7 @@ def conversion_step(
     """One batch's base loss, penalty and gradient w.r.t. ``layer.weights``.
 
     The frozen first layer is affine, so the batch runs through ``folded``,
-    a working copy of ``frozen_net`` (``frozen_net.copy()``) whose
+    a scratch network ``FeedforwardNetwork(frozen_net.layers)`` whose
     first-layer weights this call sets to the fold ``M = W1 @ C``
     (h x n_sources); the converted batch is never formed. The gradient
     w.r.t. ``C`` is read off that layer's weight gradient ``G`` as
@@ -352,7 +352,7 @@ def train_conversion(
     _check_data(data, layer.n_sources, "conversion layer", frozen_net.output_dim)
 
     trained = layer.copy()
-    folded = frozen_net.copy()
+    folded = FeedforwardNetwork(frozen_net.layers)
 
     def step(xs, labels):
         base_loss, penalty, grad = conversion_step(trained, frozen_net, folded, xs, labels, cfg)

@@ -503,7 +503,7 @@ class TestTrainConversionAndEval:
         from orthomask.modelio import save_model
 
         net, _ = load_model(bundle_dir / "base_model.json")
-        thawed = net.copy(frozen=False)
+        thawed = FeedforwardNetwork(net.layers, frozen=False)
         bad = tmp_path / "thawed.json"
         save_model(thawed, None, bad)
         argv = conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv")

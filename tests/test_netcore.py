@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from orthomask.dataio import ExpressionDataset
+from orthomask.modelio import model_document
 from orthomask.netcore import (
     _ACTIVATIONS,
     ACT_IDENTITY,
@@ -22,6 +24,7 @@ from orthomask.netcore import (
     mlp_forward_batch,
 )
 from orthomask.orthograph import BiadjacencyMatrix
+from orthomask.training import TrainConfig, initialize_conversion_layer, train_base, train_conversion
 
 from _helpers import fd_gradient, random_mask, random_network, rel_err
 
@@ -201,6 +204,102 @@ class TestLayerValidation:
         mask = BiadjacencyMatrix(["t1"], ["s1"], [(0, 0)])
         with pytest.raises(ValueError):
             MaskedLinearLayer(mask, "fuzzy", [1.0])
+
+
+class TestCopyRule:
+    """A constructor keeps a C-ordered float64 array it is given and copies
+    anything else into one; ``copy()`` is the one deep copy."""
+
+    def test_c_ordered_float64_is_kept(self):
+        rng = np.random.default_rng(3)
+        weights, bias = rng.normal(size=(2, 3)), rng.normal(size=2)
+        layer = Layer(weights, bias, ACT_RELU)
+        assert np.shares_memory(layer.weights, weights)
+        assert np.shares_memory(layer.bias, bias)
+        net = FeedforwardNetwork([layer])
+        assert net.layers[0] is not layer
+        assert np.shares_memory(net.layers[0].weights, weights)
+        mask = random_mask(rng, 2, 3, force_edge=True)
+        hard = rng.normal(size=mask.n_edges)
+        assert np.shares_memory(MaskedLinearLayer(mask, "hard", hard).weights, hard)
+        assert np.shares_memory(MaskedLinearLayer(mask, "soft", weights).weights, weights)
+
+    @pytest.mark.parametrize("form", ["fortran", "float32", "int", "nested list"])
+    def test_other_inputs_become_c_ordered_float64_copies(self, form):
+        values = np.arange(6.0).reshape(2, 3)
+        given = {
+            "fortran": np.asfortranarray(values),
+            "float32": values.astype(np.float32),
+            "int": values.astype(np.int64),
+            "nested list": values.tolist(),
+        }[form]
+        mask = BiadjacencyMatrix(["t0", "t1"], ["s0", "s1", "s2"], [(0, 0)])
+        kept = [Layer(given, [0.0, 0.0], ACT_IDENTITY).weights,
+                MaskedLinearLayer(mask, "soft", given).weights]
+        for weights in kept:
+            assert weights.dtype == np.float64 and weights.flags.c_contiguous
+            assert not np.shares_memory(weights, np.asarray(given))
+            assert np.array_equal(weights, values)
+
+    def test_zero_d_bias_refused(self):
+        with pytest.raises(ValueError, match=re.escape("bias shape () does not match 1 outputs")):
+            Layer([[1.0]], 0.0, ACT_IDENTITY)
+        with pytest.raises(ValueError, match=re.escape("bias shape () does not match 1 outputs")):
+            Layer([[1.0]], np.float64(0.0), ACT_IDENTITY)
+
+    def test_copy_shares_no_array(self):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, [4, 3, 2], frozen=True)
+        copied = net.copy()
+        assert copied.frozen is True
+        for ours, theirs in zip(copied.layers, net.layers):
+            assert not np.shares_memory(ours.weights, theirs.weights)
+            assert not np.shares_memory(ours.bias, theirs.bias)
+            assert np.array_equal(ours.weights, theirs.weights)
+            assert np.array_equal(ours.bias, theirs.bias)
+        mask = random_mask(rng, 3, 4, force_edge=True)
+        for layer in (MaskedLinearLayer(mask, "hard", rng.normal(size=mask.n_edges)),
+                      MaskedLinearLayer(mask, "soft", rng.normal(size=(3, 4)))):
+            copied = layer.copy()
+            # the mask is never written, so the copy reads the same one
+            assert copied.mask is mask and copied.mode == layer.mode
+            assert not np.shares_memory(copied.weights, layer.weights)
+            assert np.array_equal(copied.weights, layer.weights)
+
+    @pytest.mark.parametrize("frozen", ["no", 1, np.True_], ids=["no", "1", "np.True_"])
+    def test_frozen_must_be_a_bool(self, frozen):
+        net = FeedforwardNetwork([Layer([[1.0]], [0.0], ACT_IDENTITY)])
+        message = f"frozen must be True or False, got {frozen!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeedforwardNetwork(net.layers, frozen)
+
+
+class TestTrainersLeaveTheirInputs:
+    def _data(self, rng, n_genes):
+        return ExpressionDataset(
+            "sp", [f"s{j}" for j in range(n_genes)], [f"x{i}" for i in range(12)],
+            rng.normal(size=(12, n_genes)), rng.normal(size=(12, 1)),
+        )
+
+    def test_train_base(self):
+        rng = np.random.default_rng(8)
+        net = random_network(rng, [4, 3, 1])
+        before = model_document(net)
+        trained, _ = train_base(net, self._data(rng, 4), TrainConfig(steps=5, seed=1))
+        assert model_document(net) == before != model_document(trained)
+
+    @pytest.mark.parametrize("start, mode", [("hard", "hard"), ("soft", "soft"), ("hard", "soft")])
+    def test_train_conversion(self, start, mode):
+        rng = np.random.default_rng(9)
+        mask = random_mask(rng, 3, 4, force_edge=True)
+        net = random_network(rng, [3, 2, 1], frozen=True)
+        layer = initialize_conversion_layer(mask, start)
+        before = layer.weights.copy()
+        warm = initialize_conversion_layer(mask, mode, warm=layer)
+        trained, _ = train_conversion(warm, net, self._data(rng, 4), TrainConfig(steps=5, seed=1))
+        assert layer.mode == start
+        assert layer.weights.tobytes() == before.tobytes()
+        assert not np.array_equal(trained.to_dense(), layer.to_dense())
 
 
 class TestMlpForward:

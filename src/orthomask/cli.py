@@ -15,17 +15,9 @@ import sys
 
 import numpy as np
 
-from . import dataio, interpret, modelio, orthograph, training
+# each command imports the other package modules it runs in its body, so
+# that it loads only those
 from .errors import InvalidStateError, NumericalError, UnknownGeneError
-from .netcore import (
-    ACT_IDENTITY,
-    ACT_RELU,
-    MODE_HARD,
-    MODE_SOFT,
-    FeedforwardNetwork,
-    Layer,
-    model_forward,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,15 +50,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orthomask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # the flags both trainers take; _train_config turns them into a TrainConfig
+    # the flags both trainers take; _train_config turns them into a TrainConfig.
+    # The choices and defaults spell training.OPTIMIZERS, OPT_ADAM and
+    # FULL_BATCH, and --mode's netcore.MODES, so that the parser loads
+    # neither module; tests/test_cli.py pins them to those constants
     trainer = argparse.ArgumentParser(add_help=False)
     trainer.add_argument("--expr", required=True)
     trainer.add_argument("--labels", required=True)
     trainer.add_argument("--lr", required=True, type=float)
     trainer.add_argument("--steps", required=True, type=int)
     trainer.add_argument("--seed", required=True, type=int)
-    trainer.add_argument("--batch-size", type=int, default=training.FULL_BATCH)
-    trainer.add_argument("--optimizer", choices=list(training.OPTIMIZERS), default=training.OPT_ADAM)
+    trainer.add_argument("--batch-size", type=int, default=2**31 - 1)
+    trainer.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
 
     p = sub.add_parser("build-graph", help="reciprocal-best-hit graph from score tables")
     p.add_argument("--scores-tq", required=True, help="target-query score TSV")
@@ -102,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge-list TSV")
     p.add_argument("--target-genes", required=True, help="target gene universe file")
     p.add_argument("--source-genes", required=True, help="source gene universe file")
-    p.add_argument("--mode", required=True, choices=[MODE_HARD, MODE_SOFT])
+    p.add_argument("--mode", required=True, choices=["hard", "soft"])
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -148,6 +143,8 @@ def _config(cls, **fields):
 
 def _train_config(args, **fields):
     """The TrainConfig of the shared training flags and one trainer's own ``fields``."""
+    from . import training
+
     return _config(
         training.TrainConfig,
         learning_rate=args.lr,
@@ -160,6 +157,8 @@ def _train_config(args, **fields):
 
 
 def _cmd_build_graph(args):
+    from . import orthograph
+
     cfg = _config(orthograph.RbhConfig, threshold=args.threshold, tie_tolerance=args.tie_tol)
     # the gene lists first: each score table's IDs are read against them
     targets = orthograph.read_gene_list(args.target_genes)
@@ -173,8 +172,10 @@ def _cmd_build_graph(args):
 
 
 def _cmd_synth(args):
+    from . import synth
+
     spec = _config(
-        dataio.SyntheticSpec,
+        synth.SyntheticSpec,
         n_sources=args.n_s,
         n_targets=args.n_t,
         orthology_density=args.density,
@@ -183,14 +184,16 @@ def _cmd_synth(args):
         hidden_dim=args.hidden,
         seed=args.seed,
     )
-    bundle = dataio.generate_synthetic(spec)
-    dataio.write_bundle(bundle, spec, args.out_dir)
+    bundle = synth.generate_synthetic(spec)
+    synth.write_bundle(bundle, spec, args.out_dir)
     print(f"wrote bundle to {args.out_dir} (oracle_loss {bundle.oracle_loss!r})")
     return EXIT_OK
 
 
 def _labelled(dataset, expr_path, labels_path, kind):
     """``dataset``, read from ``expr_path``, with its labels attached."""
+    from . import dataio
+
     dataset, ignored = dataio.attach_labels(dataset, labels_path, kind)
     if ignored:
         print(
@@ -201,8 +204,8 @@ def _labelled(dataset, expr_path, labels_path, kind):
     return dataset
 
 
-def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None):
-    """An expression file as the model reads it.
+def _model_inputs(net, gene_ids, expr_path, labels_path=None):
+    """An expression file as the network ``net`` reads it.
 
     With ``labels_path``, the samples are labelled: regression for a
     1-output head, class indices for a multi-logit one. With ``gene_ids``
@@ -210,6 +213,8 @@ def _model_inputs(net: FeedforwardNetwork, gene_ids, expr_path, labels_path=None
     order; without, in file order, and there must be one per network input.
     Labelled samples must not be empty; gene problems are reported first.
     """
+    from . import dataio
+
     dataset = dataio.read_expression_tsv(expr_path)
     if labels_path is not None:
         kind = dataio.KIND_REGRESSION if net.output_dim == 1 else dataio.KIND_CLASSIFICATION
@@ -241,6 +246,9 @@ def _source_genes(conversion):
 
 
 def _cmd_train_base(args):
+    from . import dataio, modelio, training
+    from .netcore import ACT_IDENTITY, ACT_RELU, FeedforwardNetwork, Layer
+
     cfg = _train_config(args)
     kind = dataio.KIND_REGRESSION if args.loss == "mse" else dataio.KIND_CLASSIFICATION
     data = _labelled(dataio.read_expression_tsv(args.expr), args.expr, args.labels, kind)
@@ -276,6 +284,9 @@ def _cmd_train_base(args):
 
 
 def _cmd_train_conversion(args):
+    from . import modelio, orthograph, training
+    from .netcore import MODE_HARD
+
     cfg = _train_config(args, alpha=args.alpha, beta=args.beta)
     net, existing = modelio.load_model(args.model)
     if not net.frozen:
@@ -320,6 +331,9 @@ def _cmd_train_conversion(args):
 
 
 def _cmd_predict(args):
+    from . import dataio, modelio
+    from .netcore import model_forward
+
     net, conversion = modelio.load_model(args.model)
     dataset = _model_inputs(net, _source_genes(conversion), args.expr)
     pred = model_forward(net, conversion, dataset.samples)
@@ -333,6 +347,8 @@ def _cmd_predict(args):
 def _cmd_inspect_weights(args):
     if args.target_gene is None and args.top is not None:
         raise _UsageError("--top needs --target-gene")
+    from . import interpret, modelio
+
     conversion = modelio.load_model(args.model)[1]
     if conversion is None:
         raise ValueError(f"model in {args.model} has no conversion layer to inspect")
@@ -345,6 +361,8 @@ def _cmd_inspect_weights(args):
 
 
 def _cmd_eval(args):
+    from . import modelio, training
+
     net, conversion = modelio.load_model(args.model)
     dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
     value = training.evaluate(net, conversion, dataset)

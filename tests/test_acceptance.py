@@ -16,8 +16,6 @@ import pytest
 
 from orthomask.dataio import (
     ExpressionDataset,
-    SyntheticSpec,
-    generate_synthetic,
     read_expression_tsv,
     read_labels_tsv,
     write_expression_tsv,
@@ -33,6 +31,7 @@ from orthomask.orthograph import (
     graph_to_tsv,
     tsv_to_graph,
 )
+from orthomask.synth import SyntheticSpec, generate_synthetic
 from orthomask.training import (
     TrainConfig,
     conversion_step,

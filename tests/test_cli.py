@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import orthomask
-from orthomask import cli, modelio
+from orthomask import cli, modelio, netcore, training
 from orthomask.errors import ParseError
 from orthomask.dataio import ExpressionDataset, read_expression_tsv, write_expression_tsv
 from orthomask.modelio import load_model, save_model
@@ -208,6 +209,23 @@ class TestRefusedSettings:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, flag, value, choices",
+        [
+            ("train-base", "--optimizer", "adagrad", "'sgd', 'adam'"),
+            ("train-conversion", "--optimizer", "x", "'sgd', 'adam'"),
+            ("train-conversion", "--mode", "medium", "'hard', 'soft'"),
+        ],
+    )
+    def test_bad_choice_exits_1(self, tmp_path, capsys, command, flag, value, choices):
+        assert run([command, *self.argv(tmp_path, command), flag, value]) == 1
+        captured = capsys.readouterr()
+        message, _, usage = captured.err.partition("\n")
+        assert message == f"orthomask: error: argument {flag}: invalid choice: '{value}' (choose from {choices})"
+        assert usage.startswith(f"usage: orthomask {command} ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_top_without_target_gene_exits_1(self, tmp_path, capsys):
         # the whole table has no top to keep: refused before the model is read
         out = tmp_path / "w.tsv"
@@ -250,6 +268,20 @@ class TestRefusedSettings:
             assert "absent.tsv" in capsys.readouterr().err
 
 
+# sha256 of each parser's format_help() and format_usage() at 80 columns,
+# recorded while the parser still read its choices from training and netcore
+PARSER_TEXT_SHA256 = {
+    "": "1bc2efbff87add26056a212883d61c119de5d8bc62f53eb7c2e9e65db08823d3",
+    "build-graph": "b363ab15a2ff7f3a13c9495b7c7d31c5b7c1e0f82449868f12c163b592758213",
+    "eval": "59f2ff68b9eef43c63d9479f67985096984f87018942d3678fb01634a77bedd1",
+    "inspect-weights": "8cf8378325c687a39743d7f1f7bbc5c3e1d320d786e4ab08eb4083b812047015",
+    "predict": "6f6b58d3f9430b6e62854682f1339b2fb7c17e8dd6c54cc0e948087f875b9536",
+    "synth": "b915fd8e9bc7df818960b81225eb4b0b07f75e2cf99aea13259473784e58363c",
+    "train-base": "32892cea721f8368ca3dd98d5a28eb9acf8e0c2733999ec6d8d659cd7fc6c719",
+    "train-conversion": "f33135b16e7380d24f86e1349935c6f5738f7d0854acb7febce1e4d16c963296",
+}
+
+
 class TestParserDeclarations:
     """A range check lives in its config only; the trainers share their flags."""
 
@@ -280,6 +312,20 @@ class TestParserDeclarations:
         base, conversion = leading("train-base"), leading("train-conversion")
         assert [a.option_strings[0] for a in base] == self.SHARED
         assert all(a is b for a, b in zip(base, conversion))
+
+    def test_choices_and_defaults_spell_the_library_constants(self, commands):
+        flags = {a.option_strings[0]: a for p in commands.values() for a in p._actions if a.option_strings}
+        assert flags["--optimizer"].choices == list(training.OPTIMIZERS)
+        assert flags["--optimizer"].default == training.OPT_ADAM
+        assert flags["--batch-size"].default == training.FULL_BATCH
+        assert flags["--mode"].choices == list(netcore.MODES)
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage lines differently")
+    def test_help_and_usage_keep_their_text(self, commands, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parsers = {"": cli.build_parser(), **commands}
+        texts = {name: (p.format_help() + p.format_usage()).encode() for name, p in parsers.items()}
+        assert {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()} == PARSER_TEXT_SHA256
 
     def test_every_help_exits_0(self, commands, capsys):
         for name in commands:

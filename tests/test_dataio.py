@@ -1,22 +1,22 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from orthomask import cli
 from orthomask.dataio import (
     ExpressionDataset,
-    SyntheticSpec,
     align_to_genes,
     attach_labels,
-    generate_synthetic,
     read_expression_tsv,
     read_labels_tsv,
-    write_bundle,
     write_expression_tsv,
     write_labels_tsv,
 )
 from orthomask.errors import ParseError, UnknownGeneError
 from orthomask.modelio import model_document
+from orthomask.synth import SyntheticSpec, generate_synthetic, write_bundle
 from orthomask.training import evaluate
 
 
@@ -331,6 +331,38 @@ class TestGenerateSynthetic:
         assert (meta["n_sources"], meta["num_samples"], meta["seed"]) == (6, 20, 11)
 
 
+# sha256 of each file ``synth`` writes for one target gene and one hidden
+# unit, recorded before the generator moved from dataio to synth. With one
+# input per hidden and output unit, no label depends on the order in which
+# a BLAS sums its products
+BUNDLE_SHA256 = {
+    3: {
+        "base_model.json": "f047fa4b42d6423fd97ca1090f6fd2295501b959e070422a3382d66a5e27ac47",
+        "graph.tsv": "0f3dff0cd4f8e404c17eb22dbede4ec2108420133faa7dc36d3d685a6c95c0df",
+        "meta.json": "724a2559231fc2c8667148e923918b2c1d2e3394b00bfa462f74882cde671d9f",
+        "oracle_model.json": "cfba50fa35385e0e0c503b92fe0f69078c4db58c4790e06c64ade05df849bd4f",
+        "source_genes.tsv": "da3bc5268a93284f9738ecbc7002bc64fc4ff16a658e631911f4791dded8adf4",
+        "target_genes.tsv": "2d4f038108159d228850658c113bf22d0ece4d638c4090aee28c73e3e34faf59",
+        "test_expr.tsv": "118d120bafb40d36fb490dfc078309fe248816e758aff7f2bb5c204967074a91",
+        "test_labels.tsv": "8c56657730909231dbfaa384ac36395d98de9238b82d1d533044c43a4e966fb5",
+        "train_expr.tsv": "14b02f2432dbd2e0d7e1c7ab6484fab76caf3abd346e5b6baff6257780956daa",
+        "train_labels.tsv": "009e3518a8753baa870d96a97f6b7ceaab344cca29b43e8b2f128be8a78fe391",
+    },
+    11: {
+        "base_model.json": "9eb40802ab85dc7b41e12bbe2b73a923e073334ee45d7ed7c68b5d8d423adba7",
+        "graph.tsv": "ae4b0b72a9809049df562fadf7697b342ab519d25bcf2eedfeb8eefa05b752e7",
+        "meta.json": "cb2f59b15bfc94b77a31d10bd6655f6c23c84211732b3633b44f2343f11d3e42",
+        "oracle_model.json": "4d263cd503925e00f0264d03b08ecc6ab27d7f5487503b550ba190e90fffe573",
+        "source_genes.tsv": "da3bc5268a93284f9738ecbc7002bc64fc4ff16a658e631911f4791dded8adf4",
+        "target_genes.tsv": "2d4f038108159d228850658c113bf22d0ece4d638c4090aee28c73e3e34faf59",
+        "test_expr.tsv": "ec587a8339fbaf2950f56883d2223e8f890980dade6442de45cff876af5d5bca",
+        "test_labels.tsv": "c86f835eeedf57f2f31941180bb92f6a799b5c2bd682e4a2eb8cbef94a09a499",
+        "train_expr.tsv": "42623179a03cc30acad82e5c95976beffed885a473db53470aa7345c4a5c4964",
+        "train_labels.tsv": "743f644da9657d594cf8af7e63585895428ee0325443908bfca13bc9280e1822",
+    },
+}
+
+
 class TestWriteBundle:
     def test_files_and_determinism(self, tmp_path):
         spec = SyntheticSpec(6, 5, 0.3, 20, 0.01, 3, 11)
@@ -342,6 +374,14 @@ class TestWriteBundle:
         for key in paths:
             with open(paths[key], "rb") as fa, open(again[key], "rb") as fb:
                 assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("seed", sorted(BUNDLE_SHA256))
+    def test_synth_keeps_its_bytes(self, tmp_path, seed):
+        argv = ["synth", "--n-s", "9", "--n-t", "1", "--density", "0.4", "--samples", "30",
+                "--noise", "0.1", "--hidden", "1", "--seed", str(seed), "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert written == BUNDLE_SHA256[seed]
 
 
 class TestEmptyEdgeCases:

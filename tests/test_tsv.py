@@ -10,7 +10,7 @@ import orjson
 import pytest
 from _helpers import read_table_per_line, read_weight_rows
 
-from orthomask import cli, tsv
+from orthomask import cli, netcore, tsv
 from orthomask.dataio import (
     ExpressionDataset,
     read_expression_tsv,
@@ -778,9 +778,10 @@ def test_every_writer_keeps_its_bytes(tmp_path, monkeypatch):
     write_labels_tsv(list("abcde"), np.array([[-3], [2], [-3], [0], [-12]]), out / "labels_int_negative.tsv")
     write_report_tsv(TrainReport([0.75, 0.1, 1e-05], 0.0625), out / "report.tsv")
 
-    # predict's outputs for fixed network outputs, put in place of the forward pass
+    # predict's outputs for fixed network outputs, put in place of the
+    # forward pass, which predict takes from netcore when it runs
     outputs = {1: np.array([[0.25], [-1e-05]]), 12: np.eye(12)[[11, 0]] * 0.5}
-    monkeypatch.setattr(cli, "model_forward", lambda net, conversion, xs: outputs[net.output_dim])
+    monkeypatch.setattr(netcore, "model_forward", lambda net, conversion, xs: outputs[net.output_dim])
     for head, n_out in (("regression", 1), ("class", 12)):
         model = out / f"{head}.json"
         save_model(FeedforwardNetwork([Layer(np.zeros((n_out, 3)), np.zeros(n_out), ACT_IDENTITY)]), None, model)

@@ -40,7 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own words for a type=int flag, not this function's name
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -403,5 +407,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def console_main() -> int:
+    """The executable's entry point: run the command named by ``sys.argv``,
+    then freeze the heap, and return the exit code.
+
+    Every object still alive is then left out of the cyclic collection the
+    interpreter runs as it shuts down, which would only scan what numpy,
+    orjson and the command leave behind. ``main`` does not freeze: a
+    process that goes on running after it keeps its heap collectable.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import hashlib
 import json
@@ -194,18 +195,29 @@ class TestRefusedSettings:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def count_argv(self, tmp_path, command):
+        if command == "inspect-weights":
+            absent = str(tmp_path / "absent.tsv")
+            return ["--model", absent, "--target-gene", "T0000", "--out", str(tmp_path / "w.tsv")]
+        return self.argv(tmp_path, command)
+
     @pytest.mark.parametrize("command, flag", [("inspect-weights", "--top"), ("train-base", "--hidden")])
     def test_counts_below_1_exit_1(self, tmp_path, capsys, command, flag):
-        absent = str(tmp_path / "absent.tsv")
-        argv = {
-            "inspect-weights": [
-                "--model", absent, "--target-gene", "T0000", "--out", str(tmp_path / "w.tsv"),
-            ],
-            "train-base": self.argv(tmp_path, "train-base"),
-        }[command]
-        assert run([command, *argv, flag, "0"]) == 1
+        assert run([command, *self.count_argv(tmp_path, command), flag, "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"orthomask: error: argument {flag}: must be >= 1, got 0\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["x", "2.5"])
+    @pytest.mark.parametrize("command, flag", [("inspect-weights", "--top"), ("train-base", "--hidden")])
+    def test_counts_not_an_integer_exit_1(self, tmp_path, capsys, command, flag, value):
+        # the words of every type=int flag, such as --steps
+        assert run([command, *self.count_argv(tmp_path, command), flag, value]) == 1
+        captured = capsys.readouterr()
+        message, _, usage = captured.err.partition("\n")
+        assert message == f"orthomask: error: argument {flag}: invalid int value: '{value}'"
+        assert usage.startswith(f"usage: orthomask {command} ")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -1041,6 +1053,17 @@ class TestInspectWeights:
         assert rc == 2
 
 
+def exit_argv(code, bundle_dir):
+    """The argv of a run that exits ``code``, 0 to 3; its outputs are relative paths."""
+    return {
+        0: ["synth", "--n-s", "3", "--n-t", "2", "--density", "0.5", "--samples", "4",
+            "--noise", "0", "--hidden", "2", "--seed", "1", "--out-dir", "b"],
+        1: ["synth"],
+        2: ["eval", "--model", "missing.json", "--expr", "x", "--labels", "y"],
+        3: conversion_args(bundle_dir, "m.json", "r.tsv", extra=["--optimizer", "sgd", "--lr", "1e200"]),
+    }[code]
+
+
 class TestCollectorPaused:
     """A command runs with the cyclic garbage collector paused and puts its
     state back as it found it, however the command ends."""
@@ -1053,18 +1076,13 @@ class TestCollectorPaused:
         (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("code", [0, 1, 2, 3])
-    def test_state_is_put_back(self, bundle_dir, tmp_path, collector, code):
-        argv = {
-            0: ["synth", "--n-s", "3", "--n-t", "2", "--density", "0.5", "--samples", "4",
-                "--noise", "0", "--hidden", "2", "--seed", "1", "--out-dir", str(tmp_path / "b")],
-            1: ["synth"],
-            2: ["eval", "--model", str(tmp_path / "missing.json"), "--expr", "x", "--labels", "y"],
-            3: conversion_args(bundle_dir, tmp_path / "m.json", tmp_path / "r.tsv",
-                               extra=["--optimizer", "sgd", "--lr", "1e200"]),
-        }[code]
+    def test_state_is_put_back(self, bundle_dir, tmp_path, monkeypatch, collector, code):
+        monkeypatch.chdir(tmp_path)
+        frozen = gc.get_freeze_count()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert run(argv) == code
+            assert run(exit_argv(code, bundle_dir)) == code
         assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == frozen
 
     def test_state_is_put_back_after_an_exception(self, monkeypatch, tmp_path, collector):
         def boom(args):
@@ -1072,9 +1090,11 @@ class TestCollectorPaused:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "_cmd_eval", boom)
+        frozen = gc.get_freeze_count()
         with pytest.raises(RuntimeError, match="^boom$"):
             run(["eval", "--model", "m", "--expr", "x", "--labels", "y"])
         assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == frozen
 
     def test_no_collection_while_a_large_hard_model_loads(self, tmp_path):
         # 30k [target, source, weight] triples: with the collector running,
@@ -1110,6 +1130,75 @@ class TestCollectorPaused:
             (gc.enable if was else gc.disable)()
         assert starts == []
         assert len(read_weight_rows(tmp_path / "w.tsv")) == n_edges
+
+
+def files_under(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+class TestExecutable:
+    """``python -m orthomask.cli`` and the installed script run
+    ``cli.console_main``: the command as in-process ``cli.main`` runs it,
+    then a frozen heap."""
+
+    @staticmethod
+    def executable(argv, cwd, stdout=subprocess.PIPE, options=()):
+        """Run the module in a child whose stdout is buffered, unless ``options`` hold -u."""
+        env = dict(os.environ, PYTHONPATH=str(Path(orthomask.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, *options, "-m", "orthomask.cli", *argv], cwd=cwd,
+                              env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_exits_as_main_returns(self, bundle_dir, tmp_path, monkeypatch, capsys, code):
+        # usage lines wrap at the same width in both processes
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = exit_argv(code, bundle_dir)
+        inside, outside = tmp_path / "in", tmp_path / "out"
+        inside.mkdir()
+        outside.mkdir()
+        monkeypatch.chdir(inside)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(argv) == code
+        out, err = capsys.readouterr()
+        # numpy's overflow warnings, silenced in-process by np.errstate
+        done = self.executable(argv, outside, options=["-W", "ignore::RuntimeWarning"])
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert files_under(outside) == files_under(inside)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_stdout_exits_2(self, bundle_dir, tmp_path):
+        # unbuffered, the command's own print fails
+        with open("/dev/full", "w") as full:
+            done = self.executable(exit_argv(0, bundle_dir), tmp_path, stdout=full, options=["-u"])
+        assert done.returncode == 2
+        assert done.stderr == "orthomask: error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_buffered_stdout_fails(self, bundle_dir, tmp_path):
+        # buffered, the print succeeds and only the interpreter's flush at
+        # exit fails: the exit path must still run that flush (Python exits 120)
+        with open("/dev/full", "w") as full:
+            done = self.executable(exit_argv(0, bundle_dir), tmp_path, stdout=full)
+        assert done.returncode != 0
+        assert "[Errno 28] No space left on device" in done.stderr
+
+    def test_console_main_freezes_the_heap(self, tmp_path):
+        script = ("import gc, sys\nfrom orthomask import cli\nsys.argv[1:] = ['synth']\n"
+                  "code = cli.console_main()\nprint(code, gc.get_freeze_count() > 0)")
+        done = self.executable([], tmp_path, options=["-c", script])
+        assert done.stdout == "1 True\n"
+        assert done.stderr.startswith("orthomask: error: the following arguments are required: ")
+
+    def test_script_and_module_share_one_entry_point(self):
+        # plain text, not tomllib, which Python 3.10 lacks
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        script = re.search(r'^\[project\.scripts\]\northomask = "orthomask\.cli:(\w+)"$', pyproject, re.M)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(node) for node in block.body] == [f"sys.exit({script[1]}())"]
 
 
 class TestConstantPredictionWarning:

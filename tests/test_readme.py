@@ -65,4 +65,4 @@ def test_console_script_resolves():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     target = re.search(r'^orthomask = "([\w.]+):(\w+)"$', pyproject, re.M)
     module, attr = target.groups()
-    assert getattr(importlib.import_module(module), attr) is cli.main
+    assert getattr(importlib.import_module(module), attr) is cli.console_main

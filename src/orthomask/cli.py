@@ -9,9 +9,13 @@ failure (non-finite loss). All randomness flows through explicit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
+import os
+import pickle
 import sys
+import warnings
 
 import numpy as np
 
@@ -23,6 +27,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# a command reads one of two inputs in a worker process only when both
+# hold at least this many bytes. The worker saves at most the time of the
+# shorter read, and costs its start, its result's trip back through a pipe
+# and the parent's copy-on-write faults; on two cores build-graph broke
+# even with score tables of 1-2 MB, and this leaves a margin
+WORKER_MIN_BYTES = 4 << 20
 
 
 class _UsageError(Exception):
@@ -160,6 +171,121 @@ def _train_config(args, **fields):
     )
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _Later:
+    """``read(path, *args)``, started beside the command's read of ``beside``
+    and taken with :meth:`result` where the command would read ``path``.
+
+    Where ``os.fork`` exists, the process may run on two CPUs or more and
+    both files hold at least ``WORKER_MIN_BYTES``, a forked worker calls
+    ``read`` at once and sends back its result or its exception through a
+    pipe, pickled. Otherwise, or if the fork fails, ``result`` calls
+    ``read``. Either way ``result`` returns or raises what ``read`` does,
+    so errors come in the order of reading in turn. Leaving the ``with``
+    block kills and reaps a worker whose result was not taken.
+    """
+
+    def __init__(self, read, path, *args, beside):
+        self._call = (read, path, args)
+        self._pid = None
+        try:
+            sizes = [os.stat(name).st_size for name in (path, beside)]
+        except (OSError, ValueError):  # the read in turn reports it
+            return
+        if hasattr(os, "fork") and _cpus() > 1 and min(sizes) >= WORKER_MIN_BYTES:
+            self._start()
+
+    def _start(self):
+        try:
+            fd, sent = os.pipe()
+        except OSError:
+            return
+        try:
+            with warnings.catch_warnings():
+                # from Python 3.12 os.fork() warns in a process with other
+                # threads, such as BLAS's pool; the worker only parses and
+                # pickles, and calls no BLAS routine
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(fd)
+            os.close(sent)
+            return
+        if pid == 0:
+            os.close(fd)
+            self._work(sent)
+        os.close(sent)
+        self._pid, self._pipe = pid, open(fd, "rb")
+
+    def _work(self, sent):
+        """The worker's body, which ends the worker."""
+        code = 1
+        try:
+            read, path, args = self._call
+            try:
+                outcome = (True, read(path, *args))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(sent, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+
+    def result(self):
+        """What ``read`` returns; what it raises is raised."""
+        read, path, args = self._call
+        if self._pid is None:
+            return read(path, *args)
+        data = self._pipe.read()
+        code = os.waitstatus_to_exitcode(self._reap(kill=False))
+        if code < 0:
+            raise OSError(f"the worker process reading {path} was killed by signal {-code}")
+        if code:
+            raise OSError(f"the worker process reading {path} exited with code {code}")
+        done, value = pickle.loads(data)
+        if done:
+            return value
+        raise value
+
+    def then(self, read, *args):
+        """This result and then ``read(*args)``'s, for an input read after
+        this one. In turn, this one is read first. Beside a worker, ``read``
+        runs meanwhile, and if it fails, this one's error comes first."""
+        if self._pid is None:
+            return self.result(), read(*args)
+        try:
+            value = read(*args)
+        except Exception:
+            self.result()
+            raise
+        return self.result(), value
+
+    def _reap(self, kill):
+        """End the worker; its wait status."""
+        pid, self._pid = self._pid, None
+        self._pipe.close()
+        if kill:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            self._reap(kill=True)
+
+
 def _cmd_build_graph(args):
     from . import orthograph
 
@@ -167,8 +293,10 @@ def _cmd_build_graph(args):
     # the gene lists first: each score table's IDs are read against them
     targets = orthograph.read_gene_list(args.target_genes)
     sources = orthograph.read_gene_list(args.source_genes)
-    scores_tq = orthograph.read_score_table(args.scores_tq, targets, sources)
-    scores_qt = orthograph.read_score_table(args.scores_qt, sources, targets)
+    with _Later(orthograph.read_score_table, args.scores_qt, sources, targets,
+                beside=args.scores_tq) as later:
+        scores_tq = orthograph.read_score_table(args.scores_tq, targets, sources)
+        scores_qt = later.result()
     graph = orthograph.build_rbh_graph(scores_tq, scores_qt, cfg, targets, sources)
     orthograph.graph_to_tsv(graph, args.out)
     print(f"wrote {graph.n_edges} edges to {args.out}")
@@ -208,8 +336,8 @@ def _labelled(dataset, expr_path, labels_path, kind):
     return dataset
 
 
-def _model_inputs(net, gene_ids, expr_path, labels_path=None):
-    """An expression file as the network ``net`` reads it.
+def _model_inputs(net, gene_ids, dataset, expr_path, labels_path=None):
+    """``dataset``, read from ``expr_path``, as the network ``net`` reads it.
 
     With ``labels_path``, the samples are labelled: regression for a
     1-output head, class indices for a multi-logit one. With ``gene_ids``
@@ -219,7 +347,6 @@ def _model_inputs(net, gene_ids, expr_path, labels_path=None):
     """
     from . import dataio
 
-    dataset = dataio.read_expression_tsv(expr_path)
     if labels_path is not None:
         kind = dataio.KIND_REGRESSION if net.output_dim == 1 else dataio.KIND_CLASSIFICATION
         dataset = _labelled(dataset, expr_path, labels_path, kind)
@@ -262,7 +389,7 @@ def _cmd_train_base(args):
     if args.loss == "mse":
         out_dim = data.labels.shape[1]
     else:
-        if np.unique(data.labels).size < 2:
+        if data.labels.min() == data.labels.max():
             raise ValueError("classification needs at least 2 classes in the labels")
         out_dim = int(data.labels.max()) + 1
 
@@ -288,33 +415,34 @@ def _cmd_train_base(args):
 
 
 def _cmd_train_conversion(args):
-    from . import modelio, orthograph, training
+    from . import dataio, modelio, orthograph, training
     from .netcore import MODE_HARD
 
     cfg = _train_config(args, alpha=args.alpha, beta=args.beta)
-    net, existing = modelio.load_model(args.model)
-    if not net.frozen:
-        raise InvalidStateError(f"model in {args.model} is not frozen")
-    targets = orthograph.read_gene_list(args.target_genes)
-    sources = orthograph.read_gene_list(args.source_genes)
-    graph = orthograph.tsv_to_graph(args.graph, targets, sources)
-    if net.input_dim != graph.n_targets:
-        raise ValueError(
-            f"model {args.model} expects {net.input_dim} target genes "
-            f"but graph {args.graph} has {graph.n_targets}"
-        )
-    orphans = int(np.count_nonzero(graph.row_degrees() == 0))
-    if orphans:
-        # a soft layer's dense weights reach every target gene
-        effect = ("the network reads 0 for them" if args.mode == MODE_HARD
-                  else "only off-support weights feed them")
-        print(
-            f"orthomask: warning: {orphans} of {graph.n_targets} target genes have no ortholog "
-            f"in {args.graph}; {effect}",
-            file=sys.stderr,
-        )
-
-    data = _model_inputs(net, graph.source_gene_ids, args.expr, args.labels)
+    # the expression in a worker; the model, gene lists and graph here, first
+    with _Later(dataio.read_expression_tsv, args.expr, beside=args.model) as later:
+        net, existing = modelio.load_model(args.model)
+        if not net.frozen:
+            raise InvalidStateError(f"model in {args.model} is not frozen")
+        targets = orthograph.read_gene_list(args.target_genes)
+        sources = orthograph.read_gene_list(args.source_genes)
+        graph = orthograph.tsv_to_graph(args.graph, targets, sources)
+        if net.input_dim != graph.n_targets:
+            raise ValueError(
+                f"model {args.model} expects {net.input_dim} target genes "
+                f"but graph {args.graph} has {graph.n_targets}"
+            )
+        orphans = int(np.count_nonzero(graph.row_degrees() == 0))
+        if orphans:
+            # a soft layer's dense weights reach every target gene
+            effect = ("the network reads 0 for them" if args.mode == MODE_HARD
+                      else "only off-support weights feed them")
+            print(
+                f"orthomask: warning: {orphans} of {graph.n_targets} target genes have no ortholog "
+                f"in {args.graph}; {effect}",
+                file=sys.stderr,
+            )
+        data = _model_inputs(net, graph.source_gene_ids, later.result(), args.expr, args.labels)
 
     layer = training.initialize_conversion_layer(graph, args.mode, existing)
     trained, report = training.train_conversion(layer, net, data, cfg)
@@ -338,8 +466,9 @@ def _cmd_predict(args):
     from . import dataio, modelio
     from .netcore import model_forward
 
-    net, conversion = modelio.load_model(args.model)
-    dataset = _model_inputs(net, _source_genes(conversion), args.expr)
+    with _Later(modelio.load_model, args.model, beside=args.expr) as later:
+        (net, conversion), dataset = later.then(dataio.read_expression_tsv, args.expr)
+    dataset = _model_inputs(net, _source_genes(conversion), dataset, args.expr)
     pred = model_forward(net, conversion, dataset.samples)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
@@ -365,13 +494,29 @@ def _cmd_inspect_weights(args):
 
 
 def _cmd_eval(args):
-    from . import modelio, training
+    from . import dataio, modelio, training
 
-    net, conversion = modelio.load_model(args.model)
-    dataset = _model_inputs(net, _source_genes(conversion), args.expr, args.labels)
+    with _Later(modelio.load_model, args.model, beside=args.expr) as later:
+        (net, conversion), dataset = later.then(dataio.read_expression_tsv, args.expr)
+    dataset = _model_inputs(net, _source_genes(conversion), dataset, args.expr, args.labels)
     value = training.evaluate(net, conversion, dataset)
     print(repr(value))
     return EXIT_OK
+
+
+def _flush_stdout():
+    """Write out what the command printed, so that a stdout that cannot take
+    it fails the command. A stdout that fails is closed, which flushes once
+    more and fails again but still closes it, so the interpreter does not
+    flush it at exit."""
+    if sys.stdout is None:  # the process was started without one
+        return
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        raise
 
 
 def main(argv=None) -> int:
@@ -391,7 +536,9 @@ def main(argv=None) -> int:
         if extra:
             # refused here, not by parse_args, to show the command's usage
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args.func(args)
+        code = args.func(args)
+        _flush_stdout()
+        return code
     except _UsageError as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
         (exc.parser or args.parser).print_usage(sys.stderr)

@@ -2,11 +2,14 @@ import argparse
 import ast
 import gc
 import hashlib
+import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1177,12 +1180,12 @@ class TestExecutable:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_a_full_buffered_stdout_fails(self, bundle_dir, tmp_path):
-        # buffered, the print succeeds and only the interpreter's flush at
-        # exit fails: the exit path must still run that flush (Python exits 120)
+        # buffered, the print succeeds and the flush at the end of the
+        # command fails; the interpreter's flush at exit does not fail again
         with open("/dev/full", "w") as full:
             done = self.executable(exit_argv(0, bundle_dir), tmp_path, stdout=full)
-        assert done.returncode != 0
-        assert "[Errno 28] No space left on device" in done.stderr
+        assert done.returncode == 2
+        assert done.stderr == "orthomask: error: [Errno 28] No space left on device\n"
 
     def test_console_main_freezes_the_heap(self, tmp_path):
         script = ("import gc, sys\nfrom orthomask import cli\nsys.argv[1:] = ['synth']\n"
@@ -1309,3 +1312,272 @@ class TestReportedInputs:
         if mode == "hard":
             _, conv = load_model(clf_files / "m.json")
             assert not conv.to_dense()[0].any()
+
+
+@pytest.fixture(scope="module")
+def score_tables(bundle_dir, tmp_path_factory):
+    """Both directions' score tables over the bundle's genes."""
+    out = tmp_path_factory.mktemp("scores")
+    rng = np.random.default_rng(31)
+    targets = read_gene_list(bundle_dir / "target_genes.tsv")
+    sources = read_gene_list(bundle_dir / "source_genes.tsv")
+    for name, queries, subjects in (("tq", targets, sources), ("qt", sources, targets)):
+        entries = [(q, s, float(rng.uniform())) for q in queries for s in subjects if rng.uniform() < 0.6]
+        write_score_table(ScoreTable("a", "b", entries), out / f"{name}.tsv")
+    return out / "tq.tsv", out / "qt.tsv"
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def array_flags(value, seen=None):
+    """The dtype, shape and flags of every array reachable from ``value``."""
+    if isinstance(value, np.ndarray):
+        return [(value.dtype.str, value.shape, value.flags.writeable, value.flags.c_contiguous)]
+    if isinstance(value, (tuple, list)):
+        return [flags for item in value for flags in array_flags(item)]
+    if hasattr(value, "__dict__"):
+        return [(name, *flags) for name, item in sorted(vars(value).items())
+                for flags in array_flags(item)]
+    return []
+
+
+class TestWorker:
+    """``build-graph``, ``eval``, ``predict`` and ``train-conversion`` read one
+    of their two inputs in a forked worker when both are large enough and
+    the process may use two CPUs, and do so as if they read in turn."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Every worker the size and CPU rules allow is started; the pids
+        of the forks made, in the parent."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli, "WORKER_MIN_BYTES", 0)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def commands(bundle, tables):
+        """The argv of each command that reads two inputs; outputs are relative paths."""
+        tq, qt = tables
+        genes = ["--target-genes", str(bundle / "target_genes.tsv"),
+                 "--source-genes", str(bundle / "source_genes.tsv")]
+        model, expr = str(bundle / "oracle_model.json"), str(bundle / "test_expr.tsv")
+        return {
+            "build-graph": ["build-graph", "--scores-tq", str(tq), "--scores-qt", str(qt), *genes,
+                            "--threshold", "0.2", "--tie-tol", "0.1", "--out", "graph.tsv"],
+            "train-conversion": conversion_args(bundle, "m.json", "r.tsv", extra=["--steps", "20"]),
+            "eval": ["eval", "--model", model, "--expr", expr, "--labels", str(bundle / "test_labels.tsv")],
+            "predict": ["predict", "--model", model, "--expr", expr, "--out", "pred.tsv"],
+        }
+
+    @staticmethod
+    def outcome(argv, directory, monkeypatch, capsys):
+        """Exit code, stdout, stderr and written files of ``argv`` run in
+        ``directory``; no descriptor is left open and no child unreaped."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        fds = open_fds()
+        capsys.readouterr()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, out, err, files_under(directory)
+
+    @pytest.mark.parametrize("command", ["build-graph", "train-conversion", "eval", "predict"])
+    def test_same_outputs_as_in_turn(self, bundle_dir, score_tables, tmp_path, monkeypatch, capsys,
+                                     forks, command):
+        argv = self.commands(bundle_dir, score_tables)[command]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "WORKER_MIN_BYTES", 2**62)
+            in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
+        assert forks == []
+        beside = self.outcome(argv, tmp_path / "beside", monkeypatch, capsys)
+        assert len(forks) == 1
+        assert beside == in_turn
+        assert in_turn[0] == 0
+
+    def test_a_failed_fork_reads_in_turn(self, bundle_dir, score_tables, tmp_path, monkeypatch, capsys):
+        argv = self.commands(bundle_dir, score_tables)["build-graph"]
+        in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
+
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "WORKER_MIN_BYTES", 0)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", refused)
+        assert self.outcome(argv, tmp_path / "refused", monkeypatch, capsys) == in_turn
+
+    BAD = {
+        "bad_tq.tsv": "wrong\theader\n",
+        "bad_qt.tsv": "wrong\theader\n",
+        "bad_model.json": "[",
+        "bad_expr.tsv": "gene\tS0000\n",
+        "bad_graph.tsv": "wrong\theader\n",
+        "bad_genes.tsv": "wrong\n",
+    }
+
+    # the inputs replaced by bad files, and the one the error names: the
+    # first of them read in turn
+    @pytest.mark.parametrize("command, bad, named", [
+        ("build-graph", ["--scores-tq", "--scores-qt"], "bad_tq.tsv"),
+        ("build-graph", ["--scores-qt"], "bad_qt.tsv"),
+        ("eval", ["--model", "--expr"], "bad_model.json"),
+        ("eval", ["--model"], "bad_model.json"),
+        ("eval", ["--expr"], "bad_expr.tsv"),
+        ("predict", ["--model", "--expr"], "bad_model.json"),
+        ("predict", ["--expr"], "bad_expr.tsv"),
+        ("train-conversion", ["--model", "--expr"], "bad_model.json"),
+        ("train-conversion", ["--source-genes", "--expr"], "bad_genes.tsv"),
+        ("train-conversion", ["--graph", "--expr"], "bad_graph.tsv"),
+        ("train-conversion", ["--expr"], "bad_expr.tsv"),
+        ("train-conversion", ["--labels", "--expr"], "bad_expr.tsv"),
+    ])
+    def test_errors_come_in_the_order_of_reading_in_turn(self, bundle_dir, score_tables, tmp_path,
+                                                         monkeypatch, capsys, forks, command, bad, named):
+        files = {"--scores-tq": "bad_tq.tsv", "--scores-qt": "bad_qt.tsv", "--model": "bad_model.json",
+                 "--expr": "bad_expr.tsv", "--graph": "bad_graph.tsv", "--target-genes": "bad_genes.tsv",
+                 "--source-genes": "bad_genes.tsv", "--labels": "bad_genes.tsv"}
+        for name, text in self.BAD.items():
+            (tmp_path / name).write_text(text)
+        argv = self.commands(bundle_dir, score_tables)[command]
+        for flag in bad:
+            argv[argv.index(flag) + 1] = str(tmp_path / files[flag])
+        with monkeypatch.context() as m:
+            m.setattr(cli, "WORKER_MIN_BYTES", 2**62)
+            in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
+        beside = self.outcome(argv, tmp_path / "beside", monkeypatch, capsys)
+        assert len(forks) == 1
+        assert beside == in_turn
+        code, out, err, _ = in_turn
+        assert (code, out) == (2, "")
+        assert err.startswith(f"orthomask: error: {tmp_path / named}") and err.count("\n") == 1, err
+
+    def test_a_missing_input_reads_in_turn(self, bundle_dir, score_tables, tmp_path, monkeypatch,
+                                           capsys, forks):
+        argv = self.commands(bundle_dir, score_tables)["eval"]
+        argv[argv.index("--model") + 1] = str(tmp_path / "missing.json")
+        code, out, err, _ = self.outcome(argv, tmp_path / "run", monkeypatch, capsys)
+        assert forks == []
+        assert (code, out) == (2, "")
+        assert err == f"orthomask: error: [Errno 2] No such file or directory: '{tmp_path / 'missing.json'}'\n"
+
+    # the worker's read, by module and function, and the flag of its file
+    KILLED = {
+        "build-graph": ("orthograph", "read_score_table", "--scores-qt"),
+        "eval": ("modelio", "load_model", "--model"),
+        "predict": ("modelio", "load_model", "--model"),
+        "train-conversion": ("dataio", "read_expression_tsv", "--expr"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(KILLED))
+    def test_a_killed_worker_exits_2_naming_its_file(self, bundle_dir, score_tables, tmp_path,
+                                                     monkeypatch, capsys, forks, command):
+        module, name, flag = self.KILLED[command]
+        module = importlib.import_module(f"orthomask.{module}")
+        read, parent = getattr(module, name), os.getpid()
+
+        def killed(path, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(path, *args)
+
+        monkeypatch.setattr(module, name, killed)
+        argv = self.commands(bundle_dir, score_tables)[command]
+        code, out, err, _ = self.outcome(argv, tmp_path / "run", monkeypatch, capsys)
+        assert len(forks) == 1
+        assert (code, out) == (2, "")
+        path = argv[argv.index(flag) + 1]
+        assert err == f"orthomask: error: the worker process reading {path} was killed by signal 9\n"
+
+    def test_an_exception_in_the_command_kills_and_reaps_the_worker(self, bundle_dir, score_tables,
+                                                                    monkeypatch, forks):
+        parent = os.getpid()
+
+        def stuck_or_failing(path, *args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(importlib.import_module("orthomask.orthograph"), "read_score_table",
+                            stuck_or_failing)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^boom$"):
+            run(self.commands(bundle_dir, score_tables)["build-graph"])
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_keep_their_arrays_flags(self, bundle_dir, score_tables, forks):
+        tq, _ = score_tables
+        targets = read_gene_list(bundle_dir / "target_genes.tsv")
+        sources = read_gene_list(bundle_dir / "source_genes.tsv")
+        reads = [
+            (importlib.import_module("orthomask.orthograph").read_score_table, tq, targets, sources),
+            (load_model, bundle_dir / "oracle_model.json"),
+            (read_expression_tsv, bundle_dir / "test_expr.tsv"),
+        ]
+        sent = []
+        for read, path, *args in reads:
+            with cli._Later(read, path, *args, beside=path) as later:
+                sent.append(later.result())
+            assert array_flags(sent[-1]) == array_flags(read(path, *args)) != []
+        assert len(forks) == len(reads)
+        table = sent[0]
+        assert not any(a.flags.writeable for a in (table.queries.codes, table.subjects.codes, table.scores))
+
+    def test_the_size_and_cpu_rule(self, bundle_dir, monkeypatch, forks):
+        model, expr = bundle_dir / "oracle_model.json", bundle_dir / "test_expr.tsv"
+        smaller = min(model.stat().st_size, expr.stat().st_size)
+
+        def started(**patches):
+            del forks[:]
+            with monkeypatch.context() as m:
+                for name, value in patches.items():
+                    m.setattr(cli, name, value)
+                with cli._Later(load_model, model, beside=expr) as later:
+                    later.result()
+            return len(forks)
+
+        assert started(WORKER_MIN_BYTES=smaller) == 1
+        assert started(WORKER_MIN_BYTES=smaller + 1) == 0
+        assert started(_cpus=lambda: 1) == 0
+        monkeypatch.delattr(os, "fork")
+        assert started() == 0
+
+    def test_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["blas-default", "blas-1"])
+    def test_the_executable_prints_nothing_more(self, bundle_dir, score_tables, tmp_path, monkeypatch,
+                                                capsys, threads):
+        # from Python 3.12 os.fork() warns in a process with other threads,
+        # such as OpenBLAS's pool; here the warning would be an error
+        argv = self.commands(bundle_dir, score_tables)["eval"]
+        capsys.readouterr()
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        script = ("import sys\nfrom orthomask import cli\ncli.WORKER_MIN_BYTES = 0\n"
+                  "cli._cpus = lambda: 2\nsys.exit(cli.console_main())")
+        env = dict(os.environ, PYTHONPATH=str(Path(orthomask.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script, *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")

@@ -1,7 +1,8 @@
 """No package module imports a name it never uses. ``__init__.py`` imports
 none of the package's modules: each public name is loaded from its module
 on first use. So each command loads only the modules it runs, checked here
-in a fresh interpreter per command."""
+in a fresh interpreter per command; and none loads ``numpy.ma``, which
+costs several milliseconds to import."""
 
 import ast
 import importlib
@@ -47,11 +48,13 @@ RUN = "from orthomask import cli\nstatus = cli.main(sys.argv[1:])\n"
 
 
 def _loaded_modules(argv=(), code=RUN, status=0):
-    """The ``orthomask`` modules a fresh interpreter holds after ``code``,
-    run with ``argv`` as its arguments, sets ``status``."""
+    """The ``orthomask`` modules, and ``numpy.ma`` if loaded, that a fresh
+    interpreter holds after ``code``, run with ``argv`` as its arguments,
+    sets ``status``."""
     report = (
         f"import sys\n{code}"
-        "print(*sorted(m for m in sys.modules if m.startswith('orthomask.')), file=sys.stderr)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('orthomask.') or m == 'numpy.ma'),"
+        " file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -74,13 +77,17 @@ def test_every_exported_name_is_its_modules_object():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A tiny ``synth`` bundle and two score tables on its genes."""
+    """A tiny ``synth`` bundle, class labels for its training samples and
+    two score tables on its genes."""
     out = tmp_path_factory.mktemp("imports")
     bundle = out / "bundle"
     assert cli.main([
         "synth", "--n-s", "4", "--n-t", "3", "--density", "0.5", "--samples", "10",
         "--noise", "0.1", "--hidden", "2", "--seed", "1", "--out-dir", str(bundle),
     ]) == 0
+    samples = [line.split("\t")[0] for line in (bundle / "train_labels.tsv").read_text().splitlines()[1:]]
+    (out / "classes.tsv").write_text(
+        "sample_id\tlabel\n" + "".join(f"{sample}\t{k % 2}\n" for k, sample in enumerate(samples)))
     pairs = [(f"T000{i}", f"S000{j}") for i in range(3) for j in range(4)]
     write_score_table(ScoreTable("t", "s", [(t, s, 1.0 + k) for k, (t, s) in enumerate(pairs)]),
                       out / "tq.tsv")
@@ -93,16 +100,18 @@ def _commands(out):
     bundle = out / "bundle"
     genes = ["--target-genes", str(bundle / "target_genes.tsv"),
              "--source-genes", str(bundle / "source_genes.tsv")]
-    trainer = ["--expr", str(bundle / "train_expr.tsv"), "--labels", str(bundle / "train_labels.tsv"),
-               "--lr", "0.01", "--steps", "2", "--seed", "1"]
+    trainer = ["--expr", str(bundle / "train_expr.tsv"), "--lr", "0.01", "--steps", "2", "--seed", "1"]
     model = str(bundle / "oracle_model.json")
     return {
         "build-graph": ["--scores-tq", str(out / "tq.tsv"), "--scores-qt", str(out / "qt.tsv"), *genes,
                         "--threshold", "0", "--out", str(out / "graph.tsv")],
         "synth": ["--n-s", "4", "--n-t", "3", "--density", "0.5", "--samples", "10", "--noise", "0.1",
                   "--hidden", "2", "--seed", "2", "--out-dir", str(out / "bundle2")],
-        "train-base": [*trainer, "--hidden", "2", "--loss", "mse", "--out", str(out / "base.json")],
-        "train-conversion": [*trainer, "--model", str(bundle / "base_model.json"),
+        # classes, whose count is checked
+        "train-base": [*trainer, "--labels", str(out / "classes.tsv"), "--hidden", "2", "--loss", "ce",
+                       "--out", str(out / "base.json")],
+        "train-conversion": [*trainer, "--labels", str(bundle / "train_labels.tsv"),
+                             "--model", str(bundle / "base_model.json"),
                              "--graph", str(bundle / "graph.tsv"), *genes, "--mode", "soft",
                              "--out", str(out / "model.json"), "--report", str(out / "report.tsv")],
         "eval": ["--model", model, "--expr", str(bundle / "test_expr.tsv"),

@@ -1331,7 +1331,7 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
-def array_flags(value, seen=None):
+def array_flags(value):
     """The dtype, shape and flags of every array reachable from ``value``."""
     if isinstance(value, np.ndarray):
         return [(value.dtype.str, value.shape, value.flags.writeable, value.flags.c_contiguous)]
@@ -1350,8 +1350,8 @@ class TestWorker:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Every worker the size and CPU rules allow is started; the pids
-        of the forks made, in the parent."""
+        """Commands start their worker whatever the files' sizes and the
+        CPUs; the pids of the forks made, as the parent sees them."""
         pids = []
         fork = os.fork
 

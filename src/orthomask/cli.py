@@ -179,56 +179,43 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Later:
-    """``read(path, *args)``, started beside the command's read of ``beside``
-    and taken with :meth:`result` where the command would read ``path``.
+def _beside(here, read, path, *args, beside):
+    """``(here(), read(path, *args))``, with ``read`` run beside ``here``.
 
     Where ``os.fork`` exists, the process may run on two CPUs or more and
-    both files hold at least ``WORKER_MIN_BYTES``, a forked worker calls
-    ``read`` at once and sends back its result or its exception through a
-    pipe, pickled. Otherwise, or if the fork fails, ``result`` calls
-    ``read``. Either way ``result`` returns or raises what ``read`` does,
-    so errors come in the order of reading in turn. Leaving the ``with``
-    block kills and reaps a worker whose result was not taken.
+    the files ``path`` and ``beside`` both hold at least
+    ``WORKER_MIN_BYTES``, a forked worker calls ``read`` while ``here``
+    runs and sends back its result or its exception through a pipe,
+    pickled. Otherwise, or if the pipe or the fork is refused, ``read``
+    runs after ``here``. Either way errors come in the order of reading in
+    turn: ``here``'s first. A worker is killed if ``here`` fails, and is
+    reaped on every path.
     """
-
-    def __init__(self, read, path, *args, beside):
-        self._call = (read, path, args)
-        self._pid = None
-        try:
-            sizes = [os.stat(name).st_size for name in (path, beside)]
-        except (OSError, ValueError):  # the read in turn reports it
-            return
-        if hasattr(os, "fork") and _cpus() > 1 and min(sizes) >= WORKER_MIN_BYTES:
-            self._start()
-
-    def _start(self):
-        try:
-            fd, sent = os.pipe()
-        except OSError:
-            return
-        try:
-            with warnings.catch_warnings():
-                # from Python 3.12 os.fork() warns in a process with other
-                # threads, such as BLAS's pool; the worker only parses and
-                # pickles, and calls no BLAS routine
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(fd)
-            os.close(sent)
-            return
-        if pid == 0:
-            os.close(fd)
-            self._work(sent)
+    try:
+        small = min(os.stat(name).st_size for name in (path, beside)) < WORKER_MIN_BYTES
+    except (OSError, ValueError):  # the read in turn reports it
+        small = True
+    if small or not hasattr(os, "fork") or _cpus() < 2:
+        return here(), read(path, *args)
+    try:
+        fd, sent = os.pipe()
+    except OSError:
+        return here(), read(path, *args)
+    try:
+        with warnings.catch_warnings():
+            # from Python 3.12 os.fork() warns in a process with other
+            # threads, such as BLAS's pool; the worker only parses and
+            # pickles, and calls no BLAS routine
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(fd)
         os.close(sent)
-        self._pid, self._pipe = pid, open(fd, "rb")
-
-    def _work(self, sent):
-        """The worker's body, which ends the worker."""
+        return here(), read(path, *args)
+    if pid == 0:  # the worker, which ends here
         code = 1
         try:
-            read, path, args = self._call
+            os.close(fd)
             try:
                 outcome = (True, read(path, *args))
             except Exception as exc:
@@ -238,52 +225,26 @@ class _Later:
             code = 0
         finally:
             os._exit(code)
+    os.close(sent)
+    try:
+        with open(fd, "rb") as pipe:
+            value = here()
+            data = pipe.read()
+    except BaseException:
+        import signal
 
-    def result(self):
-        """What ``read`` returns; what it raises is raised."""
-        read, path, args = self._call
-        if self._pid is None:
-            return read(path, *args)
-        data = self._pipe.read()
-        code = os.waitstatus_to_exitcode(self._reap(kill=False))
-        if code < 0:
-            raise OSError(f"the worker process reading {path} was killed by signal {-code}")
-        if code:
-            raise OSError(f"the worker process reading {path} exited with code {code}")
-        done, value = pickle.loads(data)
-        if done:
-            return value
-        raise value
-
-    def then(self, read, *args):
-        """This result and then ``read(*args)``'s, for an input read after
-        this one. In turn, this one is read first. Beside a worker, ``read``
-        runs meanwhile, and if it fails, this one's error comes first."""
-        if self._pid is None:
-            return self.result(), read(*args)
-        try:
-            value = read(*args)
-        except Exception:
-            self.result()
-            raise
-        return self.result(), value
-
-    def _reap(self, kill):
-        """End the worker; its wait status."""
-        pid, self._pid = self._pid, None
-        self._pipe.close()
-        if kill:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pid is not None:
-            self._reap(kill=True)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise OSError(f"the worker process reading {path} was killed by signal {-code}")
+    if code:
+        raise OSError(f"the worker process reading {path} exited with code {code}")
+    done, result = pickle.loads(data)
+    if not done:
+        raise result
+    return value, result
 
 
 def _cmd_build_graph(args):
@@ -293,10 +254,9 @@ def _cmd_build_graph(args):
     # the gene lists first: each score table's IDs are read against them
     targets = orthograph.read_gene_list(args.target_genes)
     sources = orthograph.read_gene_list(args.source_genes)
-    with _Later(orthograph.read_score_table, args.scores_qt, sources, targets,
-                beside=args.scores_tq) as later:
-        scores_tq = orthograph.read_score_table(args.scores_tq, targets, sources)
-        scores_qt = later.result()
+    scores_tq, scores_qt = _beside(
+        lambda: orthograph.read_score_table(args.scores_tq, targets, sources),
+        orthograph.read_score_table, args.scores_qt, sources, targets, beside=args.scores_tq)
     graph = orthograph.build_rbh_graph(scores_tq, scores_qt, cfg, targets, sources)
     orthograph.graph_to_tsv(graph, args.out)
     print(f"wrote {graph.n_edges} edges to {args.out}")
@@ -372,8 +332,15 @@ def _model_inputs(net, gene_ids, dataset, expr_path, labels_path=None):
     return dataset
 
 
-def _source_genes(conversion):
-    return None if conversion is None else conversion.mask.source_gene_ids
+def _scored_inputs(args, labels_path=None):
+    """``eval``'s and ``predict``'s network, conversion layer and samples:
+    ``--expr`` read here, first, and ``--model`` in a worker."""
+    from . import dataio, modelio
+
+    dataset, (net, conversion) = _beside(lambda: dataio.read_expression_tsv(args.expr),
+                                         modelio.load_model, args.model, beside=args.expr)
+    genes = None if conversion is None else conversion.mask.source_gene_ids
+    return net, conversion, _model_inputs(net, genes, dataset, args.expr, labels_path)
 
 
 def _cmd_train_base(args):
@@ -419,8 +386,8 @@ def _cmd_train_conversion(args):
     from .netcore import MODE_HARD
 
     cfg = _train_config(args, alpha=args.alpha, beta=args.beta)
-    # the expression in a worker; the model, gene lists and graph here, first
-    with _Later(dataio.read_expression_tsv, args.expr, beside=args.model) as later:
+
+    def model_and_graph():
         net, existing = modelio.load_model(args.model)
         if not net.frozen:
             raise InvalidStateError(f"model in {args.model} is not frozen")
@@ -442,7 +409,12 @@ def _cmd_train_conversion(args):
                 f"in {args.graph}; {effect}",
                 file=sys.stderr,
             )
-        data = _model_inputs(net, graph.source_gene_ids, later.result(), args.expr, args.labels)
+        return net, existing, graph
+
+    # the model, gene lists and graph here, first; the expression in a worker
+    (net, existing, graph), dataset = _beside(model_and_graph, dataio.read_expression_tsv,
+                                              args.expr, beside=args.model)
+    data = _model_inputs(net, graph.source_gene_ids, dataset, args.expr, args.labels)
 
     layer = training.initialize_conversion_layer(graph, args.mode, existing)
     trained, report = training.train_conversion(layer, net, data, cfg)
@@ -463,12 +435,10 @@ def _cmd_train_conversion(args):
 
 
 def _cmd_predict(args):
-    from . import dataio, modelio
+    from . import dataio
     from .netcore import model_forward
 
-    with _Later(modelio.load_model, args.model, beside=args.expr) as later:
-        (net, conversion), dataset = later.then(dataio.read_expression_tsv, args.expr)
-    dataset = _model_inputs(net, _source_genes(conversion), dataset, args.expr)
+    net, conversion, dataset = _scored_inputs(args)
     pred = model_forward(net, conversion, dataset.samples)
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
@@ -494,11 +464,9 @@ def _cmd_inspect_weights(args):
 
 
 def _cmd_eval(args):
-    from . import dataio, modelio, training
+    from . import training
 
-    with _Later(modelio.load_model, args.model, beside=args.expr) as later:
-        (net, conversion), dataset = later.then(dataio.read_expression_tsv, args.expr)
-    dataset = _model_inputs(net, _source_genes(conversion), dataset, args.expr, args.labels)
+    net, conversion, dataset = _scored_inputs(args, args.labels)
     value = training.evaluate(net, conversion, dataset)
     print(repr(value))
     return EXIT_OK

@@ -1327,6 +1327,17 @@ def score_tables(bundle_dir, tmp_path_factory):
     return out / "tq.tsv", out / "qt.tsv"
 
 
+@pytest.fixture(scope="module")
+def soft_model(bundle_dir, tmp_path_factory):
+    """A soft conversion layer trained on the bundle, saved with its frozen network."""
+    out = tmp_path_factory.mktemp("soft")
+    argv = conversion_args(bundle_dir, out / "soft.json", out / "soft.tsv", extra=["--steps", "20"])
+    argv[argv.index("--mode") + 1] = "soft"
+    assert run(argv) == 0
+    assert load_model(out / "soft.json")[1].mode == "soft"
+    return out / "soft.json"
+
+
 def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
@@ -1409,17 +1420,36 @@ class TestWorker:
         assert beside == in_turn
         assert in_turn[0] == 0
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_soft_model_reads_as_in_turn(self, bundle_dir, score_tables, soft_model, tmp_path,
+                                           monkeypatch, capsys, forks, command):
+        # the worker sends back a soft layer's dense weights and mask
+        argv = self.commands(bundle_dir, score_tables)[command]
+        argv[argv.index("--model") + 1] = str(soft_model)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "WORKER_MIN_BYTES", 2**62)
+            in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
+        beside = self.outcome(argv, tmp_path / "beside", monkeypatch, capsys)
+        assert len(forks) == 1
+        assert beside == in_turn
+        assert in_turn[0] == 0
+
     def test_a_failed_fork_reads_in_turn(self, bundle_dir, score_tables, tmp_path, monkeypatch, capsys):
         argv = self.commands(bundle_dir, score_tables)["build-graph"]
         in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
-
-        def refused():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
         monkeypatch.setattr(cli, "WORKER_MIN_BYTES", 0)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", refused)
-        assert self.outcome(argv, tmp_path / "refused", monkeypatch, capsys) == in_turn
+        refusals = []
+        for name, error in (("pipe", OSError(24, "Too many open files")),
+                            ("fork", BlockingIOError(11, "Resource temporarily unavailable"))):
+            def refused(name=name, error=error):
+                refusals.append(name)
+                raise error
+
+            with monkeypatch.context() as m:
+                m.setattr(os, name, refused)
+                assert self.outcome(argv, tmp_path / name, monkeypatch, capsys) == in_turn
+        assert refusals == ["pipe", "fork"]
 
     BAD = {
         "bad_tq.tsv": "wrong\theader\n",
@@ -1435,10 +1465,10 @@ class TestWorker:
     @pytest.mark.parametrize("command, bad, named", [
         ("build-graph", ["--scores-tq", "--scores-qt"], "bad_tq.tsv"),
         ("build-graph", ["--scores-qt"], "bad_qt.tsv"),
-        ("eval", ["--model", "--expr"], "bad_model.json"),
+        ("eval", ["--model", "--expr"], "bad_expr.tsv"),
         ("eval", ["--model"], "bad_model.json"),
         ("eval", ["--expr"], "bad_expr.tsv"),
-        ("predict", ["--model", "--expr"], "bad_model.json"),
+        ("predict", ["--model", "--expr"], "bad_expr.tsv"),
         ("predict", ["--expr"], "bad_expr.tsv"),
         ("train-conversion", ["--model", "--expr"], "bad_model.json"),
         ("train-conversion", ["--source-genes", "--expr"], "bad_genes.tsv"),
@@ -1503,6 +1533,25 @@ class TestWorker:
         path = argv[argv.index(flag) + 1]
         assert err == f"orthomask: error: the worker process reading {path} was killed by signal 9\n"
 
+    def test_a_worker_that_cannot_send_exits_2_naming_its_file(self, bundle_dir, score_tables, tmp_path,
+                                                              monkeypatch, capsys, forks):
+        # in the worker the read returns a lambda, which pickle refuses, so
+        # the worker exits with code 1 before it sends anything
+        module = importlib.import_module("orthomask.orthograph")
+        read, parent = module.read_score_table, os.getpid()
+
+        def unpicklable(path, *args):
+            table = read(path, *args)
+            return table if os.getpid() == parent else lambda: table
+
+        monkeypatch.setattr(module, "read_score_table", unpicklable)
+        argv = self.commands(bundle_dir, score_tables)["build-graph"]
+        code, out, err, _ = self.outcome(argv, tmp_path / "run", monkeypatch, capsys)
+        assert len(forks) == 1
+        assert (code, out) == (2, "")
+        path = argv[argv.index("--scores-qt") + 1]
+        assert err == f"orthomask: error: the worker process reading {path} exited with code 1\n"
+
     def test_an_exception_in_the_command_kills_and_reaps_the_worker(self, bundle_dir, score_tables,
                                                                     monkeypatch, forks):
         parent = os.getpid()
@@ -1522,19 +1571,19 @@ class TestWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_results_keep_their_arrays_flags(self, bundle_dir, score_tables, forks):
+    def test_results_keep_their_arrays_flags(self, bundle_dir, score_tables, soft_model, forks):
         tq, _ = score_tables
         targets = read_gene_list(bundle_dir / "target_genes.tsv")
         sources = read_gene_list(bundle_dir / "source_genes.tsv")
         reads = [
             (importlib.import_module("orthomask.orthograph").read_score_table, tq, targets, sources),
             (load_model, bundle_dir / "oracle_model.json"),
+            (load_model, soft_model),
             (read_expression_tsv, bundle_dir / "test_expr.tsv"),
         ]
         sent = []
         for read, path, *args in reads:
-            with cli._Later(read, path, *args, beside=path) as later:
-                sent.append(later.result())
+            sent.append(cli._beside(lambda: None, read, path, *args, beside=path)[1])
             assert array_flags(sent[-1]) == array_flags(read(path, *args)) != []
         assert len(forks) == len(reads)
         table = sent[0]
@@ -1549,8 +1598,7 @@ class TestWorker:
             with monkeypatch.context() as m:
                 for name, value in patches.items():
                     m.setattr(cli, name, value)
-                with cli._Later(load_model, model, beside=expr) as later:
-                    later.result()
+                cli._beside(lambda: None, load_model, model, beside=expr)
             return len(forks)
 
         assert started(WORKER_MIN_BYTES=smaller) == 1

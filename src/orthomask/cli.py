@@ -1,8 +1,8 @@
 """Command-line pipeline: graph construction, synthetic data, training,
 prediction and weight inspection as subcommands of one executable.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical
-failure (non-finite loss). All randomness flows through explicit
+Exit codes: 0 success, 1 usage error, 2 data/parse error or out of memory,
+3 numerical failure (non-finite loss). All randomness flows through explicit
 ``--seed`` flags, so repeated invocations write byte-identical files.
 """
 
@@ -516,6 +516,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"orthomask: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an allocation refused, here or in a worker
+        detail = f": {exc}" if str(exc) else ""
+        print(f"orthomask: error: out of memory{detail}", file=sys.stderr)
         return EXIT_DATA
     finally:
         if collecting:

@@ -95,21 +95,17 @@ def read_expression_tsv(path) -> ExpressionDataset:
         raise ParseError("header must start with 'sample_id'", path, 1)
     gene_ids = table.names[1:]
 
-    sample_ids: list[str] = []
     samples = np.zeros((len(table), len(gene_ids)))
     # one record at a time: the whole file's fields as strings would
     # take several times the file's size
-    for k, record in enumerate(table.records):
-        sample_id, _, text = record.partition("\t")
-        if gene_ids:
-            row, stop = parse_floats(text)
-            if stop is not None:
-                table.fail(k, "non-numeric expression value")
-            if not np.isfinite(row).all():
-                table.fail(k, "non-finite expression value")
-            samples[k] = row
-        sample_ids.append(sample_id)
-    return ExpressionDataset("", gene_ids, sample_ids, samples)
+    for k, record in enumerate(table.records if gene_ids else ()):
+        row, stop = parse_floats(record.partition("\t")[2])
+        if stop is not None:
+            table.fail(k, "non-numeric expression value")
+        if not np.isfinite(row).all():
+            table.fail(k, "non-finite expression value")
+        samples[k] = row
+    return ExpressionDataset("", gene_ids, table.keys[0].names, samples)
 
 
 def write_expression_tsv(dataset: ExpressionDataset, path) -> None:
@@ -135,7 +131,7 @@ def read_labels_tsv(path, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
             (stop, lambda k: f"non-integer class label {texts[k]!r}"),
             (first_true(values < 0), lambda k: f"negative class label {values[k]}"),
         )
-    return tuple(table.column(0)), values
+    return table.keys[0].names, values
 
 
 def write_labels_tsv(sample_ids, labels, path, header=LABEL_HEADER) -> None:

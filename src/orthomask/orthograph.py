@@ -277,7 +277,7 @@ def read_score_table(path, query_genes=(), subject_genes=()) -> ScoreTable:
         ),
     )
     # the reader checked what the constructor would: distinct pairs, scores
-    return ScoreTable._of_columns(table.factor(0), table.factor(1), scores)
+    return ScoreTable._of_columns(*table.keys, scores)
 
 
 def write_score_table(table: ScoreTable, path) -> None:
@@ -286,7 +286,7 @@ def write_score_table(table: ScoreTable, path) -> None:
 
 def read_gene_list(path) -> list[str]:
     """Parse a gene universe file (header ``gene_id``, one ID per line)."""
-    return read_table(path, GENE_LIST_HEADER).column(0)
+    return list(read_table(path, GENE_LIST_HEADER).keys[0].names)
 
 
 def write_gene_list(gene_ids, path) -> None:
@@ -303,7 +303,7 @@ def tsv_to_graph(path, target_genes, source_genes) -> BiadjacencyMatrix:
     """Read an edge-list TSV against explicitly supplied gene universes."""
     table = read_table(path, GRAPH_HEADER, key_fields=2, vocabularies=(target_genes, source_genes))
     # a gene list's IDs are coded by position, and only unknown IDs after it
-    t, s = table.factor(0).codes, table.factor(1).codes
+    t, s = (f.codes for f in table.keys)
     table.raise_first(
         (first_true(t >= len(target_genes)), lambda k: f"unknown target gene {table.column(0)[k]!r}"),
         (first_true(s >= len(source_genes)), lambda k: f"unknown source gene {table.column(1)[k]!r}"),

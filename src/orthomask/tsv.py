@@ -19,7 +19,8 @@ of two or more columns, are dropped first; then the first byte that
 differs names the first record of the wrong width. A column table's
 fields come from one split of the text, and each key column is
 factorized once, against the gene list it names when the reader has
-one, to find the first repeated key.
+one, to find the first repeated key; every reader takes its IDs from
+that factorization, the table's ``keys``.
 
 A numeric field (a score, expression value, label or weight) is a decimal
 as Python's ``float()`` reads it (``int()`` for a class label): ``1``,
@@ -50,7 +51,6 @@ import os
 import stat
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -103,16 +103,16 @@ def factorize(values, vocabulary=()) -> Factorized:
 class Table:
     """A table file's header names and records, as :func:`read_table` read them."""
 
-    def __init__(self, path, names: list[str], text: str, size: int, linenos, vocabularies=()):
+    def __init__(self, path, names: list[str], text: str, size: int, linenos):
         self.path = path
         self.names = names
+        # each key column factorized, as read_table checked it
+        self.keys: list[Factorized] = []
         # the header line, then the non-blank lines after it, in file order
         self._text = text
         self._size = size
         self._linenos = linenos  # None: no blank line follows the header
-        self._vocabularies = vocabularies
         self._fields: list[str] | None = None
-        self._factors: dict[int, Factorized] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -144,14 +144,6 @@ class Table:
         a number (see :func:`parse_floats`)."""
         return parse_floats("\t".join(self.column(k))) if self._size else parse_numbers([])
 
-    def factor(self, k: int) -> Factorized:
-        """Column ``k`` factorized against its seed vocabulary, if any,
-        computed once."""
-        if k not in self._factors:
-            vocabulary = self._vocabularies[k] if k < len(self._vocabularies) else ()
-            self._factors[k] = factorize(self.column(k), vocabulary)
-        return self._factors[k]
-
     def fail(self, k: int, message: str):
         raise ParseError(message, self.path, self.line(k))
 
@@ -180,21 +172,19 @@ def read_text(path) -> str:
     A file that is not UTF-8 raises :class:`ParseError` with the path and
     the 1-based line of its first bad byte.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        pass
-    # the decoder's offset need not count from the start of the file, so
-    # decode the raw bytes again to place the first bad one
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         message = f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
         raise ParseError(message, path, head.count(b"\n") + 1) from None
+    del data  # one copy of the file at a time
+    if "\r" in text:  # a scan for CR alone is many times faster than for CRLF
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def read_table(path, header=None, key_fields=1, vocabularies=()) -> Table:
@@ -202,7 +192,8 @@ def read_table(path, header=None, key_fields=1, vocabularies=()) -> Table:
 
     ``header``, when given, is the sequence of column names the file's
     header must list. ``vocabularies``, when given, holds the seed
-    vocabulary of each key column in turn (see :func:`factorize`).
+    vocabulary of each key column in turn (see :func:`factorize`); the
+    table's ``keys`` are those columns factorized against them.
     """
     text = read_text(path)
     end = text.find("\n")
@@ -242,20 +233,21 @@ def read_table(path, header=None, key_fields=1, vocabularies=()) -> Table:
         start = seps.rfind(b"\n", 0, at) + 1
         misfit = seps.count(b"\n", 0, start) - 1
         got = seps.index(b"\n", start) - start + 1
-    table = Table(path, names, text, size, linenos, vocabularies)
+    table = Table(path, names, text, size, linenos)
     # the records before the first of the wrong width are aligned, so the
     # first entries of a key column are theirs
     aligned = size if misfit is None else misfit
     if key_fields == 1 and len(names) > 1:
         # the text before a record's first tab, without splitting the rest
         # (an expression record holds one field per gene)
-        keys = [factorize([line.partition("\t")[0] for line in islice(table.records, aligned)])]
+        columns = [[line.partition("\t")[0] for line in islice(table.records, aligned)]]
     else:
-        keys = [Factorized(f.names, f.codes[:aligned]) for f in map(table.factor, range(key_fields))]
+        columns = [table.column(k)[:aligned] for k in range(key_fields)]
+    table.keys = keys = list(map(factorize, columns, chain(vocabularies, repeat(()))))
 
     def duplicate(k):
-        fields = next(islice(table.records, k, None)).split("\t")
-        return f"duplicate {'/'.join(names[:key_fields])} {itemgetter(*range(key_fields))(fields)!r}"
+        key = tuple(f.names[f.codes[k]] for f in keys)
+        return f"duplicate {'/'.join(names[:key_fields])} {key if key_fields > 1 else key[0]!r}"
 
     table.raise_first(
         (misfit, lambda k: f"expected {len(names)} fields, got {got}"),

@@ -284,9 +284,10 @@ class TestRefusedSettings:
 
 
 # sha256 of each parser's format_help() and format_usage() at 80 columns,
-# recorded while the parser still read its choices from training and netcore
+# recorded while the parser still read its choices from training and netcore;
+# the top-level text again when its description named the out-of-memory exit
 PARSER_TEXT_SHA256 = {
-    "": "1bc2efbff87add26056a212883d61c119de5d8bc62f53eb7c2e9e65db08823d3",
+    "": "5654444207e733bd1a1eb63fffc44ae490ad77a2385bedaf410f49f5920bdbb4",
     "build-graph": "b363ab15a2ff7f3a13c9495b7c7d31c5b7c1e0f82449868f12c163b592758213",
     "eval": "59f2ff68b9eef43c63d9479f67985096984f87018942d3678fb01634a77bedd1",
     "inspect-weights": "8cf8378325c687a39743d7f1f7bbc5c3e1d320d786e4ab08eb4083b812047015",
@@ -1099,6 +1100,25 @@ class TestCollectorPaused:
         assert gc.isenabled() is collector
         assert gc.get_freeze_count() == frozen
 
+    # a refused allocation is raised, never made: a runner that overcommits
+    # memory would grant a real one and then be killed
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 1.00 TiB for an array with shape (2, 2**39)"),
+         "orthomask: error: out of memory: Unable to allocate 1.00 TiB for an array with shape (2, 2**39)\n"),
+        (MemoryError(), "orthomask: error: out of memory\n"),
+    ], ids=["message", "bare"])
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys, collector, error, message):
+        def refused(args):
+            assert not gc.isenabled()
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_eval", refused)
+        frozen = gc.get_freeze_count()
+        assert run(["eval", "--model", "m", "--expr", "x", "--labels", "y"]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == frozen
+
     def test_no_collection_while_a_large_hard_model_loads(self, tmp_path):
         # 30k [target, source, weight] triples: with the collector running,
         # loading them sets off dozens of collections
@@ -1532,6 +1552,31 @@ class TestWorker:
         assert (code, out) == (2, "")
         path = argv[argv.index(flag) + 1]
         assert err == f"orthomask: error: the worker process reading {path} was killed by signal 9\n"
+
+    def test_a_worker_out_of_memory_exits_as_in_turn(self, bundle_dir, score_tables, tmp_path,
+                                                      monkeypatch, capsys, forks):
+        # the second score table's read is refused; beside, only the worker reads it
+        module = importlib.import_module("orthomask.orthograph")
+        read, refused_here = module.read_score_table, []
+        qt = str(score_tables[1])
+
+        def out_of_memory(path, *args):
+            if str(path) == qt:
+                refused_here.append(os.getpid())
+                raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (2, 2**39)")
+            return read(path, *args)
+
+        monkeypatch.setattr(module, "read_score_table", out_of_memory)
+        argv = self.commands(bundle_dir, score_tables)["build-graph"]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "WORKER_MIN_BYTES", 2**62)
+            in_turn = self.outcome(argv, tmp_path / "in_turn", monkeypatch, capsys)
+        assert refused_here == [os.getpid()] and forks == []
+        beside = self.outcome(argv, tmp_path / "beside", monkeypatch, capsys)
+        assert refused_here == [os.getpid()] and len(forks) == 1
+        assert beside == in_turn
+        assert in_turn[:3] == (2, "", "orthomask: error: out of memory: Unable to allocate 1.00 TiB "
+                                      "for an array with shape (2, 2**39)\n")
 
     def test_a_worker_that_cannot_send_exits_2_naming_its_file(self, bundle_dir, score_tables, tmp_path,
                                                               monkeypatch, capsys, forks):

@@ -347,6 +347,12 @@ def test_bulk_reader_matches_line_by_line_oracle(tmp_path):
         assert [table.line(k) for k in range(len(table))] == [lineno for lineno, _ in records]
         for k in range(len(names)):
             assert table.column(k) == [fields[k] for _, fields in records]
+        # each key column factorized once, in order of first appearance
+        assert len(table.keys) == key_fields
+        for k, key in enumerate(table.keys):
+            column = [fields[k] for _, fields in records]
+            assert key.names == tuple(dict.fromkeys(column))
+            assert key.codes.tolist() == [key.names.index(field) for field in column]
         outcomes.add("ok")
     # good files and each rule's failure were drawn
     assert outcomes == {"ok", "expected", "duplicate"}
@@ -426,6 +432,24 @@ def test_non_utf8_table_names_its_line(tmp_path):
     path.write_bytes(b"\xffgene_id\ng1\n")
     with pytest.raises(ParseError, match=r"genes\.tsv:1: "):
         read_gene_list(path)
+
+
+def test_read_text_opens_a_file_once(tmp_path, monkeypatch):
+    # the bytes read once are decoded once, and place a bad byte too
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tsv, "open", counted, raising=False)
+    path = tmp_path / "genes.tsv"
+    path.write_bytes(b"gene_id\r\ng1\rg2\n")
+    assert tsv.read_text(path) == "gene_id\ng1\ng2\n"
+    path.write_bytes(b"gene_id\r\ng1\rg\xff2\n")
+    with pytest.raises(ParseError, match=r"genes\.tsv:3: not UTF-8 text: byte 0xff"):
+        tsv.read_text(path)
+    assert opened == [path, path]
 
 
 def _decimal_fields(rng):
